@@ -120,9 +120,12 @@ def main() -> int:
         timeout_s=args.bench_timeout, fallback_x=x, repeats=args.bench_repeats
     )
     summary = {"fallback_x": x, "held_out_accuracy": acc, "modes": {}}
+    baseline = None
     for mode in ("baseline", "grt", "grtc"):
         t0 = time.monotonic()
-        records = run_suite(suite, mode, config, weights, table)
+        records = run_suite(suite, mode, config, weights, table, baseline=baseline)
+        if mode == "baseline":
+            baseline = records
         save_records(out / f"results-{mode}.jsonl", records)
         mode_score = score(records)
         (out / f"report-{mode}.txt").write_text(report(records, mode_score), encoding="utf-8")

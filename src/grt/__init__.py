@@ -2,8 +2,9 @@
 
 The pipeline: stream programs from the grammar to fabricate labeled examples,
 train a multi-label criticality model, measure per-terminal time savings,
-combine both into a reduced grammar per problem, and schedule a fallback to
-the full grammar.
+combine both into a reduced grammar per problem, and schedule the search: a
+short full-grammar probe, then the reduced grammar, then a fallback to the
+full grammar.
 """
 
 from .core import (

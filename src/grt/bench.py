@@ -136,21 +136,34 @@ def bench_one(
     weights: ModelWeights | None = None,
     savings_table: SavingsTable | None = None,
     solver: Callable = solve,
+    baseline: BenchRecord | None = None,
 ) -> BenchRecord:
+    """Time one benchmark in the given mode.
+
+    ``baseline``, a record of the same benchmark from an earlier run, supplies
+    the full-grammar columns instead of timing the full grammar again.
+    """
     bid = Path(pf.path).stem if pf.path else pf.fn_name
     problem = replace(pf.problem, timeout_s=config.timeout_s)
     var_names = problem.grammar.var_names
     try:
-        t_full, full = _timed_runs(lambda: solver(problem), config.repeats)
-        solved_full = _verified(full, problem, var_names)
-        if full.solved and not solved_full:
-            raise RuntimeError("full-grammar solution failed verification")
+        if baseline is not None:
+            if baseline.benchmark_id != bid:
+                raise ValueError(f"baseline record is for {baseline.benchmark_id}, not {bid}")
+            solved_full, t_full_s, size_full = baseline.solved_full, baseline.t_full_s, baseline.size_full
+        else:
+            t_full, full = _timed_runs(lambda: solver(problem), config.repeats)
+            solved_full = _verified(full, problem, var_names)
+            if full.solved and not solved_full:
+                raise RuntimeError("full-grammar solution failed verification")
+            t_full_s = t_full if solved_full else config.timeout_s
+            size_full = program_size(full.program) if solved_full else None
         record = BenchRecord(
             benchmark_id=bid,
             mode=mode,
             solved_full=solved_full,
-            t_full_s=t_full if solved_full else config.timeout_s,
-            size_full=program_size(full.program) if solved_full else None,
+            t_full_s=t_full_s,
+            size_full=size_full,
             solved_pruned=None,
             t_pruned_s=None,
             size_pruned=None,
@@ -205,26 +218,35 @@ def run_suite(
     weights: ModelWeights | None = None,
     savings_table: SavingsTable | None = None,
     solver: Callable = solve,
+    baseline: Sequence[BenchRecord] | None = None,
 ) -> list[BenchRecord]:
     """Run every benchmark in the given mode.
 
     Treated modes (grt, grtc) also time the full grammar per benchmark so each
-    record carries its own baseline columns.
+    record carries its own baseline columns, unless ``baseline`` holds the
+    records of an earlier run over the same files to take them from.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if baseline is None:
+        baseline = [None] * len(problem_files)
+    elif len(baseline) != len(problem_files):
+        raise ValueError(f"{len(baseline)} baseline records for {len(problem_files)} benchmarks")
     if mode != "baseline" and weights is None:
         raise ValueError(f"mode {mode!r} requires model weights")
     if mode == "grt" and savings_table is None:
         raise ValueError("grt mode requires a savings table")
     workers = min(config.workers, max(1, (os.cpu_count() or 2) - 1))
     if workers > 1 and solver is solve:
-        tasks = [(pf, mode, config, weights, savings_table) for pf in problem_files]
+        tasks = [
+            (pf, mode, config, weights, savings_table, solve, base)
+            for pf, base in zip(problem_files, baseline)
+        ]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_bench_task, tasks))
     return [
-        bench_one(pf, mode, config, weights, savings_table, solver)
-        for pf in problem_files
+        bench_one(pf, mode, config, weights, savings_table, solver, base)
+        for pf, base in zip(problem_files, baseline)
     ]
 
 

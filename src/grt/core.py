@@ -9,6 +9,8 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -97,18 +99,9 @@ ProgramAst = Union[Apply, InputVar, StrLit, IntLit, BoolLit]
 # --- Component function semantics (totalized SMT-LIB string theory) --------
 
 
-def _str_concat(a: str, b: str) -> str:
-    return a + b
-
-
 def _str_replace(s: str, t: str, r: str) -> str:
     # replacing the first occurrence; an empty pattern matches at position 0
-    if t == "":
-        return r + s
-    i = s.find(t)
-    if i < 0:
-        return s
-    return s[:i] + r + s[i + len(t):]
+    return s.replace(t, r, 1)
 
 
 def _str_at(s: str, i: int) -> str:
@@ -119,10 +112,6 @@ def _str_substr(s: str, i: int, n: int) -> str:
     if i < 0 or i >= len(s) or n <= 0:
         return ""
     return s[i : i + n]
-
-
-def _str_len(s: str) -> int:
-    return len(s)
 
 
 def _str_indexof(s: str, t: str, i: int) -> int:
@@ -149,44 +138,28 @@ def _str_suffixof(p: str, s: str) -> bool:
     return s.endswith(p)
 
 
-def _str_contains(s: str, t: str) -> bool:
-    return t in s
-
-
 def _ite(c: bool, a: str, b: str) -> str:
     return a if c else b
-
-
-def _int_add(a: int, b: int) -> int:
-    return a + b
-
-
-def _int_sub(a: int, b: int) -> int:
-    return a - b
-
-
-def _int_eq(a: int, b: int) -> bool:
-    return a == b
 
 
 _S, _I, _B = Sort.STRING, Sort.INT, Sort.BOOL
 
 _CATALOG_SPEC: tuple[tuple[str, tuple[Sort, ...], Sort, Callable], ...] = (
-    ("str.++", (_S, _S), _S, _str_concat),
+    ("str.++", (_S, _S), _S, operator.add),
     ("str.replace", (_S, _S, _S), _S, _str_replace),
     ("str.at", (_S, _I), _S, _str_at),
     ("str.substr", (_S, _I, _I), _S, _str_substr),
-    ("str.len", (_S,), _I, _str_len),
+    ("str.len", (_S,), _I, len),
     ("str.indexof", (_S, _S, _I), _I, _str_indexof),
     ("str.to.int", (_S,), _I, _str_to_int),
     ("int.to.str", (_I,), _S, _int_to_str),
     ("str.prefixof", (_S, _S), _B, _str_prefixof),
     ("str.suffixof", (_S, _S), _B, _str_suffixof),
-    ("str.contains", (_S, _S), _B, _str_contains),
+    ("str.contains", (_S, _S), _B, operator.contains),
     ("ite", (_B, _S, _S), _S, _ite),
-    ("+", (_I, _I), _I, _int_add),
-    ("-", (_I, _I), _I, _int_sub),
-    ("=", (_I, _I), _B, _int_eq),
+    ("+", (_I, _I), _I, operator.add),
+    ("-", (_I, _I), _I, operator.sub),
+    ("=", (_I, _I), _B, operator.eq),
 )
 
 CATALOG: dict[str, TerminalSymbol] = {
@@ -195,6 +168,23 @@ CATALOG: dict[str, TerminalSymbol] = {
 }
 
 SEMANTICS: dict[str, Callable] = {name: fn for name, _, _, fn in _CATALOG_SPEC}
+
+
+def _columnwise(fn: Callable) -> Callable[..., tuple]:
+    return lambda *cols: tuple(map(fn, *cols))
+
+
+# The same functions over columns: each argument is a tuple of values, one per
+# example, and the result is the tuple of outputs. Where a str method computes
+# the function, the loop over examples runs in C.
+COLUMN_SEMANTICS: dict[str, Callable[..., tuple]] = {
+    name: _columnwise(fn) for name, fn in SEMANTICS.items()
+}
+COLUMN_SEMANTICS.update({
+    "str.replace": lambda s, t, r: tuple(map(str.replace, s, t, r, itertools.repeat(1))),
+    "str.prefixof": lambda p, s: tuple(map(str.startswith, s, p)),
+    "str.suffixof": lambda p, s: tuple(map(str.endswith, s, p)),
+})
 
 # Canonical terminal ordering: catalog order. Label vectors, vote vectors and
 # the model output layer all index terminals in this order.
@@ -306,8 +296,12 @@ class SygusProblem:
     grammar: Grammar
     constraints: tuple[IoConstraint, ...] = ()
     timeout_s: float = 3600.0
+    # Budget in counted work (candidates explored); None means unlimited.
+    max_explored: int | None = None
 
     def __post_init__(self) -> None:
+        if self.max_explored is not None and self.max_explored < 1:
+            raise ValueError("max_explored must be at least 1")
         n_vars = len(self.grammar.input_vars)
         for c in self.constraints:
             if len(c.inputs) != n_vars:

@@ -25,11 +25,11 @@ from functools import lru_cache
 from . import sygus_format
 from .core import (
     Apply,
+    COLUMN_SEMANTICS,
     Grammar,
     InputVar,
     IntLit,
     ProgramAst,
-    SEMANTICS,
     Sort,
     StrLit,
     SygusProblem,
@@ -60,7 +60,7 @@ PROBE_STRINGS: tuple[str, ...] = ("", "a", "Z", "0", "123", "ab cd", "Hello Worl
 
 DEFAULT_STREAM_N = 2000
 
-_CHECK_MASK = 0x3FF  # deadline checked every 1024 candidates
+_CHECK_MASK = 0x3FF  # deadline and work budget checked every 1024 candidates
 
 
 @dataclass(frozen=True)
@@ -135,19 +135,20 @@ class _Space:
         # sum to s - 1, so nothing new can appear past 1 + arity * max_rep.
         return size > 1 + self.max_arity * self.max_rep_size
 
-    def grow(self, size: int, deadline: float | None = None, target=None):
+    def grow(self, size: int, deadline: float | None = None, target=None, max_explored: int | None = None):
         """Generate every candidate of the given size.
 
         Returns ("found", entry) as soon as a start-sorted candidate matches
-        ``target``, ("deadline", None) if the clock ran out, or
-        ("ok", new_entries) after the full generation.
+        ``target``, ("deadline", None) if the clock ran out, ("budget", None)
+        at the first checkpoint where ``max_explored`` candidates have been
+        explored, or ("ok", new_entries) after the full generation.
         """
         new_entries: list = []
         start_sort = self.grammar.start_sort
         explored = self.explored
         pools = self.pools
         for term in self.ops:
-            fn = SEMANTICS[term.name]
+            fn = COLUMN_SEMANTICS[term.name]
             ret = term.ret_sort
             seen_ret = self.seen[ret]
             out_pool = None
@@ -162,17 +163,22 @@ class _Space:
                     arg_pools.append(pool)
                 if arg_pools is None:
                     continue
-                for combo in itertools.product(*arg_pools):
+                val_lists = [[vals for _, vals in pool] for pool in arg_pools]
+                prog_lists = [[prog for prog, _ in pool] for pool in arg_pools]
+                for args, children in zip(itertools.product(*val_lists), itertools.product(*prog_lists)):
                     explored += 1
-                    if not (explored & _CHECK_MASK) and deadline is not None:
-                        if time.monotonic() >= deadline:
+                    if not (explored & _CHECK_MASK):
+                        if deadline is not None and time.monotonic() >= deadline:
                             self.explored = explored
                             return "deadline", None
-                    vals = tuple(map(fn, *[c[1] for c in combo]))
+                        if max_explored is not None and explored >= max_explored:
+                            self.explored = explored
+                            return "budget", None
+                    vals = fn(*args)
                     if vals in seen_ret:
                         continue
                     seen_ret.add(vals)
-                    prog = Apply(term, tuple(c[0] for c in combo))
+                    prog = Apply(term, children)
                     if out_pool is None:
                         out_pool = pools.setdefault((ret, size), [])
                     out_pool.append((prog, vals))
@@ -190,22 +196,28 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     """Find a smallest-generation program satisfying every constraint.
 
     Timeouts are an outcome, not an error; the reported elapsed time never
-    exceeds the problem's budget.
+    exceeds the problem's budget. With ``problem.max_explored`` set, the
+    search also stops, unsolved and not exhausted, before a size level once
+    that many candidates have been explored, or at the first 1024-candidate
+    checkpoint at or past it, and reports the time it ran rather than the
+    whole budget.
     """
     if not problem.constraints:
         raise ValueError("cannot solve a problem with no constraints")
     grammar = problem.grammar
     timeout = problem.timeout_s
+    max_explored = problem.max_explored
     start = time.monotonic()
     deadline = start + timeout
     target = tuple(c.output for c in problem.constraints)
     assignments = [tuple(c.inputs) for c in problem.constraints]
     space = _Space(grammar, assignments)
 
+    def elapsed():
+        return min(time.monotonic() - start, timeout)
+
     def done(prog):
-        return SynthesisResult(
-            True, prog, min(time.monotonic() - start, timeout), space.explored
-        )
+        return SynthesisResult(True, prog, elapsed(), space.explored)
 
     for prog, sort, vals in space.seed_leaves():
         if sort is grammar.start_sort and vals == target:
@@ -214,17 +226,18 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     size = 2
     while True:
         if space.exhausted_beyond(size):
-            return SynthesisResult(
-                False, None, min(time.monotonic() - start, timeout),
-                space.explored, exhausted=True,
-            )
+            return SynthesisResult(False, None, elapsed(), space.explored, exhausted=True)
         if time.monotonic() >= deadline:
             return SynthesisResult(False, None, timeout, space.explored)
-        status, payload = space.grow(size, deadline=deadline, target=target)
+        if max_explored is not None and space.explored >= max_explored:
+            return SynthesisResult(False, None, elapsed(), space.explored)
+        status, payload = space.grow(size, deadline=deadline, target=target, max_explored=max_explored)
         if status == "found":
             return done(payload[0])
         if status == "deadline":
             return SynthesisResult(False, None, timeout, space.explored)
+        if status == "budget":
+            return SynthesisResult(False, None, elapsed(), space.explored)
         size += 1
 
 
@@ -267,7 +280,8 @@ def solve_with_external(problem: SygusProblem, solver_cmd: str, fn_name: str = "
     The command template gets the problem file path substituted for "{}" (or
     appended when no placeholder is present). The subprocess is killed as a
     process group when the budget is exceeded; its stdout must contain a
-    define-fun for the synthesized function.
+    define-fun for the synthesized function. The work budget
+    ``problem.max_explored`` is ignored: only the wall-clock budget applies.
     """
     text = sygus_format.print_problem(sygus_format.ProblemFile(None, problem, fn_name))
     argv = shlex.split(solver_cmd)

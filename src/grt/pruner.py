@@ -4,8 +4,14 @@ Per terminal, the savings table holds the mean synthesis-time delta caused by
 dropping it (positive means dropping helps). A reduction keeps the grammar
 minus at most two terminals: of the three largest positive savers, the two
 with the fewest criticality votes go. A criticality-only variant drops the
-two least-voted terminals outright. The fallback scheduler picks how long to
-trust the reduced grammar before retrying with the full one.
+two least-voted terminals outright.
+
+The fallback schedule runs three searches in sequence: a short probe of the
+full grammar, bounded by a budget in counted work (PROBE_EXPLORED candidates),
+then the reduced grammar for the fallback point x, then the full grammar for
+whatever time is left. ``fallback_point`` picks x from timing data. The probe
+lets problems the full grammar solves cheaply skip the reduced search, so they
+no longer wait out x when the reduction removed a terminal they need.
 """
 
 from __future__ import annotations
@@ -17,11 +23,16 @@ import numpy as np
 
 from .core import Grammar, IoConstraint, SygusProblem
 from .enumerator import SynthesisResult
-from .neural import ModelWeights, predict_bits
+from .neural import ModelWeights, encode_batch, forward
 
 DEFAULT_FALLBACK_GRID: tuple[float, ...] = (1, 2, 5, 10, 20, 30, 60, 120, 300, 600)
 MAX_REMOVALS = 2
 CANDIDATE_POOL = 3
+# Work budget of the full-grammar probe: the smallest multiple of the
+# enumerator's 1024-candidate checkpoint that covers every full-grammar solve
+# among the drawn timing problems of the benchmark fixture (the largest needs
+# about 14k candidates).
+PROBE_EXPLORED = 16 * 1024
 
 
 @dataclass
@@ -58,13 +69,13 @@ def vote(
     constraints: Sequence[IoConstraint],
     threshold: float = 0.5,
 ) -> np.ndarray:
-    """Sum of per-constraint binary criticality predictions."""
+    """Sum of per-constraint binary criticality predictions, in one forward pass."""
     if not constraints:
         raise ValueError("no constraints to vote on")
-    counts = np.zeros(len(weights.terminal_names), dtype=np.int64)
-    for c in constraints:
-        counts += predict_bits(weights, c, threshold)
-    return counts
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must be in (0, 1)")
+    probs = forward(weights, encode_batch(constraints))
+    return (probs >= threshold).sum(axis=0, dtype=np.int64)
 
 
 @dataclass
@@ -146,22 +157,30 @@ def run_with_fallback(
     x: float,
     solver: Callable[[SygusProblem], SynthesisResult],
 ) -> SynthesisResult:
-    """Try the reduced grammar for x seconds, then the full grammar for the rest.
+    """Probe the full grammar, trust the reduced one for x, then fall back.
 
-    The two phases run strictly in sequence and the combined wall time never
-    exceeds the problem's own budget.
+    Three phases run strictly in sequence, each through ``solver``:
+
+    1. the full grammar, stopped after PROBE_EXPLORED candidates
+       (``max_explored``) or after x seconds;
+    2. the reduced grammar, for x seconds;
+    3. the full grammar again, for the rest of the problem's budget.
+
+    Each phase gets at most the time the earlier ones left, so together they
+    never run past ``problem.timeout_s``; the reported elapsed time and
+    explored count are sums over the phases that ran. A solver that ignores
+    ``max_explored``, such as ``solve_with_external``, makes the probe a
+    wall-clock phase of up to x.
     """
     if x > problem.timeout_s:
         raise ValueError(f"fallback point {x} exceeds problem timeout {problem.timeout_s}")
-    first = solver(replace(problem, grammar=reduced, timeout_s=x))
-    if first.solved:
-        return first
-    remaining = problem.timeout_s - x
-    if remaining <= 0:
-        return first
-    second = solver(replace(problem, timeout_s=remaining))
-    explored = first.programs_explored + second.programs_explored
-    elapsed = min(first.elapsed_s + second.elapsed_s, problem.timeout_s)
-    if second.solved:
-        return SynthesisResult(True, second.program, elapsed, explored)
-    return SynthesisResult(False, None, elapsed, explored, exhausted=second.exhausted)
+    result = solver(replace(problem, timeout_s=x, max_explored=PROBE_EXPLORED))
+    elapsed, explored = result.elapsed_s, result.programs_explored
+    for grammar, budget in ((reduced, x), (problem.grammar, problem.timeout_s)):
+        remaining = problem.timeout_s - elapsed
+        if result.solved or remaining <= 0:
+            break
+        result = solver(replace(problem, grammar=grammar, timeout_s=min(budget, remaining)))
+        elapsed += result.elapsed_s
+        explored += result.programs_explored
+    return replace(result, elapsed_s=elapsed, programs_explored=explored)

@@ -15,7 +15,7 @@ from grt.bench import (
 )
 from grt.core import IoConstraint, StrLit, SygusProblem, default_grammar
 from grt.datagen import TimeSample
-from grt.enumerator import SynthesisResult
+from grt.enumerator import SynthesisResult, solve
 from grt.neural import TrainConfig, train
 from grt.datagen import gen_crit_dataset
 from grt.pruner import savings
@@ -156,6 +156,31 @@ class TestRunSuite:
         for r in records:
             assert r.solved_pruned
             assert len(r.removed) == 2
+
+    def test_baseline_records_replace_full_grammar_runs(self, tiny_weights):
+        files = self.files()
+        config = BenchConfig(timeout_s=10)
+        base = run_suite(files, "baseline", config)
+        full_size = len(GRAMMAR.terminals)
+        grammar_sizes = []
+
+        def counting_solver(problem):
+            grammar_sizes.append(len(problem.grammar.terminals))
+            return solve(problem)
+
+        records = run_suite(files, "grtc", config, tiny_weights, solver=counting_solver, baseline=base)
+        assert full_size not in grammar_sizes
+        for r, b in zip(records, base):
+            assert (r.solved_full, r.t_full_s, r.size_full) == (b.solved_full, b.t_full_s, b.size_full)
+            assert r.error is None and r.solved_pruned
+
+    def test_baseline_must_match_benchmarks(self, tiny_weights):
+        files = self.files()
+        base = run_suite(files, "baseline", BenchConfig(timeout_s=10))
+        with pytest.raises(ValueError):
+            run_suite(files, "grtc", BenchConfig(timeout_s=10), tiny_weights, baseline=base[:1])
+        swapped = run_suite(files, "grtc", BenchConfig(timeout_s=10), tiny_weights, baseline=base[::-1])
+        assert all(r.error and "baseline record" in r.error for r in swapped)
 
     def test_mode_validation(self, tiny_weights):
         with pytest.raises(ValueError):

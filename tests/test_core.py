@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from grt.core import (
     Apply,
     CATALOG,
+    COLUMN_SEMANTICS,
     Grammar,
     InputVar,
     IntLit,
@@ -22,7 +23,7 @@ from grt.core import (
     satisfies,
     terminals_used,
 )
-from oracles import random_program, ref_eval
+from oracles import REF_SEMANTICS, random_program, ref_eval
 
 
 def apply_(name, *children):
@@ -92,6 +93,22 @@ class TestEvaluate:
         value = evaluate(program, inputs)
         assert isinstance(value, str)
         assert value == ref_eval(program, {"x0": inputs[0]})
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_column_semantics_match_reference_row_by_row(name):
+    rng = random.Random(f"columns:{name}")
+    draw = {
+        Sort.STRING: lambda: "".join(rng.choice("ab -1.") for _ in range(rng.randint(0, 5))),
+        Sort.INT: lambda: rng.randint(-3, 8),
+        Sort.BOOL: lambda: rng.random() < 0.5,
+    }
+    term = CATALOG[name]
+    for n_rows in (1, 2, 5, 9):
+        for _ in range(40):
+            cols = [tuple(draw[sort]() for _ in range(n_rows)) for sort in term.arg_sorts]
+            want = tuple(REF_SEMANTICS[name](*row) for row in zip(*cols))
+            assert COLUMN_SEMANTICS[name](*cols) == want, (name, cols)
 
 
 class TestSatisfies:

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from dataclasses import replace
@@ -24,6 +25,7 @@ from grt.enumerator import (
     solve_with_external,
     stream,
 )
+from grt.sygus_format import parse_problem_file
 from oracles import brute_force_min_size
 
 
@@ -126,6 +128,57 @@ class TestSolve:
             result = solve(SygusProblem(grammar, constraints, timeout_s=20))
             assert result.solved
             assert program_size(result.program) == expected
+
+
+class TestWorkBudget:
+    """``max_explored`` stops a search on counted work, not on the clock."""
+
+    @pytest.fixture(scope="class")
+    def suite_problem(self, generated_paths):
+        # gen-011 needs 19,579 candidates: past the 16,384 probe budget, so a
+        # budget cut and a solve are both a few hundredths of a second away
+        path = next(p for p in generated_paths if p.stem == "gen-011")
+        manifest = json.loads((path.parent / "manifest.json").read_text(encoding="utf-8"))
+        entry = next(e for e in manifest if e["id"] == "gen-011")
+        problem = replace(parse_problem_file(path.read_text(encoding="utf-8")).problem, timeout_s=60)
+        return problem, entry
+
+    @pytest.mark.parametrize("budget, stop", [(4096, 4096), (5000, 5120), (16 * 1024, 16 * 1024)])
+    def test_stops_at_first_checkpoint_at_or_past_budget(self, suite_problem, budget, stop):
+        problem, _ = suite_problem
+        result = solve(replace(problem, max_explored=budget))
+        assert not result.solved and not result.exhausted
+        assert result.program is None
+        assert result.programs_explored == stop
+        assert result.elapsed_s < problem.timeout_s
+
+    def test_explored_count_repeats(self, suite_problem):
+        problem, _ = suite_problem
+        cut = replace(problem, max_explored=5000)
+        assert solve(cut).programs_explored == solve(cut).programs_explored
+
+    def test_none_leaves_search_unchanged(self, suite_problem):
+        problem, entry = suite_problem
+        assert problem.max_explored is None
+        free = solve(problem)
+        assert free.solved
+        assert free.programs_explored == entry["explored"]
+        assert program_size(free.program) == entry["solved_size"]
+        roomy = solve(replace(problem, max_explored=20 * 1024))
+        assert roomy.program == free.program
+        assert roomy.programs_explored == free.programs_explored
+
+    def test_spent_budget_stops_before_next_level(self):
+        # the leaves alone use up a budget of one candidate
+        grammar = default_grammar(string_literals=("",), int_literals=(0,))
+        constraints = (IoConstraint(("abcdef",), "fedcba"),)
+        result = solve(SygusProblem(grammar, constraints, timeout_s=60, max_explored=1))
+        assert not result.solved and not result.exhausted
+        assert result.programs_explored == 3  # x0, "", 0
+
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ValueError):
+            SygusProblem(concat_grammar(), (IoConstraint(("a",), "a"),), max_explored=0)
 
 
 class TestStream:

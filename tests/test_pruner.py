@@ -11,6 +11,7 @@ from grt.enumerator import SynthesisResult
 from grt.neural import init_weights
 from grt.pruner import (
     DEFAULT_FALLBACK_GRID,
+    PROBE_EXPLORED,
     decide,
     decide_crit_only,
     fallback_cost,
@@ -65,6 +66,18 @@ class TestVote:
 
         c = IoConstraint(("ab",), "b")
         assert np.array_equal(vote(weights, [c]), predict_bits(weights, c))
+
+    def test_several_constraints_equal_sum_of_bits(self, weights):
+        from grt.neural import predict_bits
+
+        cs = [IoConstraint((s,), t) for s, t in [("ab", "b"), ("Hello World", "Hello"), ("x-1", "1"), ("", "")]]
+        expected = sum(predict_bits(weights, c, 0.3) for c in cs)
+        assert np.array_equal(vote(weights, cs, 0.3), expected)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_outside_unit_interval_rejected(self, weights, threshold):
+        with pytest.raises(ValueError):
+            vote(weights, [IoConstraint(("ab",), "b")], threshold)
 
     def test_duplicated_constraints_double(self, weights):
         c = IoConstraint(("ab",), "b")
@@ -205,17 +218,52 @@ class TestFallbackPoint:
             fallback_point([(1.0, 1.0)], 10.0, grid=[])
 
 
-def scripted_solver(script):
-    """Fake solver keyed by grammar size; burns its declared elapsed time."""
+def scripted_solver(script, calls=None):
+    """Fake solver keyed by grammar size; burns its declared elapsed time.
+
+    An entry is (solved, elapsed) or (solved, elapsed, explored); without a
+    count the search needs more work than the probe allows. A search whose
+    work exceeds the problem's max_explored stops there, unsolved, at no cost
+    on the fake clock. Each call's (terminal count, timeout_s, max_explored)
+    is appended to ``calls``.
+    """
 
     def solver(problem):
-        solved, elapsed = script[len(problem.grammar.terminal_names)]
+        n = len(problem.grammar.terminal_names)
+        if calls is not None:
+            calls.append((n, problem.timeout_s, problem.max_explored))
+        solved, elapsed, *rest = script[n]
+        explored = rest[0] if rest else 10 * PROBE_EXPLORED
+        if problem.max_explored is not None and explored > problem.max_explored:
+            return SynthesisResult(False, None, 0.0, problem.max_explored)
         elapsed = min(elapsed, problem.timeout_s)
         if not solved or elapsed >= problem.timeout_s:
-            return SynthesisResult(False, None, min(elapsed, problem.timeout_s), 10)
-        return SynthesisResult(True, InputVar("x0"), elapsed, 10)
+            return SynthesisResult(False, None, elapsed, explored)
+        return SynthesisResult(True, InputVar("x0"), elapsed, explored)
 
     return solver
+
+
+def recording(solver, calls):
+    """Wrap a solver to append each call's (grammar, max_explored, result)."""
+
+    def wrapped(problem):
+        result = solver(problem)
+        calls.append((problem.grammar, problem.max_explored, result))
+        return result
+
+    return wrapped
+
+
+# the solution needs str.replace three times; the full grammar finds it after
+# about 108k candidates, well past the probe
+CRITICAL_DROP_GRAMMAR = default_grammar(string_literals=("-", "."), int_literals=(0, 1))
+CRITICAL_DROP_CONSTRAINTS = (
+    IoConstraint(("a-b-c-d",), "a.b.c.d"),
+    IoConstraint(("x-1-2-3",), "x.1.2.3"),
+    IoConstraint(("q-r",), "q.r"),
+    IoConstraint(("zz",), "zz"),
+)
 
 
 class TestRunWithFallback:
@@ -238,34 +286,81 @@ class TestRunWithFallback:
         assert result.elapsed_s == pytest.approx(2.0 + 3.0)
 
     def test_neither_solves_hits_overall_budget(self):
-        solver = scripted_solver({13: (False, 99.0), 15: (False, 99.0)})
+        calls = []
+        solver = scripted_solver({13: (False, 99.0), 15: (False, 99.0)}, calls)
         result = run_with_fallback(self.problem, self.reduced, 2.0, solver)
         assert not result.solved
         assert result.elapsed_s == pytest.approx(10.0)
+        # probe, reduced phase for x, then the full grammar for the rest
+        assert calls == [(15, 2.0, PROBE_EXPLORED), (13, 2.0, None), (15, pytest.approx(8.0), None)]
+        assert result.programs_explored == PROBE_EXPLORED + 2 * 10 * PROBE_EXPLORED
 
     def test_x_equal_timeout_disables_fallback(self):
-        solver = scripted_solver({13: (False, 99.0), 15: (True, 1.0)})
+        # the probe still runs; the reduced phase then takes the whole budget
+        calls = []
+        solver = scripted_solver({13: (False, 99.0), 15: (True, 1.0)}, calls)
         result = run_with_fallback(self.problem, self.reduced, 10.0, solver)
         assert not result.solved
+        assert result.elapsed_s == pytest.approx(10.0)
+        assert calls == [(15, 10.0, PROBE_EXPLORED), (13, 10.0, None)]
 
     def test_x_above_timeout_rejected(self):
         solver = scripted_solver({13: (True, 0.1), 15: (True, 0.1)})
         with pytest.raises(ValueError):
             run_with_fallback(self.problem, self.reduced, 11.0, solver)
 
+    def test_probe_solves_without_reduced_phase(self):
+        calls = []
+        solver = scripted_solver({13: (True, 0.5), 15: (True, 0.01, 500)}, calls)
+        result = run_with_fallback(self.problem, self.reduced, 2.0, solver)
+        assert result.solved
+        assert result.elapsed_s == pytest.approx(0.01)
+        assert result.programs_explored == 500
+        assert calls == [(15, 2.0, PROBE_EXPLORED)]
+
+    def test_full_phase_gets_time_reduced_phase_left(self):
+        # the reduced search gives up after 0.5 s of its 2 s
+        calls = []
+        solver = scripted_solver({13: (False, 0.5), 15: (False, 99.0)}, calls)
+        result = run_with_fallback(self.problem, self.reduced, 2.0, solver)
+        assert not result.solved
+        assert calls[-1] == (15, pytest.approx(9.5), None)
+        assert result.elapsed_s == pytest.approx(10.0)
+
+    def test_real_solver_probe_solves_cheap_problem(self):
+        # needs str.replace, which the reduced grammar lacks, but the full
+        # grammar finds it within the probe, so the reduced grammar never runs
+        grammar = CRITICAL_DROP_GRAMMAR
+        constraints = (IoConstraint(("a-b",), "a.b"), IoConstraint(("zz",), "zz"))
+        problem = SygusProblem(grammar, constraints, timeout_s=20.0)
+        from grt.enumerator import solve
+
+        calls = []
+        result = run_with_fallback(problem, grammar.drop("str.replace"), 1.0, recording(solve, calls))
+        assert result.solved
+        assert result.elapsed_s < 1.0
+        assert [(g, budget) for g, budget, _ in calls] == [(grammar, PROBE_EXPLORED)]
+        assert result.programs_explored == calls[0][2].programs_explored <= PROBE_EXPLORED
+
     def test_real_solver_fallback_recovers_critical_drop(self):
         # the solution needs str.replace; the reduced grammar lacks it
-        grammar = default_grammar(string_literals=("-", "."), int_literals=(0, 1))
-        constraints = (
-            IoConstraint(("a-b",), "a.b"),
-            IoConstraint(("x-1",), "x.1"),
-            IoConstraint(("q-r",), "q.r"),
-            IoConstraint(("zz",), "zz"),
-        )
-        problem = SygusProblem(grammar, constraints, timeout_s=20.0)
+        grammar = CRITICAL_DROP_GRAMMAR
+        problem = SygusProblem(grammar, CRITICAL_DROP_CONSTRAINTS, timeout_s=20.0)
         reduced = grammar.drop("str.replace")
         from grt.enumerator import solve
 
-        result = run_with_fallback(problem, reduced, 1.0, solve)
+        calls = []
+        result = run_with_fallback(problem, reduced, 1.0, recording(solve, calls))
         assert result.solved
-        assert result.elapsed_s >= 1.0  # paid the reduced-phase budget first
+        assert [(g, budget) for g, budget, _ in calls] == [
+            (grammar, PROBE_EXPLORED), (reduced, None), (grammar, None),
+        ]
+        probe, reduced_phase, full = (r for _, _, r in calls)
+        # the probe stops on counted work, exactly at its budget
+        assert not probe.solved and not probe.exhausted
+        assert probe.programs_explored == PROBE_EXPLORED
+        assert reduced_phase.elapsed_s == pytest.approx(1.0)  # paid the reduced-phase budget
+        assert full.solved
+        assert result.elapsed_s == pytest.approx(sum(r.elapsed_s for _, _, r in calls))
+        assert result.programs_explored == sum(r.programs_explored for _, _, r in calls)
+        assert result.elapsed_s >= 1.0
