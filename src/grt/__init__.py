@@ -20,7 +20,6 @@ from .core import (
     TerminalSymbol,
     UnknownTerminal,
     default_grammar,
-    drop_terminal,
     evaluate,
     program_size,
     satisfies,
@@ -45,7 +44,6 @@ __all__ = [
     "TerminalSymbol",
     "UnknownTerminal",
     "default_grammar",
-    "drop_terminal",
     "evaluate",
     "parse_problem",
     "parse_problem_file",

@@ -252,10 +252,6 @@ class Grammar:
         )
 
 
-def drop_terminal(grammar: Grammar, name: str) -> Grammar:
-    return grammar.drop(name)
-
-
 def default_grammar(
     string_literals: Sequence[str] = DEFAULT_STRING_LITERALS,
     int_literals: Sequence[int] = DEFAULT_INT_LITERALS,

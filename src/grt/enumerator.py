@@ -1,10 +1,24 @@
 """Bottom-up enumerative synthesis with observational-equivalence pruning.
 
-Candidates are generated in nondecreasing AST size. Each kept program carries
-its vector of outputs on the evaluation inputs (the constraint inputs when
-solving, a fixed probe set when streaming); a candidate whose output vector
-was already seen for its sort is pruned. New candidates are evaluated directly
-from their children's output vectors, so no tree is ever re-walked.
+Kept programs live in pools, one per (sort, size). Each carries its vector of
+outputs on the evaluation inputs (the constraint inputs when solving, a fixed
+probe set when streaming); a candidate whose output vector was already kept
+for its sort is pruned. New candidates are evaluated directly from their
+children's output vectors, so no tree is ever re-walked.
+
+A pool is grown the first time something reads it, so a search builds only
+the pools it needs: a solved search never builds the Int and Bool pools that
+only a larger size would read.
+
+``solve`` goes size by size. At each size it first looks for a program rooted
+at ``str.++`` or ``str.substr`` top-down: the outputs fix what the children
+must evaluate to (a prefix, or a string holding the output at some index),
+and those values are looked up in the smaller pools. These are the witness
+functions of FlashMeta (Polozov & Gulwani, OOPSLA 2015), combined with
+bottom-up enumeration as in Duet (Lee, POPL 2021). Only the other operators
+are then enumerated at that size; the ``str.++`` and ``str.substr`` entries of
+the start-sort pool are added when a larger size reads it (see ``_Space``).
+``stream`` defers nothing and yields the programs eager growth would.
 
 The search is fully deterministic: terminals, literals, and size partitions
 are iterated in grammar order.
@@ -92,104 +106,270 @@ def probe_assignments(n_vars: int) -> list[tuple[str, ...]]:
     ]
 
 
+class _Stop(Exception):
+    """A checkpoint found the deadline passed ("deadline") or the work budget spent ("budget")."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+# Start-sort operators whose roots a search with a target inverts top-down.
+_WITNESSED: tuple[str, ...] = ("str.++", "str.substr")
+
+
+def _occurs_at(hosts: tuple, starts: tuple, target: tuple) -> bool:
+    """Whether every non-empty target value occurs in its host at the given start."""
+    return all(not t or (i >= 0 and s.startswith(t, i)) for s, i, t in zip(hosts, starts, target))
+
+
 class _Space:
-    """Size-indexed pools of observationally distinct programs."""
+    """Pools of observationally distinct programs, one per (sort, size), grown on demand.
 
-    def __init__(self, grammar: Grammar, assignments: list[tuple[str, ...]]):
+    A pool is grown the first time something reads it (``pool``): the operators
+    of its sort run in catalog order over the smaller pools, and a candidate
+    whose value vector was kept at a smaller size is pruned. The pools therefore
+    come out the same whichever reader asks first, and a search builds only the
+    pools it reads.
+
+    With a target, ``level(L)`` first searches the start-sort programs of size L
+    rooted at a witnessed operator top-down (``witness``): what each child must
+    evaluate to follows from the target and is looked up in the smaller pools.
+    Then the other operators grow the start-sort pool of size L, checking each
+    new value against the target. The witnessed operators' own entries of that
+    pool are deferred until a later level reads it. A value they then produce
+    that the other operators kept at a larger size moves down, so a completed
+    pool holds the same values as without deferral (only the representative
+    program may differ).
+
+    Work is counted in ``explored``: every candidate evaluated and every check a
+    witness makes. Every 1024 of them the deadline and the work budget are
+    checked, and ``_Stop`` is raised once either is spent.
+    """
+
+    def __init__(
+        self,
+        grammar: Grammar,
+        assignments: list[tuple[str, ...]],
+        target: tuple | None = None,
+        deadline: float | None = None,
+        max_explored: int | None = None,
+    ):
         self.grammar = grammar
-        self.assignments = assignments
-        self.pools: dict[tuple[Sort, int], list] = {}
-        self.seen: dict[Sort, set] = {s: set() for s in Sort}
+        self.target = target
+        self.deadline = deadline
+        self.max_explored = max_explored
+        self.progs: dict[tuple[Sort, int], list] = {}
+        self.vals: dict[tuple[Sort, int], list] = {}
+        self.seen: dict[Sort, dict[tuple, int]] = {s: {} for s in Sort}  # value vector -> size kept
+        self.index: dict[int, dict[tuple, ProgramAst]] = {}  # start-sort pools by value
         self.explored = 0
-        self.max_rep_size = 0
-        self.ops = [t for t in grammar.terminals if t.arity > 0]
-        self.max_arity = max((t.arity for t in self.ops), default=0)
+        ops = [t for t in grammar.terminals if t.arity > 0]
+        self.max_arity = max((t.arity for t in ops), default=0)
+        self.ops = {s: [t for t in ops if t.ret_sort is s] for s in Sort}
+        start = grammar.start_sort
+        self.deferred = [t for t in self.ops[start] if target is not None and t.name in _WITNESSED]
+        self.eager = [t for t in self.ops[start] if t not in self.deferred]
+        self.grown = dict.fromkeys(Sort, 1)  # every pool up to this size is complete
+        self.deferred_to = 1  # start-sort pools above grown[start] up to here lack the deferred ops
+        self._seed_leaves(assignments)
 
-    def seed_leaves(self) -> list:
-        new = []
-        seeded = set()
+    def _seed_leaves(self, assignments: list[tuple[str, ...]]) -> None:
+        m = len(assignments)
+        leaves = []
         for j, (name, sort) in enumerate(self.grammar.input_vars):
-            if name in seeded:
-                continue
-            seeded.add(name)
-            vals = tuple(a[j] for a in self.assignments)
-            self._add(InputVar(name, sort), sort, vals, new)
-        m = len(self.assignments)
-        for s in self.grammar.string_literals:
-            self._add(StrLit(s), Sort.STRING, (s,) * m, new)
-        for n in self.grammar.int_literals:
-            self._add(IntLit(n), Sort.INT, (n,) * m, new)
-        return new
+            if name not in self.grammar.var_names[:j]:
+                leaves.append((InputVar(name, sort), sort, tuple(a[j] for a in assignments)))
+        leaves += [(StrLit(s), Sort.STRING, (s,) * m) for s in self.grammar.string_literals]
+        leaves += [(IntLit(n), Sort.INT, (n,) * m) for n in self.grammar.int_literals]
+        for sort in Sort:
+            self.progs[(sort, 1)], self.vals[(sort, 1)] = [], []
+        for prog, sort, vals in leaves:
+            self.explored += 1
+            if vals not in self.seen[sort]:
+                self.seen[sort][vals] = 1
+                self.progs[(sort, 1)].append(prog)
+                self.vals[(sort, 1)].append(vals)
 
-    def _add(self, prog, sort, vals, new):
-        self.explored += 1
-        if vals in self.seen[sort]:
-            return
-        self.seen[sort].add(vals)
-        self.pools.setdefault((sort, 1), []).append((prog, vals))
-        self.max_rep_size = 1
-        new.append((prog, sort, vals))
+    def pool(self, sort: Sort, size: int) -> tuple[list, list]:
+        """The programs kept at (sort, size) and their value vectors, grown on first read."""
+        while self.grown[sort] < size:
+            k = self.grown[sort] + 1
+            if sort is self.grammar.start_sort and k <= self.deferred_to:
+                self._grow(sort, k, self.deferred, moves=True)
+            else:
+                self._grow(sort, k, self.ops[sort])
+            self.grown[sort] = k
+        return self.progs[(sort, size)], self.vals[(sort, size)]
+
+    def level(self, size: int) -> ProgramAst | None:
+        """A start-sort program of this size that meets the target, or None.
+
+        Every smaller size must have been searched already.
+        """
+        found = self.witness(size)
+        if found is None:
+            found = self._grow(self.grammar.start_sort, size, self.eager, target=self.target)
+        self.deferred_to = size
+        return found
 
     def exhausted_beyond(self, size: int) -> bool:
-        # Every candidate of size s combines kept representatives whose sizes
-        # sum to s - 1, so nothing new can appear past 1 + arity * max_rep.
-        return size > 1 + self.max_arity * self.max_rep_size
+        """Whether no program of this size or larger can have a new value vector.
 
-    def grow(self, size: int, deadline: float | None = None, target=None, max_explored: int | None = None):
-        """Generate every candidate of the given size.
-
-        Returns ("found", entry) as soon as a start-sorted candidate matches
-        ``target``, ("deadline", None) if the clock ran out, ("budget", None)
-        at the first checkpoint where ``max_explored`` candidates have been
-        explored, or ("ok", new_entries) after the full generation.
+        Every candidate of size s combines kept programs whose sizes sum to
+        s - 1, so nothing new appears past 1 + arity * (largest kept size). The
+        answer is yes only once every pool below ``size`` is complete.
         """
-        new_entries: list = []
-        start_sort = self.grammar.start_sort
-        explored = self.explored
-        pools = self.pools
-        for term in self.ops:
+        if size <= 1 + self.max_arity * self._max_kept_size():
+            return False
+        for sort in Sort:
+            self.pool(sort, size - 1)
+        return size > 1 + self.max_arity * self._max_kept_size()
+
+    def _max_kept_size(self) -> int:
+        return max((size for (_, size), vals in self.vals.items() if vals), default=0)
+
+    def _checkpoint(self, explored: int) -> None:
+        self.explored = explored
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise _Stop("deadline")
+        if self.max_explored is not None and explored >= self.max_explored:
+            raise _Stop("budget")
+
+    def _args(self, sorts: tuple[Sort, ...], parts: tuple[int, ...]):
+        """The children's program and value lists for one size split, or None if one is empty."""
+        progs, vals = [], []
+        for sort, sz in zip(sorts, parts):
+            p, v = self.pool(sort, sz)
+            if not v:
+                return None
+            progs.append(p)
+            vals.append(v)
+        return progs, vals
+
+    def _grow(self, sort: Sort, size: int, ops, target=None, moves: bool = False):
+        """Add what ``ops`` make from the smaller pools to pool (sort, size).
+
+        Returns the first new program whose value vector equals ``target``, if
+        any. With ``moves``, a value kept at a larger size moves down to this one.
+        """
+        progs = self.progs.setdefault((sort, size), [])
+        vals = self.vals.setdefault((sort, size), [])
+        seen = self.seen[sort]
+        moved: dict[int, set] = {}
+        for term in ops:
             fn = COLUMN_SEMANTICS[term.name]
-            ret = term.ret_sort
-            seen_ret = self.seen[ret]
-            out_pool = None
-            is_target_sort = target is not None and ret is start_sort
             for parts in _compositions(size - 1, term.arity):
-                arg_pools = []
-                for sort, sz in zip(term.arg_sorts, parts):
-                    pool = pools.get((sort, sz))
-                    if not pool:
-                        arg_pools = None
-                        break
-                    arg_pools.append(pool)
-                if arg_pools is None:
+                args = self._args(term.arg_sorts, parts)
+                if args is None:
                     continue
-                val_lists = [[vals for _, vals in pool] for pool in arg_pools]
-                prog_lists = [[prog for prog, _ in pool] for pool in arg_pools]
-                for args, children in zip(itertools.product(*val_lists), itertools.product(*prog_lists)):
+                explored = self.explored
+                for cols, children in zip(itertools.product(*args[1]), itertools.product(*args[0])):
                     explored += 1
                     if not (explored & _CHECK_MASK):
-                        if deadline is not None and time.monotonic() >= deadline:
-                            self.explored = explored
-                            return "deadline", None
-                        if max_explored is not None and explored >= max_explored:
-                            self.explored = explored
-                            return "budget", None
-                    vals = fn(*args)
-                    if vals in seen_ret:
-                        continue
-                    seen_ret.add(vals)
+                        self._checkpoint(explored)
+                    v = fn(*cols)
+                    if v in seen:
+                        if not moves or seen[v] <= size:
+                            continue
+                        moved.setdefault(seen[v], set()).add(v)
+                    seen[v] = size
                     prog = Apply(term, children)
-                    if out_pool is None:
-                        out_pool = pools.setdefault((ret, size), [])
-                    out_pool.append((prog, vals))
-                    self.max_rep_size = size
-                    entry = (prog, ret, vals)
-                    new_entries.append(entry)
-                    if is_target_sort and vals == target:
+                    progs.append(prog)
+                    vals.append(v)
+                    if v == target:
                         self.explored = explored
-                        return "found", entry
-        self.explored = explored
-        return "ok", new_entries
+                        return prog
+                self.explored = explored
+        for larger, gone in moved.items():
+            kept = [(p, v) for p, v in zip(self.progs[(sort, larger)], self.vals[(sort, larger)]) if v not in gone]
+            self.progs[(sort, larger)][:] = [p for p, _ in kept]
+            self.vals[(sort, larger)][:] = [v for _, v in kept]
+        return None
+
+    def witness(self, size: int) -> ProgramAst | None:
+        """A program of this size rooted at a deferred operator that meets the target, or None."""
+        for term in self.deferred:
+            if term.name == "str.++":
+                found = self._witness_concat(term, size)
+            else:
+                found = self._witness_substr(term, size)
+            if found is not None:
+                return found
+        return None
+
+    def _index(self, size: int) -> dict[tuple, ProgramAst]:
+        """The complete start-sort pool of this size as {value vector: program}."""
+        index = self.index.get(size)
+        if index is None:
+            progs, vals = self.pool(Sort.STRING, size)
+            index = self.index[size] = dict(zip(vals, progs))
+        return index
+
+    def _witness_concat(self, term, size: int) -> ProgramAst | None:
+        # (str.++ l r) meets the target iff every value of l is a prefix of its
+        # output and r's values are the rest of the outputs.
+        target = self.target
+        for a in range(1, size - 1):
+            lprogs, lvals = self.pool(Sort.STRING, a)
+            rights = self._index(size - 1 - a)
+            if not rights:
+                continue
+            explored = self.explored
+            for lp, lv in zip(lprogs, lvals):
+                explored += 1
+                if not (explored & _CHECK_MASK):
+                    self._checkpoint(explored)
+                if all(map(str.startswith, target, lv)):
+                    rp = rights.get(tuple(t[len(x):] for t, x in zip(target, lv)))
+                    if rp is not None:
+                        self.explored = explored
+                        return Apply(term, (lp, rp))
+            self.explored = explored
+        return None
+
+    def _witness_substr(self, term, size: int) -> ProgramAst | None:
+        # (str.substr s i n) meets the target only if every value of s contains
+        # its output and, where the output is non-empty, i is an occurrence of
+        # it; n is then checked by evaluation.
+        target = self.target
+        substr = COLUMN_SEMANTICS[term.name]
+        for a in range(1, size - 2):
+            sprogs, svals = self.pool(Sort.STRING, a)
+            explored = self.explored
+            hosts = []
+            for sp, sv in zip(sprogs, svals):
+                explored += 1
+                if not (explored & _CHECK_MASK):
+                    self._checkpoint(explored)
+                if all(map(str.__contains__, sv, target)):
+                    hosts.append((sp, sv))
+            self.explored = explored
+            if not hosts:
+                continue
+            rest = size - 1 - a
+            for b in range(1, rest):
+                iprogs, ivals = self.pool(Sort.INT, b)
+                nprogs, nvals = self.pool(Sort.INT, rest - b)
+                if not ivals or not nvals:
+                    continue
+                explored = self.explored
+                for sp, sv in hosts:
+                    for ip, iv in zip(iprogs, ivals):
+                        explored += 1
+                        if not (explored & _CHECK_MASK):
+                            self._checkpoint(explored)
+                        if not _occurs_at(sv, iv, target):
+                            continue
+                        for np_, nv in zip(nprogs, nvals):
+                            explored += 1
+                            if not (explored & _CHECK_MASK):
+                                self._checkpoint(explored)
+                            if substr(sv, iv, nv) == target:
+                                self.explored = explored
+                                return Apply(term, (sp, ip, np_))
+                self.explored = explored
+        return None
 
 
 def solve(problem: SygusProblem) -> SynthesisResult:
@@ -200,7 +380,7 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     search also stops, unsolved and not exhausted, before a size level once
     that many candidates have been explored, or at the first 1024-candidate
     checkpoint at or past it, and reports the time it ran rather than the
-    whole budget.
+    whole budget. The checks a top-down witness makes count as candidates.
     """
     if not problem.constraints:
         raise ValueError("cannot solve a problem with no constraints")
@@ -211,34 +391,34 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     deadline = start + timeout
     target = tuple(c.output for c in problem.constraints)
     assignments = [tuple(c.inputs) for c in problem.constraints]
-    space = _Space(grammar, assignments)
+    space = _Space(grammar, assignments, target, deadline, max_explored)
 
     def elapsed():
         return min(time.monotonic() - start, timeout)
 
-    def done(prog):
-        return SynthesisResult(True, prog, elapsed(), space.explored)
+    def unsolved(**kw):
+        return SynthesisResult(False, None, elapsed(), space.explored, **kw)
 
-    for prog, sort, vals in space.seed_leaves():
-        if sort is grammar.start_sort and vals == target:
-            return done(prog)
-
+    for prog, vals in zip(*space.pool(grammar.start_sort, 1)):
+        if vals == target:
+            return SynthesisResult(True, prog, elapsed(), space.explored)
     size = 2
-    while True:
-        if space.exhausted_beyond(size):
-            return SynthesisResult(False, None, elapsed(), space.explored, exhausted=True)
-        if time.monotonic() >= deadline:
+    try:
+        while True:
+            if space.exhausted_beyond(size):
+                return unsolved(exhausted=True)
+            if time.monotonic() >= deadline:
+                raise _Stop("deadline")
+            if max_explored is not None and space.explored >= max_explored:
+                return unsolved()
+            prog = space.level(size)
+            if prog is not None:
+                return SynthesisResult(True, prog, elapsed(), space.explored)
+            size += 1
+    except _Stop as stop:
+        if stop.reason == "deadline":
             return SynthesisResult(False, None, timeout, space.explored)
-        if max_explored is not None and space.explored >= max_explored:
-            return SynthesisResult(False, None, elapsed(), space.explored)
-        status, payload = space.grow(size, deadline=deadline, target=target, max_explored=max_explored)
-        if status == "found":
-            return done(payload[0])
-        if status == "deadline":
-            return SynthesisResult(False, None, timeout, space.explored)
-        if status == "budget":
-            return SynthesisResult(False, None, elapsed(), space.explored)
-        size += 1
+        return unsolved()
 
 
 def stream(grammar: Grammar, n: int = DEFAULT_STREAM_N) -> list[ProgramAst]:
@@ -251,27 +431,14 @@ def stream(grammar: Grammar, n: int = DEFAULT_STREAM_N) -> list[ProgramAst]:
         raise ValueError("n must be at least 1")
     space = _Space(grammar, probe_assignments(len(grammar.input_vars)))
     out: list[ProgramAst] = []
-
-    def take(entries) -> bool:
-        for prog, sort, _ in entries:
-            if sort is grammar.start_sort:
-                out.append(prog)
-                if len(out) == n:
-                    return True
-        return False
-
-    if take(space.seed_leaves()):
-        return out
-    size = 2
-    while True:
-        if space.exhausted_beyond(size):
-            raise GrammarExhausted(
-                f"grammar yields only {len(out)} distinct programs, {n} requested"
-            )
-        _, entries = space.grow(size)
-        if take(entries):
-            return out
+    size = 1
+    while not space.exhausted_beyond(size):
+        for prog in space.pool(grammar.start_sort, size)[0]:
+            out.append(prog)
+            if len(out) == n:
+                return out
         size += 1
+    raise GrammarExhausted(f"grammar yields only {len(out)} distinct programs, {n} requested")
 
 
 def solve_with_external(problem: SygusProblem, solver_cmd: str, fn_name: str = "f") -> SynthesisResult:

@@ -17,7 +17,6 @@ from grt.core import (
     SygusProblem,
     TerminalSymbol,
     UnknownTerminal,
-    drop_terminal,
     evaluate,
     program_size,
     satisfies,
@@ -126,7 +125,7 @@ class TestSatisfies:
 
 class TestGrammar:
     def test_drop(self, full_grammar):
-        reduced = drop_terminal(full_grammar, "str.replace")
+        reduced = full_grammar.drop("str.replace")
         assert set(reduced.terminal_names) == set(full_grammar.terminal_names) - {"str.replace"}
         assert len(reduced.terminal_names) == len(full_grammar.terminal_names) - 1
         # original untouched

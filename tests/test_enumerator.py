@@ -1,10 +1,13 @@
+import hashlib
 import json
 import random
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from grt import enumerator
 from grt.core import (
     IoConstraint,
     Sort,
@@ -25,8 +28,17 @@ from grt.enumerator import (
     solve_with_external,
     stream,
 )
-from grt.sygus_format import parse_problem_file
-from oracles import brute_force_min_size
+from grt.sygus_format import parse_problem_file, program_to_text
+from oracles import all_programs, brute_force_min_size, ref_eval
+
+
+def generated_problem(generated_paths, name):
+    """A generated suite problem (60 s budget) and its manifest entry."""
+    path = next(p for p in generated_paths if p.stem == name)
+    manifest = json.loads((path.parent / "manifest.json").read_text(encoding="utf-8"))
+    entry = next(e for e in manifest if e["id"] == name)
+    problem = replace(parse_problem_file(path.read_text(encoding="utf-8")).problem, timeout_s=60)
+    return problem, entry
 
 
 def concat_grammar(**kwargs):
@@ -130,18 +142,77 @@ class TestSolve:
             assert program_size(result.program) == expected
 
 
+class TestWitnessedRoots:
+    """str.++ and str.substr roots are searched top-down and their pool entries deferred."""
+
+    @pytest.mark.parametrize("name", ["gen-027", "gen-028", "gen-029", "gen-030", "gen-031"])
+    def test_deferred_values_move_down(self, generated_paths, name):
+        # Each answer's right child is (str.++ lit x), a value str.replace
+        # first keeps one size too large, before the deferred str.++ entries
+        # of the smaller pool are added.
+        problem, entry = generated_problem(generated_paths, name)
+        result = solve(problem)
+        assert result.solved
+        assert program_size(result.program) == entry["solved_size"]
+
+    def test_minimality_over_random_grammars_with_witnessed_roots(self):
+        rng = random.Random(405)
+        others = ["str.replace", "str.at", "str.len", "str.indexof", "int.to.str", "+", "-"]
+        inputs = ["xy1", "b-a", "", "a-a-"]
+        checked = with_empty = 0
+        while checked < 300:
+            ops = rng.sample(["str.++", "str.substr"], rng.randint(1, 2)) + rng.sample(others, rng.randint(1, 2))
+            grammar = default_grammar(
+                terminals=ops, string_literals=tuple(rng.sample(["", "a", "-", "0"], 2)), int_literals=(0, 1)
+            )
+            pool = all_programs(grammar, Sort.STRING, rng.randint(3, 6))
+            if not pool:
+                continue
+            target = rng.choice(pool)
+            constraints = tuple(IoConstraint((s,), ref_eval(target, {"x0": s})) for s in inputs)
+            expected = brute_force_min_size(grammar, constraints, 6)
+            result = solve(SygusProblem(grammar, constraints, timeout_s=30))
+            assert result.solved
+            assert program_size(result.program) == expected, (ops, constraints)
+            checked += 1
+            with_empty += any(c.output == "" for c in constraints)
+        assert with_empty >= 100
+
+    def test_witness_stops_at_its_deadline(self, generated_paths, monkeypatch):
+        # The clock jumps past the deadline as the last level's witness starts.
+        problem, _ = generated_problem(generated_paths, "gen-001")
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(enumerator, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        witness = enumerator._Space.witness
+        stops = []
+
+        def late_witness(space, size):
+            if size == 10:
+                clock.now = 2 * problem.timeout_s
+            entered = space.explored
+            try:
+                return witness(space, size)
+            except enumerator._Stop as stop:
+                stops.append((stop.reason, entered, space.explored))
+                raise
+
+        monkeypatch.setattr(enumerator._Space, "witness", late_witness)
+        result = solve(problem)
+        assert not result.solved and not result.exhausted
+        assert result.elapsed_s <= problem.timeout_s
+        [(reason, entered, stopped)] = stops
+        assert reason == "deadline"
+        assert stopped == result.programs_explored == (entered // 1024 + 1) * 1024
+
+
 class TestWorkBudget:
     """``max_explored`` stops a search on counted work, not on the clock."""
 
     @pytest.fixture(scope="class")
     def suite_problem(self, generated_paths):
-        # gen-011 needs 19,579 candidates: past the 16,384 probe budget, so a
-        # budget cut and a solve are both a few hundredths of a second away
-        path = next(p for p in generated_paths if p.stem == "gen-011")
-        manifest = json.loads((path.parent / "manifest.json").read_text(encoding="utf-8"))
-        entry = next(e for e in manifest if e["id"] == "gen-011")
-        problem = replace(parse_problem_file(path.read_text(encoding="utf-8")).problem, timeout_s=60)
-        return problem, entry
+        # gen-001 needs over 200k candidates, far past every budget below, so
+        # each cut lands inside the search
+        return generated_problem(generated_paths, "gen-001")
 
     @pytest.mark.parametrize("budget, stop", [(4096, 4096), (5000, 5120), (16 * 1024, 16 * 1024)])
     def test_stops_at_first_checkpoint_at_or_past_budget(self, suite_problem, budget, stop):
@@ -164,7 +235,7 @@ class TestWorkBudget:
         assert free.solved
         assert free.programs_explored == entry["explored"]
         assert program_size(free.program) == entry["solved_size"]
-        roomy = solve(replace(problem, max_explored=20 * 1024))
+        roomy = solve(replace(problem, max_explored=256 * 1024))
         assert roomy.program == free.program
         assert roomy.programs_explored == free.programs_explored
 
@@ -205,6 +276,13 @@ class TestStream:
 
     def test_deterministic(self, full_grammar):
         assert stream(full_grammar, 50) == stream(full_grammar, 50)
+
+    def test_default_stream_unchanged(self, full_grammar):
+        # digest of the first 2000 programs as the eagerly grown pools gave
+        # them, before pools were grown on demand
+        text = "\n".join(program_to_text(p) for p in stream(full_grammar))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "1f89fb6808f55daeec0885fe104a4ca0a4c1525f8b39afd62ec3380720187a80"
 
     def test_probe_strings_cover_spec_shapes(self):
         assert "" in PROBE_STRINGS
