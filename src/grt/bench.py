@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from .core import program_size, satisfies
 from .enumerator import SynthesisResult, solve
 from .neural import ModelWeights
-from .pruner import SavingsTable, decide, decide_crit_only, run_with_fallback, vote
+from .pruner import SavingsTable, decide, run_with_fallback, vote
 from .sygus_format import ProblemFile
 
 MODES = ("baseline", "grt", "grtc")
@@ -173,10 +173,7 @@ def bench_one(
             return record
 
         votes = vote(weights, problem.constraints, config.threshold)
-        if mode == "grt":
-            decision = decide(problem.grammar, savings_table, votes)
-        else:
-            decision = decide_crit_only(problem.grammar, votes)
+        decision = decide(problem.grammar, savings_table if mode == "grt" else None, votes)
 
         if config.fallback_x is not None and config.fallback_x < config.timeout_s:
             run_once = lambda: run_with_fallback(problem, decision.reduced, config.fallback_x, solver)

@@ -156,13 +156,13 @@ def cmd_prune(args) -> int:
     grammar = pf.problem.grammar
     weights = neural.load_weights(args.weights, grammar.terminal_names)
     votes = pruner.vote(weights, pf.problem.constraints, args.threshold)
-    if args.mode == "grtc":
-        decision = pruner.decide_crit_only(grammar, votes)
-    else:
+    table = None
+    if args.mode != "grtc":
         if not args.time_data:
             raise SystemExit("prune: --time-data is required unless --mode grtc")
         time_samples, _ = datagen.load_time_dataset(args.time_data)
-        decision = pruner.decide(grammar, pruner.savings(time_samples), votes)
+        table = pruner.savings(time_samples)
+    decision = pruner.decide(grammar, table, votes)
     payload = decision.to_dict()
     payload["benchmark"] = Path(args.problem).stem
     text = json.dumps(payload, indent=2) + "\n"

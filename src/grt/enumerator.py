@@ -11,14 +11,18 @@ the pools it needs: a solved search never builds the Int and Bool pools that
 only a larger size would read.
 
 ``solve`` goes size by size. At each size it first looks for a program rooted
-at ``str.++`` or ``str.substr`` top-down: the outputs fix what the children
-must evaluate to (a prefix, or a string holding the output at some index),
-and those values are looked up in the smaller pools. These are the witness
+at ``str.++``, ``str.at``, ``str.substr``, ``int.to.str`` or ``ite`` top-down:
+the outputs fix what the children must evaluate to (a prefix, a string holding
+the output at some index, or branches that meet it on the examples the
+condition picks), and those values are looked up in the smaller pools. The
+outputs can also rule a root out at once: ``str.at`` makes at most one
+character and ``int.to.str`` only decimals. These are the witness
 functions of FlashMeta (Polozov & Gulwani, OOPSLA 2015), combined with
 bottom-up enumeration as in Duet (Lee, POPL 2021). Only the other operators
-are then enumerated at that size; the ``str.++`` and ``str.substr`` entries of
-the start-sort pool are added when a larger size reads it (see ``_Space``).
-``stream`` defers nothing and yields the programs eager growth would.
+(``str.replace`` in the full grammar) are then enumerated at that size; the
+witnessed operators' entries of the start-sort pool are added when a larger
+size reads it (see ``_Space``). ``stream`` defers nothing and yields the
+programs eager growth would.
 
 The search is fully deterministic: terminals, literals, and size partitions
 are iterated in grammar order.
@@ -27,6 +31,7 @@ are iterated in grammar order.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import shlex
 import signal
@@ -114,13 +119,14 @@ class _Stop(Exception):
         self.reason = reason
 
 
-# Start-sort operators whose roots a search with a target inverts top-down.
-_WITNESSED: tuple[str, ...] = ("str.++", "str.substr")
-
-
 def _occurs_at(hosts: tuple, starts: tuple, target: tuple) -> bool:
     """Whether every non-empty target value occurs in its host at the given start."""
     return all(not t or (i >= 0 and s.startswith(t, i)) for s, i, t in zip(hosts, starts, target))
+
+
+def _is_decimal(s: str) -> bool:
+    """Whether s is what ``int.to.str`` makes of a non-negative integer."""
+    return s.isascii() and s.isdigit() and (s == "0" or s[0] != "0")
 
 
 class _Space:
@@ -133,14 +139,16 @@ class _Space:
     pools it reads.
 
     With a target, ``level(L)`` first searches the start-sort programs of size L
-    rooted at a witnessed operator top-down (``witness``): what each child must
-    evaluate to follows from the target and is looked up in the smaller pools.
-    Then the other operators grow the start-sort pool of size L, checking each
-    new value against the target. The witnessed operators' own entries of that
-    pool are deferred until a later level reads it. A value they then produce
-    that the other operators kept at a larger size moves down, so a completed
-    pool holds the same values as without deferral (only the representative
-    program may differ).
+    rooted at a witnessed operator top-down (``witness``, one method per
+    operator in ``_WITNESSES``): what each child must evaluate to follows from
+    the target and is looked up in the smaller pools, and a root whose outputs
+    cannot have the target's shape costs no work at all. Then the other
+    operators grow the start-sort pool of size L, checking each new value
+    against the target; a grammar without ``str.replace`` grows nothing there.
+    The witnessed operators' own entries of that pool are deferred until a
+    later level reads it. A value they then produce that the other operators
+    kept at a larger size moves down, so a completed pool holds the same values
+    as without deferral (only the representative program may differ).
 
     Work is counted in ``explored``: every candidate evaluated and every check a
     witness makes. Every 1024 of them the deadline and the work budget are
@@ -162,13 +170,15 @@ class _Space:
         self.progs: dict[tuple[Sort, int], list] = {}
         self.vals: dict[tuple[Sort, int], list] = {}
         self.seen: dict[Sort, dict[tuple, int]] = {s: {} for s in Sort}  # value vector -> size kept
-        self.index: dict[int, dict[tuple, ProgramAst]] = {}  # start-sort pools by value
+        self.index: dict[tuple[Sort, int], dict[tuple, ProgramAst]] = {}  # complete pools by value
+        self.hosts: dict[int, list] = {}  # String pools cut to values containing the target
+        self.matches: dict[int, dict[tuple, ProgramAst]] = {}  # String pools by examples met
         self.explored = 0
         ops = [t for t in grammar.terminals if t.arity > 0]
         self.max_arity = max((t.arity for t in ops), default=0)
         self.ops = {s: [t for t in ops if t.ret_sort is s] for s in Sort}
         start = grammar.start_sort
-        self.deferred = [t for t in self.ops[start] if target is not None and t.name in _WITNESSED]
+        self.deferred = [t for t in self.ops[start] if target is not None and t.name in _WITNESSES]
         self.eager = [t for t in self.ops[start] if t not in self.deferred]
         self.grown = dict.fromkeys(Sort, 1)  # every pool up to this size is complete
         self.deferred_to = 1  # start-sort pools above grown[start] up to here lack the deferred ops
@@ -290,21 +300,59 @@ class _Space:
     def witness(self, size: int) -> ProgramAst | None:
         """A program of this size rooted at a deferred operator that meets the target, or None."""
         for term in self.deferred:
-            if term.name == "str.++":
-                found = self._witness_concat(term, size)
-            else:
-                found = self._witness_substr(term, size)
+            found = _WITNESSES[term.name](self, term, size)
             if found is not None:
                 return found
         return None
 
-    def _index(self, size: int) -> dict[tuple, ProgramAst]:
-        """The complete start-sort pool of this size as {value vector: program}."""
-        index = self.index.get(size)
+    def _index(self, sort: Sort, size: int) -> dict[tuple, ProgramAst]:
+        """The complete pool (sort, size) as {value vector: program}."""
+        index = self.index.get((sort, size))
         if index is None:
-            progs, vals = self.pool(Sort.STRING, size)
-            index = self.index[size] = dict(zip(vals, progs))
+            progs, vals = self.pool(sort, size)
+            index = self.index[(sort, size)] = dict(zip(vals, progs))
         return index
+
+    def _hosts(self, size: int) -> list[tuple[ProgramAst, tuple]]:
+        """The String programs of this size whose every value contains its output."""
+        hosts = self.hosts.get(size)
+        if hosts is None:
+            target = self.target
+            progs, vals = self.pool(Sort.STRING, size)
+            explored = self.explored
+            hosts = []
+            for p, v in zip(progs, vals):
+                explored += 1
+                if not (explored & _CHECK_MASK):
+                    self._checkpoint(explored)
+                if all(map(str.__contains__, v, target)):
+                    hosts.append((p, v))
+            self.explored = explored
+            self.hosts[size] = hosts
+        return hosts
+
+    def _matches(self, size: int) -> dict[tuple, ProgramAst]:
+        """The String programs of this size by the examples on which they meet the target.
+
+        Keys are tuples of booleans, one per example; the first program per key
+        is kept, and values that meet no example are left out.
+        """
+        matches = self.matches.get(size)
+        if matches is None:
+            target = self.target
+            progs, vals = self.pool(Sort.STRING, size)
+            explored = self.explored
+            matches = {}
+            for p, v in zip(progs, vals):
+                explored += 1
+                if not (explored & _CHECK_MASK):
+                    self._checkpoint(explored)
+                hit = tuple(map(operator.eq, v, target))
+                if any(hit):
+                    matches.setdefault(hit, p)
+            self.explored = explored
+            self.matches[size] = matches
+        return matches
 
     def _witness_concat(self, term, size: int) -> ProgramAst | None:
         # (str.++ l r) meets the target iff every value of l is a prefix of its
@@ -312,7 +360,7 @@ class _Space:
         target = self.target
         for a in range(1, size - 1):
             lprogs, lvals = self.pool(Sort.STRING, a)
-            rights = self._index(size - 1 - a)
+            rights = self._index(Sort.STRING, size - 1 - a)
             if not rights:
                 continue
             explored = self.explored
@@ -328,6 +376,31 @@ class _Space:
             self.explored = explored
         return None
 
+    def _witness_at(self, term, size: int) -> ProgramAst | None:
+        # (str.at s i) is one character of s or "", so an output longer than
+        # that rules the root out; otherwise every value of s contains its
+        # output and i is checked by evaluation.
+        target = self.target
+        if any(len(t) > 1 for t in target):
+            return None
+        at = COLUMN_SEMANTICS[term.name]
+        for a in range(1, size - 1):
+            hosts = self._hosts(a)
+            if not hosts:
+                continue
+            iprogs, ivals = self.pool(Sort.INT, size - 1 - a)
+            explored = self.explored
+            for sp, sv in hosts:
+                for ip, iv in zip(iprogs, ivals):
+                    explored += 1
+                    if not (explored & _CHECK_MASK):
+                        self._checkpoint(explored)
+                    if at(sv, iv) == target:
+                        self.explored = explored
+                        return Apply(term, (sp, ip))
+            self.explored = explored
+        return None
+
     def _witness_substr(self, term, size: int) -> ProgramAst | None:
         # (str.substr s i n) meets the target only if every value of s contains
         # its output and, where the output is non-empty, i is an occurrence of
@@ -335,16 +408,7 @@ class _Space:
         target = self.target
         substr = COLUMN_SEMANTICS[term.name]
         for a in range(1, size - 2):
-            sprogs, svals = self.pool(Sort.STRING, a)
-            explored = self.explored
-            hosts = []
-            for sp, sv in zip(sprogs, svals):
-                explored += 1
-                if not (explored & _CHECK_MASK):
-                    self._checkpoint(explored)
-                if all(map(str.__contains__, sv, target)):
-                    hosts.append((sp, sv))
-            self.explored = explored
+            hosts = self._hosts(a)
             if not hosts:
                 continue
             rest = size - 1 - a
@@ -371,6 +435,74 @@ class _Space:
                 self.explored = explored
         return None
 
+    def _witness_int_to_str(self, term, size: int) -> ProgramAst | None:
+        # (int.to.str n) is "" for a negative n and n's decimal otherwise, so
+        # any other output rules the root out; otherwise the Int pool is
+        # checked by evaluation.
+        target = self.target
+        if not all(t == "" or _is_decimal(t) for t in target):
+            return None
+        to_str = COLUMN_SEMANTICS[term.name]
+        nprogs, nvals = self.pool(Sort.INT, size - 1)
+        explored = self.explored
+        for np_, nv in zip(nprogs, nvals):
+            explored += 1
+            if not (explored & _CHECK_MASK):
+                self._checkpoint(explored)
+            if to_str(nv) == target:
+                self.explored = explored
+                return Apply(term, (np_,))
+        self.explored = explored
+        return None
+
+    def _witness_ite(self, term, size: int) -> ProgramAst | None:
+        # (ite c a b) meets the target iff a meets it wherever c is true and b
+        # wherever c is false. A branch is reduced to the examples it meets
+        # (``_matches``). A condition that is true, or false, everywhere would
+        # need a branch that meets every example, and that branch alone would
+        # have been found at a smaller size.
+        for c, a, b in _compositions(size - 1, 3):
+            thens, elses = self._matches(a), self._matches(b)
+            if not thens or not elses:
+                continue
+            conds = self._index(Sort.BOOL, c)
+            explored = self.explored
+            for cv, cp in conds.items():
+                if all(cv) or not any(cv):
+                    continue
+                then = None
+                for hit, p in thens.items():
+                    explored += 1
+                    if not (explored & _CHECK_MASK):
+                        self._checkpoint(explored)
+                    if all(map(operator.le, cv, hit)):  # meets the target wherever cv holds
+                        then = p
+                        break
+                if then is None:
+                    continue
+                for hit, p in elses.items():
+                    explored += 1
+                    if not (explored & _CHECK_MASK):
+                        self._checkpoint(explored)
+                    if all(map(operator.or_, cv, hit)):  # meets it wherever cv fails
+                        self.explored = explored
+                        return Apply(term, (cp, then, p))
+            self.explored = explored
+        return None
+
+
+# Start-sort operators whose roots a search with a target inverts top-down, with
+# the witness that does it. str.replace stays eager: the reduced grammars the
+# grt lane runs on large problems drop it, so a witness for it would speed up
+# only the full-grammar searches.
+_WITNESSES = {
+    "str.++": _Space._witness_concat,
+    "str.at": _Space._witness_at,
+    "str.substr": _Space._witness_substr,
+    "int.to.str": _Space._witness_int_to_str,
+    "ite": _Space._witness_ite,
+}
+
 
 def solve(problem: SygusProblem) -> SynthesisResult:
     """Find a smallest-generation program satisfying every constraint.
@@ -380,7 +512,8 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     search also stops, unsolved and not exhausted, before a size level once
     that many candidates have been explored, or at the first 1024-candidate
     checkpoint at or past it, and reports the time it ran rather than the
-    whole budget. The checks a top-down witness makes count as candidates.
+    whole budget. The checks a top-down witness makes count as candidates;
+    a witnessed root the outputs rule out costs none.
     """
     if not problem.constraints:
         raise ValueError("cannot solve a problem with no constraints")

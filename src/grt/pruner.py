@@ -4,7 +4,7 @@ Per terminal, the savings table holds the mean synthesis-time delta caused by
 dropping it (positive means dropping helps). A reduction keeps the grammar
 minus at most two terminals: of the three largest positive savers, the two
 with the fewest criticality votes go. A criticality-only variant drops the
-two least-voted terminals outright.
+two least-voted terminals outright (``decide`` without a table).
 
 The fallback schedule runs three searches in sequence: a short probe of the
 full grammar, bounded by a budget in counted work (PROBE_EXPLORED candidates),
@@ -31,8 +31,8 @@ CANDIDATE_POOL = 3
 # Work budget of the full-grammar probe: the smallest multiple of the
 # enumerator's 1024-candidate checkpoint that covers every full-grammar solve
 # among the drawn timing problems of the benchmark fixture (the largest,
-# p03220, needs 4,608 candidates).
-PROBE_EXPLORED = 5 * 1024
+# p03220, needs 3,664 candidates).
+PROBE_EXPLORED = 4 * 1024
 
 
 @dataclass
@@ -94,39 +94,30 @@ class PruneDecision:
         }
 
 
-def decide(grammar: Grammar, table: SavingsTable, votes: Sequence[int]) -> PruneDecision:
+def decide(grammar: Grammar, table: SavingsTable | None, votes: Sequence[int]) -> PruneDecision:
     """Drop the least-voted two of the three best positive savers.
 
     Ties in savings and in votes break by terminal name. With fewer than two
     positive savers only those are removed; with none the grammar is returned
-    unchanged.
+    unchanged. Without a table (the criticality-only ablation) every terminal
+    is a candidate and the two least-voted go; ``candidates`` is then empty.
     """
     names = grammar.terminal_names
     votes = tuple(int(v) for v in votes)
     if len(votes) != len(names):
         raise ValueError(f"{len(votes)} votes for {len(names)} terminals")
     vote_of = dict(zip(names, votes))
-    candidates = [(g, a) for g, a in table.positive() if g in vote_of][:CANDIDATE_POOL]
-    by_votes = sorted(candidates, key=lambda ga: (vote_of[ga[0]], ga[0]))
-    removed = tuple(sorted(g for g, _ in by_votes[:MAX_REMOVALS]))
+    if table is None:
+        candidates = []
+        pool = names
+    else:
+        candidates = [(g, a) for g, a in table.positive() if g in vote_of][:CANDIDATE_POOL]
+        pool = [g for g, _ in candidates]
+    removed = tuple(sorted(sorted(pool, key=lambda g: (vote_of[g], g))[:MAX_REMOVALS]))
     reduced = grammar
     for g in removed:
         reduced = reduced.drop(g)
     return PruneDecision(removed, tuple(candidates), votes, reduced)
-
-
-def decide_crit_only(grammar: Grammar, votes: Sequence[int]) -> PruneDecision:
-    """Ablation: drop the two least-voted terminals, ignoring time savings."""
-    names = grammar.terminal_names
-    votes = tuple(int(v) for v in votes)
-    if len(votes) != len(names):
-        raise ValueError(f"{len(votes)} votes for {len(names)} terminals")
-    by_votes = sorted(zip(names, votes), key=lambda gv: (gv[1], gv[0]))
-    removed = tuple(sorted(g for g, _ in by_votes[:MAX_REMOVALS]))
-    reduced = grammar
-    for g in removed:
-        reduced = reduced.drop(g)
-    return PruneDecision(removed, (), votes, reduced)
 
 
 def fallback_cost(x: float, runs: Sequence[tuple[float, float]], timeout_s: float) -> float:

@@ -36,6 +36,10 @@ class ParseError(ValueError):
         self.col = col
 
 
+class UnknownEntry(ParseError, UnknownTerminal):
+    """An operator or grammar entry outside the catalog."""
+
+
 class Symbol(str):
     """A bare s-expression symbol, distinct from a string literal."""
 
@@ -43,6 +47,9 @@ class Symbol(str):
 
 
 _INT_RE = re.compile(r"-?\d+")
+# Deepest nesting the reader accepts, well inside Python's recursion limit:
+# reading, checking and printing a form all recurse into it.
+MAX_DEPTH = 100
 _SORT_NAMES = {"String": Sort.STRING, "Int": Sort.INT, "Bool": Sort.BOOL}
 
 
@@ -118,7 +125,11 @@ def _tokenize(text: str):
                 col += 1
             word = text[start:i]
             if _INT_RE.fullmatch(word):
-                tokens.append(("int", int(word), line, start_col))
+                try:
+                    value = int(word)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("integer literal too long", line, start_col) from None
+                tokens.append(("int", value, line, start_col))
             else:
                 tokens.append(("sym", word, line, start_col))
     return tokens
@@ -135,11 +146,13 @@ def _read_all(text: str) -> list:
     return forms
 
 
-def _read_one(tokens, pos):
+def _read_one(tokens, pos, depth=0):
     if pos >= len(tokens):
         raise ParseError("unexpected end of input")
     kind, value, line, col = tokens[pos]
     if kind == "(":
+        if depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH}", line, col)
         items = []
         pos += 1
         while True:
@@ -147,7 +160,7 @@ def _read_one(tokens, pos):
                 raise ParseError("unbalanced parenthesis", line, col)
             if tokens[pos][0] == ")":
                 return items, pos + 1
-            item, pos = _read_one(tokens, pos)
+            item, pos = _read_one(tokens, pos, depth + 1)
             items.append(item)
     if kind == ")":
         raise ParseError("unexpected ')'", line, col)
@@ -260,7 +273,7 @@ def _parse_synth_fun(form):
             s = str(entry)
             if s in param_names or s in nt_names or s in ("true", "false"):
                 return
-            raise UnknownTerminal(f"unsupported grammar entry {s!r}")
+            raise UnknownEntry(f"unsupported grammar entry {s!r}")
         if isinstance(entry, str):
             str_lits.append(entry)
             return
@@ -271,7 +284,7 @@ def _parse_synth_fun(form):
             op = str(entry[0])
             term = CATALOG.get(op)
             if term is None:
-                raise UnknownTerminal(f"unsupported grammar operator {op!r}")
+                raise UnknownEntry(f"unsupported grammar operator {op!r}")
             if len(entry) - 1 != term.arity:
                 raise ParseError(
                     f"operator {op!r} takes {term.arity} arguments, got {len(entry) - 1}"
@@ -433,7 +446,7 @@ def _typed_body(entry, param_sorts: dict[str, Sort]) -> ProgramAst:
         op = str(entry[0])
         term = CATALOG.get(op)
         if term is None:
-            raise UnknownTerminal(f"unsupported operator {op!r} in program body")
+            raise UnknownEntry(f"unsupported operator {op!r} in program body")
         children = tuple(_typed_body(c, param_sorts) for c in entry[1:])
         if len(children) != term.arity or any(
             c.sort is not s for c, s in zip(children, term.arg_sorts)

@@ -143,7 +143,7 @@ class TestSolve:
 
 
 class TestWitnessedRoots:
-    """str.++ and str.substr roots are searched top-down and their pool entries deferred."""
+    """Witnessed roots are searched top-down and their pool entries deferred."""
 
     @pytest.mark.parametrize("name", ["gen-027", "gen-028", "gen-029", "gen-030", "gen-031"])
     def test_deferred_values_move_down(self, generated_paths, name):
@@ -178,6 +178,103 @@ class TestWitnessedRoots:
             with_empty += any(c.output == "" for c in constraints)
         assert with_empty >= 100
 
+    def test_minimality_over_random_grammars_with_guarded_roots(self):
+        # str.at, int.to.str and ite roots are searched top-down too, behind
+        # guards on the outputs' shape, so most targets are drawn rooted at
+        # them to give single characters, decimals and "" as well as longer
+        # outputs
+        rng = random.Random(506)
+        guarded = ["str.at", "int.to.str", "ite"]
+        others = ["str.replace", "str.len", "str.indexof", "str.to.int", "+", "-"]
+        conditions = ["str.prefixof", "str.suffixof", "str.contains", "="]
+        inputs = ["7", "ab", "", "a-10"]
+        checked = 0
+        shapes = dict.fromkeys(["chars", "decimals", "empty", "mixed"], 0)
+        roots = dict.fromkeys(guarded, 0)
+        while checked < 300:
+            ops = rng.sample(guarded, rng.randint(1, 3)) + rng.sample(["str.++", "str.substr"], rng.randint(0, 2))
+            ops += rng.sample(others, rng.randint(1, 2))
+            if "ite" in ops:
+                ops.append(rng.choice(conditions))
+            grammar = default_grammar(
+                terminals=ops, string_literals=tuple(rng.sample(["", "a", "-", "0"], 2)), int_literals=(0, 1)
+            )
+            root = rng.choice([g for g in guarded if g in ops])
+            pool = all_programs(grammar, Sort.STRING, rng.randint(6, 7) if root == "ite" else rng.randint(3, 6))
+            if not pool:
+                continue
+            rooted = [p for p in pool if p.terminal.name == root]
+            target = rng.choice(rooted if rooted and rng.random() < 0.8 else pool)
+            constraints = tuple(IoConstraint((s,), ref_eval(target, {"x0": s})) for s in inputs)
+            expected = brute_force_min_size(grammar, constraints, 7)
+            if expected < 3:
+                continue  # a leaf or a unary root meets it
+            result = solve(SygusProblem(grammar, constraints, timeout_s=30))
+            assert result.solved
+            assert program_size(result.program) == expected, (ops, constraints)
+            checked += 1
+            if result.program.terminal.name in roots:
+                roots[result.program.terminal.name] += 1
+            outputs = [c.output for c in constraints]
+            short = [len(o) <= 1 or o.isdigit() for o in outputs]
+            shapes["chars"] += all(len(o) <= 1 for o in outputs)
+            shapes["decimals"] += any(outputs) and all(o.isdigit() for o in outputs if o)
+            shapes["empty"] += "" in outputs
+            shapes["mixed"] += any(short) and not all(short)
+        assert min(shapes.values()) >= 30, shapes
+        assert min(roots.values()) >= 10, roots
+
+    def test_guard_rejected_roots_grow_no_int_pool(self, generated_paths, monkeypatch):
+        # gen-001's outputs are not all single characters or decimals, so its
+        # str.at and int.to.str roots are ruled out without work. The Int pool
+        # of size 8, which only int.to.str roots of size 9 read, is never grown:
+        # the largest Int pool it needs is the size-7 one that str.substr
+        # roots of size 10, its solution's size, read.
+        problem, entry = generated_problem(generated_paths, "gen-001")
+        grow = enumerator._Space._grow
+        grown = []
+
+        def recording_grow(space, sort, size, *args, **kwargs):
+            grown.append((sort, size))
+            return grow(space, sort, size, *args, **kwargs)
+
+        monkeypatch.setattr(enumerator._Space, "_grow", recording_grow)
+        result = solve(problem)
+        assert program_size(result.program) == entry["solved_size"] == 10
+        assert max(size for sort, size in grown if sort is Sort.INT) == 7
+
+    @pytest.mark.parametrize("op, outputs", [
+        ("str.at", ("a", "bc")),
+        ("int.to.str", ("12", "x")),
+        ("int.to.str", ("07", "")),
+    ])
+    def test_guard_rejects_before_reading_a_pool(self, op, outputs):
+        grammar = default_grammar()
+        space = enumerator._Space(grammar, [("abc",), ("07",)], target=outputs)
+        found = enumerator._WITNESSES[op](space, grammar.terminal(op), 8)
+        assert found is None
+        assert space.explored == 1 + len(grammar.string_literals) + len(grammar.int_literals)  # x0 and the literals
+        assert set(space.grown.values()) == {1}
+
+    @pytest.mark.parametrize("outputs", [("9" * 5000, "12"), ("9" * 5000, "")])
+    def test_int_to_str_witness_takes_decimals_too_long_for_int(self, outputs):
+        # A decimal output longer than int()'s 4,300-digit limit is still a
+        # valid string; the witness compares it as one, so the search ends
+        # unsolved on its budget instead of raising.
+        constraints = "\n".join(f'(constraint (= (f "{s}") "{o}"))' for s, o in zip(("a", "b"), outputs))
+        text = f"""(set-logic SLIA)
+(synth-fun f ((x String)) String
+  ((Start String (x "a" (str.++ Start Start) (int.to.str StartInt)))
+   (StartInt Int (0 1 (+ StartInt StartInt) (str.len Start)))))
+(declare-var x String)
+{constraints}
+(check-synth)
+"""
+        problem = replace(parse_problem_file(text).problem, max_explored=20_000)
+        result = solve(problem)
+        assert not result.solved
+        assert 20_000 <= result.programs_explored < 21_000
+
     def test_witness_stops_at_its_deadline(self, generated_paths, monkeypatch):
         # The clock jumps past the deadline as the last level's witness starts.
         problem, _ = generated_problem(generated_paths, "gen-001")
@@ -210,7 +307,7 @@ class TestWorkBudget:
 
     @pytest.fixture(scope="class")
     def suite_problem(self, generated_paths):
-        # gen-001 needs over 200k candidates, far past every budget below, so
+        # gen-001 needs about 180k candidates, far past every budget below, so
         # each cut lands inside the search
         return generated_problem(generated_paths, "gen-001")
 

@@ -13,7 +13,6 @@ from grt.pruner import (
     DEFAULT_FALLBACK_GRID,
     PROBE_EXPLORED,
     decide,
-    decide_crit_only,
     fallback_cost,
     fallback_point,
     run_with_fallback,
@@ -165,12 +164,12 @@ class TestDecideCritOnly:
         votes = [3] * len(NAMES)
         votes[NAMES.index("str.prefixof")] = 0
         votes[NAMES.index("=")] = 1
-        decision = decide_crit_only(GRAMMAR, tuple(votes))
+        decision = decide(GRAMMAR, None, tuple(votes))
         assert decision.removed == ("=", "str.prefixof")
         assert decision.candidates == ()
 
     def test_all_tied_uses_name_order(self):
-        decision = decide_crit_only(GRAMMAR, (0,) * len(NAMES))
+        decision = decide(GRAMMAR, None, (0,) * len(NAMES))
         assert decision.removed == ("+", "-")
 
 
@@ -256,7 +255,7 @@ def recording(solver, calls):
 
 
 # the solution needs str.replace three times; the full grammar finds it after
-# about 63k candidates, well past the probe
+# about 60k candidates, well past the probe
 CRITICAL_DROP_GRAMMAR = default_grammar(string_literals=("-", "."), int_literals=(0, 1))
 CRITICAL_DROP_CONSTRAINTS = (
     IoConstraint(("a-b-c-d",), "a.b.c.d"),

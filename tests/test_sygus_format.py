@@ -1,6 +1,9 @@
 import random
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from grt.core import (
     Apply,
@@ -13,6 +16,7 @@ from grt.core import (
     evaluate,
 )
 from grt.sygus_format import (
+    MAX_DEPTH,
     ParseError,
     ProblemFile,
     parse_problem,
@@ -149,3 +153,73 @@ def test_shipped_benchmarks_parse_and_round_trip(handwritten_paths, generated_pa
         again = parse_problem_file(text)
         assert again.problem == pf.problem
         assert print_problem(again) == text
+
+
+SHIPPED_TEXTS = [
+    p.read_bytes() for p in sorted((Path(__file__).parent.parent / "benchmarks").glob("*/*.sl"))
+]
+
+
+@st.composite
+def mutated_shipped(draw):
+    """A shipped .sl file with a few bytes inserted, deleted or overwritten."""
+    data = bytearray(draw(st.sampled_from(SHIPPED_TEXTS)))
+    for _ in range(draw(st.integers(1, 8))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        byte = draw(st.one_of(st.sampled_from(b'()"; \n-0x'), st.integers(0, 255)))
+        if op == "insert":
+            data.insert(pos, byte)
+        elif pos < len(data):
+            if op == "delete":
+                del data[pos]
+            else:
+                data[pos] = byte
+    return data.decode("utf-8", errors="replace")
+
+
+def parse_or_reject(text):
+    """Rejected text raises ParseError; accepted text survives print and re-parse."""
+    try:
+        pf = parse_problem_file(text)
+    except ParseError:
+        return
+    printed = print_problem(pf)
+    again = parse_problem_file(printed)
+    assert again.problem == pf.problem
+    assert again.fn_name == pf.fn_name
+    assert print_problem(again) == printed
+
+
+class TestParserRobustness:
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text(self, text):
+        parse_or_reject(text)
+
+    @given(st.text(alphabet='()"; \n-0aSx', max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_sexpression_alphabet(self, text):
+        parse_or_reject("(set-logic SLIA)\n" + text)
+
+    @given(mutated_shipped())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_shipped_files(self, text):
+        parse_or_reject(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 5000, "(" * (MAX_DEPTH + 1) + ")" * (MAX_DEPTH + 1)],
+        ids=["unclosed", "closed"],
+    )
+    def test_deep_nesting_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_problem_file(text)
+
+    def test_huge_integer_rejected(self):
+        with pytest.raises(ParseError):
+            parse_problem_file(MINIMAL.replace('""', "9" * 5000))
+
+    def test_unknown_operator_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_problem(MINIMAL.replace("str.++ Start Start", "str.rot13 Start"))
