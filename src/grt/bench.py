@@ -12,10 +12,8 @@ every mode, so cross-mode comparisons stay meaningful.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
-import os
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -51,7 +49,6 @@ class BenchConfig:
     threshold: float = 0.5
     fallback_x: float | None = None  # None runs the reduced grammar on the full budget
     repeats: int = 1
-    workers: int = 1
 
 
 @dataclass
@@ -204,10 +201,6 @@ def bench_one(
         )
 
 
-def _bench_task(args):
-    return bench_one(*args)
-
-
 def run_suite(
     problem_files: Sequence[ProblemFile],
     mode: str,
@@ -233,14 +226,6 @@ def run_suite(
         raise ValueError(f"mode {mode!r} requires model weights")
     if mode == "grt" and savings_table is None:
         raise ValueError("grt mode requires a savings table")
-    workers = min(config.workers, max(1, (os.cpu_count() or 2) - 1))
-    if workers > 1 and solver is solve:
-        tasks = [
-            (pf, mode, config, weights, savings_table, solve, base)
-            for pf, base in zip(problem_files, baseline)
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_bench_task, tasks))
     return [
         bench_one(pf, mode, config, weights, savings_table, solver, base)
         for pf, base in zip(problem_files, baseline)

@@ -180,7 +180,6 @@ def cmd_bench(args) -> int:
         threshold=args.threshold,
         fallback_x=None if args.no_fallback else args.fallback_x,
         repeats=args.repeats,
-        workers=1 if args.serial else args.workers,
     )
     weights = savings_table = None
     if args.mode != "baseline":
@@ -268,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback-x", type=float, default=None)
     p.add_argument("--no-fallback", action="store_true")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--serial", action="store_true", help="force single-worker timing-fidelity mode")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_bench)
 

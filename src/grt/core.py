@@ -8,6 +8,7 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import itertools
 import operator
@@ -120,14 +121,27 @@ def _str_indexof(s: str, t: str, i: int) -> int:
     return s.find(t, i)
 
 
+# int() and str() refuse decimals longer than sys.get_int_max_str_digits()
+# (4,300 digits by default); Decimal converts exactly at any length, so it is
+# the slow path for those.
+
+
 def _str_to_int(s: str) -> int:
     if s and s.isascii() and s.isdigit():
-        return int(s)
+        try:
+            return int(s)
+        except ValueError:
+            return int(decimal.Decimal(s))
     return -1
 
 
 def _int_to_str(n: int) -> str:
-    return str(n) if n >= 0 else ""
+    if n < 0:
+        return ""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 def _str_prefixof(p: str, s: str) -> bool:

@@ -12,17 +12,19 @@ only a larger size would read.
 
 ``solve`` goes size by size. At each size it first looks for a program rooted
 at ``str.++``, ``str.at``, ``str.substr``, ``int.to.str`` or ``ite`` top-down:
-the outputs fix what the children must evaluate to (a prefix, a string holding
-the output at some index, or branches that meet it on the examples the
-condition picks), and those values are looked up in the smaller pools. The
-outputs can also rule a root out at once: ``str.at`` makes at most one
-character and ``int.to.str`` only decimals. These are the witness
-functions of FlashMeta (Polozov & Gulwani, OOPSLA 2015), combined with
-bottom-up enumeration as in Duet (Lee, POPL 2021). Only the other operators
-(``str.replace`` in the full grammar) are then enumerated at that size; the
-witnessed operators' entries of the start-sort pool are added when a larger
-size reads it (see ``_Space``). ``stream`` defers nothing and yields the
-programs eager growth would.
+the outputs fix what the children must evaluate to (a prefix and the rest, a
+string holding the output at some index, or branches that meet it on the
+examples the condition picks), and those values are looked up in the smaller
+pools. A ``str.++`` child whose pool is not complete is searched top-down in
+turn, with its required value as the target, so finding it does not complete
+that pool. The outputs can also rule a root out at once: ``str.at`` makes at
+most one character and ``int.to.str`` only decimals. These are the witness
+functions of FlashMeta (Polozov & Gulwani, OOPSLA 2015), applied recursively
+and combined with bottom-up enumeration as in Duet (Lee, POPL 2021). Only the
+other operators (``str.replace`` in the full grammar) are then enumerated at
+that size; the witnessed operators' entries of the start-sort pool are added
+when a larger size reads it (see ``_Space``). ``stream`` defers nothing and
+yields the programs eager growth would.
 
 The search is fully deterministic: terminals, literals, and size partitions
 are iterated in grammar order.
@@ -142,7 +144,12 @@ class _Space:
     rooted at a witnessed operator top-down (``witness``, one method per
     operator in ``_WITNESSES``): what each child must evaluate to follows from
     the target and is looked up in the smaller pools, and a root whose outputs
-    cannot have the target's shape costs no work at all. Then the other
+    cannot have the target's shape costs no work at all. For each size split
+    ``str.++`` scans the child whose pool is complete and looks the other up
+    by value (``_find``); in a pool not yet complete that means the entries
+    ``level`` grew eagerly there and then the witnesses again, with the
+    child's value as their target. So at size L the String pool of size L-2
+    is not completed just to supply ``str.++`` children. Then the other
     operators grow the start-sort pool of size L, checking each new value
     against the target; a grammar without ``str.replace`` grows nothing there.
     The witnessed operators' own entries of that pool are deferred until a
@@ -151,7 +158,7 @@ class _Space:
     as without deferral (only the representative program may differ).
 
     Work is counted in ``explored``: every candidate evaluated and every check a
-    witness makes. Every 1024 of them the deadline and the work budget are
+    witness makes, in nested lookups too. Every 1024 of them the deadline and the work budget are
     checked, and ``_Stop`` is raised once either is spent.
     """
 
@@ -171,8 +178,10 @@ class _Space:
         self.vals: dict[tuple[Sort, int], list] = {}
         self.seen: dict[Sort, dict[tuple, int]] = {s: {} for s in Sort}  # value vector -> size kept
         self.index: dict[tuple[Sort, int], dict[tuple, ProgramAst]] = {}  # complete pools by value
-        self.hosts: dict[int, list] = {}  # String pools cut to values containing the target
-        self.matches: dict[int, dict[tuple, ProgramAst]] = {}  # String pools by examples met
+        self.partial: dict[int, dict[tuple, ProgramAst]] = {}  # eager parts of incomplete String pools
+        self.found: dict[tuple[int, tuple], ProgramAst | None] = {}  # _find by (size, value vector)
+        self.hosts: dict[tuple[int, tuple], list] = {}  # String pools cut to values containing a target
+        self.matches: dict[tuple[int, tuple], dict] = {}  # String pools by examples of a target met
         self.explored = 0
         ops = [t for t in grammar.terminals if t.arity > 0]
         self.max_arity = max((t.arity for t in ops), default=0)
@@ -217,7 +226,7 @@ class _Space:
 
         Every smaller size must have been searched already.
         """
-        found = self.witness(size)
+        found = self.witness(size, self.target)
         if found is None:
             found = self._grow(self.grammar.start_sort, size, self.eager, target=self.target)
         self.deferred_to = size
@@ -297,10 +306,10 @@ class _Space:
             self.vals[(sort, larger)][:] = [v for _, v in kept]
         return None
 
-    def witness(self, size: int) -> ProgramAst | None:
-        """A program of this size rooted at a deferred operator that meets the target, or None."""
+    def witness(self, size: int, target: tuple) -> ProgramAst | None:
+        """A program of this size rooted at a deferred operator with this value vector, or None."""
         for term in self.deferred:
-            found = _WITNESSES[term.name](self, term, size)
+            found = _WITNESSES[term.name](self, term, size, target)
             if found is not None:
                 return found
         return None
@@ -313,11 +322,30 @@ class _Space:
             index = self.index[(sort, size)] = dict(zip(vals, progs))
         return index
 
-    def _hosts(self, size: int) -> list[tuple[ProgramAst, tuple]]:
+    def _find(self, size: int, vector: tuple) -> ProgramAst | None:
+        """A String program of this size with this value vector, or None.
+
+        Finds every vector whose smallest program has this size, without
+        completing the pool: an incomplete one (a size the search has passed)
+        holds what ``level`` grew eagerly there, and the deferred operators'
+        programs are searched top-down with the vector as their target.
+        """
+        if size <= self.grown[Sort.STRING]:
+            return self._index(Sort.STRING, size).get(vector)
+        key = (size, vector)
+        if key not in self.found:
+            partial = self.partial.get(size)
+            if partial is None:
+                progs, vals = self.progs[(Sort.STRING, size)], self.vals[(Sort.STRING, size)]
+                partial = self.partial[size] = dict(zip(vals, progs))
+            found = partial.get(vector)
+            self.found[key] = found if found is not None else self.witness(size, vector)
+        return self.found[key]
+
+    def _hosts(self, size: int, target: tuple) -> list[tuple[ProgramAst, tuple]]:
         """The String programs of this size whose every value contains its output."""
-        hosts = self.hosts.get(size)
+        hosts = self.hosts.get((size, target))
         if hosts is None:
-            target = self.target
             progs, vals = self.pool(Sort.STRING, size)
             explored = self.explored
             hosts = []
@@ -328,18 +356,17 @@ class _Space:
                 if all(map(str.__contains__, v, target)):
                     hosts.append((p, v))
             self.explored = explored
-            self.hosts[size] = hosts
+            self.hosts[(size, target)] = hosts
         return hosts
 
-    def _matches(self, size: int) -> dict[tuple, ProgramAst]:
+    def _matches(self, size: int, target: tuple) -> dict[tuple, ProgramAst]:
         """The String programs of this size by the examples on which they meet the target.
 
         Keys are tuples of booleans, one per example; the first program per key
         is kept, and values that meet no example are left out.
         """
-        matches = self.matches.get(size)
+        matches = self.matches.get((size, target))
         if matches is None:
-            target = self.target
             progs, vals = self.pool(Sort.STRING, size)
             explored = self.explored
             matches = {}
@@ -351,41 +378,45 @@ class _Space:
                 if any(hit):
                     matches.setdefault(hit, p)
             self.explored = explored
-            self.matches[size] = matches
+            self.matches[(size, target)] = matches
         return matches
 
-    def _witness_concat(self, term, size: int) -> ProgramAst | None:
+    def _witness_concat(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.++ l r) meets the target iff every value of l is a prefix of its
-        # output and r's values are the rest of the outputs.
-        target = self.target
+        # output and r's values are the rest of the outputs. Per size split the
+        # side whose pool is complete (else the smaller) is scanned, and the
+        # other child is found top-down, so the larger pool is not completed.
         for a in range(1, size - 1):
-            lprogs, lvals = self.pool(Sort.STRING, a)
-            rights = self._index(Sort.STRING, size - 1 - a)
-            if not rights:
-                continue
+            b = size - 1 - a
+            left = a <= max(self.grown[Sort.STRING], b)
+            if left:
+                scan, seek, fits, rest = a, b, str.startswith, lambda t, x: t[len(x):]
+            else:
+                scan, seek, fits, rest = b, a, str.endswith, lambda t, x: t[: len(t) - len(x)]
+            progs, vals = self.pool(Sort.STRING, scan)
             explored = self.explored
-            for lp, lv in zip(lprogs, lvals):
+            for p, v in zip(progs, vals):
                 explored += 1
                 if not (explored & _CHECK_MASK):
                     self._checkpoint(explored)
-                if all(map(str.startswith, target, lv)):
-                    rp = rights.get(tuple(t[len(x):] for t, x in zip(target, lv)))
-                    if rp is not None:
-                        self.explored = explored
-                        return Apply(term, (lp, rp))
+                if all(map(fits, target, v)):
+                    self.explored = explored
+                    other = self._find(seek, tuple(map(rest, target, v)))
+                    explored = self.explored
+                    if other is not None:
+                        return Apply(term, (p, other) if left else (other, p))
             self.explored = explored
         return None
 
-    def _witness_at(self, term, size: int) -> ProgramAst | None:
+    def _witness_at(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.at s i) is one character of s or "", so an output longer than
         # that rules the root out; otherwise every value of s contains its
         # output and i is checked by evaluation.
-        target = self.target
         if any(len(t) > 1 for t in target):
             return None
         at = COLUMN_SEMANTICS[term.name]
         for a in range(1, size - 1):
-            hosts = self._hosts(a)
+            hosts = self._hosts(a, target)
             if not hosts:
                 continue
             iprogs, ivals = self.pool(Sort.INT, size - 1 - a)
@@ -401,14 +432,13 @@ class _Space:
             self.explored = explored
         return None
 
-    def _witness_substr(self, term, size: int) -> ProgramAst | None:
+    def _witness_substr(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.substr s i n) meets the target only if every value of s contains
         # its output and, where the output is non-empty, i is an occurrence of
         # it; n is then checked by evaluation.
-        target = self.target
         substr = COLUMN_SEMANTICS[term.name]
         for a in range(1, size - 2):
-            hosts = self._hosts(a)
+            hosts = self._hosts(a, target)
             if not hosts:
                 continue
             rest = size - 1 - a
@@ -435,11 +465,10 @@ class _Space:
                 self.explored = explored
         return None
 
-    def _witness_int_to_str(self, term, size: int) -> ProgramAst | None:
+    def _witness_int_to_str(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (int.to.str n) is "" for a negative n and n's decimal otherwise, so
         # any other output rules the root out; otherwise the Int pool is
         # checked by evaluation.
-        target = self.target
         if not all(t == "" or _is_decimal(t) for t in target):
             return None
         to_str = COLUMN_SEMANTICS[term.name]
@@ -455,14 +484,14 @@ class _Space:
         self.explored = explored
         return None
 
-    def _witness_ite(self, term, size: int) -> ProgramAst | None:
+    def _witness_ite(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (ite c a b) meets the target iff a meets it wherever c is true and b
         # wherever c is false. A branch is reduced to the examples it meets
         # (``_matches``). A condition that is true, or false, everywhere would
         # need a branch that meets every example, and that branch alone would
         # have been found at a smaller size.
         for c, a, b in _compositions(size - 1, 3):
-            thens, elses = self._matches(a), self._matches(b)
+            thens, elses = self._matches(a, target), self._matches(b, target)
             if not thens or not elses:
                 continue
             conds = self._index(Sort.BOOL, c)

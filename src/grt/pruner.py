@@ -31,8 +31,8 @@ CANDIDATE_POOL = 3
 # Work budget of the full-grammar probe: the smallest multiple of the
 # enumerator's 1024-candidate checkpoint that covers every full-grammar solve
 # among the drawn timing problems of the benchmark fixture (the largest,
-# p03220, needs 3,664 candidates).
-PROBE_EXPLORED = 4 * 1024
+# p03220, needs 2,803 candidates).
+PROBE_EXPLORED = 3 * 1024
 
 
 @dataclass

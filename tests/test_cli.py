@@ -101,7 +101,7 @@ def test_bench_baseline_smoke(problem_file, tmp_path, capsys):
     results = tmp_path / "baseline.jsonl"
     assert main([
         "bench", "--problems", str(problem_file), "--mode", "baseline",
-        "--timeout", "10", "-o", str(results), "--serial",
+        "--timeout", "10", "-o", str(results),
     ]) == 0
     out = capsys.readouterr().out
     assert "selfdash" in out

@@ -22,7 +22,7 @@ from grt.core import (
     satisfies,
     terminals_used,
 )
-from oracles import REF_SEMANTICS, random_program, ref_eval
+from oracles import REF_SEMANTICS, random_program, ref_eval, ref_int_to_str, ref_to_int
 
 
 def apply_(name, *children):
@@ -74,6 +74,16 @@ class TestEvaluate:
     )
     def test_totalized_corner_cases(self, name, args, expected):
         assert evaluate(apply_(name, *args), []) == expected
+
+    @pytest.mark.parametrize("digits", [4300, 4301, 5000, 9000])
+    def test_decimal_conversions_past_int_digit_limit(self, digits):
+        # int() and str() refuse more than 4,300 digits; the semantics stay
+        # total there and agree with the reference
+        s = "".join(random.Random(digits).choice("0123456789") for _ in range(digits))
+        (n,) = COLUMN_SEMANTICS["str.to.int"]((s,))
+        assert n == ref_to_int(s)
+        for m in (n, n * 10 + 7, -n - 1):
+            assert COLUMN_SEMANTICS["int.to.str"]((m,)) == (ref_int_to_str(m),)
 
     def test_matches_reference_on_random_substr_cases(self):
         rng = random.Random(1234)

@@ -9,6 +9,7 @@ import pytest
 
 from grt import enumerator
 from grt.core import (
+    Apply,
     IoConstraint,
     Sort,
     SygusProblem,
@@ -29,7 +30,7 @@ from grt.enumerator import (
     stream,
 )
 from grt.sygus_format import parse_problem_file, program_to_text
-from oracles import all_programs, brute_force_min_size, ref_eval
+from oracles import all_programs, brute_force_min_size, ref_eval, ref_int_to_str, ref_to_int
 
 
 def generated_problem(generated_paths, name):
@@ -243,6 +244,78 @@ class TestWitnessedRoots:
         assert program_size(result.program) == entry["solved_size"] == 10
         assert max(size for sort, size in grown if sort is Sort.INT) == 7
 
+    @pytest.mark.parametrize("name", ["gen-001", "gen-037"])
+    @pytest.mark.parametrize("removed", [(), ("str.replace", "str.suffixof")])
+    def test_concat_children_found_without_completing_pools(self, generated_paths, monkeypatch, name, removed):
+        # At the solution's size L the str.++ witness scans the size-1 lefts
+        # and looks the size L-2 rights up top-down, so the String pool of
+        # size L-2 is never completed: neither on the full grammar nor on the
+        # grammar the grt lane searches, which drops str.replace and
+        # str.suffixof on the large suite problems.
+        problem, entry = generated_problem(generated_paths, name)
+        grammar = problem.grammar
+        for terminal in removed:
+            grammar = grammar.drop(terminal)
+        grow = enumerator._Space._grow
+        completed = []
+
+        def recording_grow(space, sort, size, ops, *args, **kwargs):
+            if ops is not space.eager:  # not the eager growth of a level
+                completed.append((sort, size))
+            return grow(space, sort, size, ops, *args, **kwargs)
+
+        monkeypatch.setattr(enumerator._Space, "_grow", recording_grow)
+        result = solve(replace(problem, grammar=grammar))
+        assert program_size(result.program) == entry["solved_size"]
+        assert max(size for sort, size in completed if sort is Sort.STRING) < entry["solved_size"] - 2
+
+    def test_minimality_over_random_grammars_with_nested_concat(self):
+        # Targets are rooted at str.++ with a str.++ child or with a left
+        # child larger than the right, so the witness looks children up in
+        # pools it has not completed: lefts scanned with the suffix found
+        # top-down, and rights scanned with the prefix found top-down when the
+        # left is the larger child.
+        rng = random.Random(607)
+        others = ["str.replace", "str.at", "str.substr", "int.to.str", "ite", "str.len", "str.indexof", "+"]
+        conditions = ["str.prefixof", "str.contains", "="]
+        inputs = ["ab", "-", "", "a-0"]
+        checked = 0
+        counts = dict.fromkeys(["left_larger", "empty", "concat_child"], 0)
+
+        def is_concat(p):
+            return isinstance(p, Apply) and p.terminal.name == "str.++"
+
+        while checked < 300:
+            ops = ["str.++"] + rng.sample(others, rng.randint(1, 3))
+            if "ite" in ops:
+                ops.append(rng.choice(conditions))
+            grammar = default_grammar(
+                terminals=ops, string_literals=tuple(rng.sample(["", "a", "-", "0"], 2)), int_literals=(0, 1)
+            )
+            pool = [p for p in all_programs(grammar, Sort.STRING, rng.randint(5, 7)) if is_concat(p)]
+            if rng.random() < 0.5:
+                pool = [p for p in pool if is_concat(p.children[0]) or is_concat(p.children[1])]
+            else:  # a left child that is no str.++, so it cannot be reassociated away
+                pool = [p for p in pool if not is_concat(p.children[0])]
+                pool = [p for p in pool if program_size(p.children[0]) > program_size(p.children[1])]
+            if not pool:
+                continue
+            target = rng.choice(pool)
+            constraints = tuple(IoConstraint((s,), ref_eval(target, {"x0": s})) for s in inputs)
+            if len({c.output for c in constraints}) == 1:
+                continue  # a constant
+            expected = brute_force_min_size(grammar, constraints, 7)
+            result = solve(SygusProblem(grammar, constraints, timeout_s=30))
+            assert result.solved
+            assert program_size(result.program) == expected, (ops, constraints)
+            checked += 1
+            if is_concat(result.program):
+                left, right = result.program.children
+                counts["left_larger"] += program_size(left) > program_size(right)
+                counts["concat_child"] += is_concat(left) or is_concat(right)
+            counts["empty"] += any(c.output == "" for c in constraints)
+        assert min(counts.values()) >= 50, counts
+
     @pytest.mark.parametrize("op, outputs", [
         ("str.at", ("a", "bc")),
         ("int.to.str", ("12", "x")),
@@ -251,7 +324,7 @@ class TestWitnessedRoots:
     def test_guard_rejects_before_reading_a_pool(self, op, outputs):
         grammar = default_grammar()
         space = enumerator._Space(grammar, [("abc",), ("07",)], target=outputs)
-        found = enumerator._WITNESSES[op](space, grammar.terminal(op), 8)
+        found = enumerator._WITNESSES[op](space, grammar.terminal(op), 8, outputs)
         assert found is None
         assert space.explored == 1 + len(grammar.string_literals) + len(grammar.int_literals)  # x0 and the literals
         assert set(space.grown.values()) == {1}
@@ -275,6 +348,16 @@ class TestWitnessedRoots:
         assert not result.solved
         assert 20_000 <= result.programs_explored < 21_000
 
+    def test_solves_with_input_too_long_for_int(self):
+        # str.to.int and int.to.str convert decimals past int()'s 4,300-digit
+        # limit, so the search reads the input as a number and writes n + 1
+        x = "12" * 2500
+        out = ref_int_to_str(ref_to_int(x) + 1)
+        result = solve(SygusProblem(default_grammar(), (IoConstraint((x,), out),), timeout_s=60))
+        assert result.solved
+        assert program_size(result.program) == 5
+        assert ref_eval(result.program, {"x0": x}) == out
+
     def test_witness_stops_at_its_deadline(self, generated_paths, monkeypatch):
         # The clock jumps past the deadline as the last level's witness starts.
         problem, _ = generated_problem(generated_paths, "gen-001")
@@ -282,16 +365,22 @@ class TestWitnessedRoots:
         monkeypatch.setattr(enumerator, "time", SimpleNamespace(monotonic=lambda: clock.now))
         witness = enumerator._Space.witness
         stops = []
+        nested = []
 
-        def late_witness(space, size):
+        def late_witness(space, size, target):
+            if nested:  # a str.++ child looked up top-down
+                return witness(space, size, target)
             if size == 10:
                 clock.now = 2 * problem.timeout_s
             entered = space.explored
+            nested.append(size)
             try:
-                return witness(space, size)
+                return witness(space, size, target)
             except enumerator._Stop as stop:
                 stops.append((stop.reason, entered, space.explored))
                 raise
+            finally:
+                nested.pop()
 
         monkeypatch.setattr(enumerator._Space, "witness", late_witness)
         result = solve(problem)
@@ -307,7 +396,7 @@ class TestWorkBudget:
 
     @pytest.fixture(scope="class")
     def suite_problem(self, generated_paths):
-        # gen-001 needs about 180k candidates, far past every budget below, so
+        # gen-001 needs about 144k candidates, far past every budget below, so
         # each cut lands inside the search
         return generated_problem(generated_paths, "gen-001")
 

@@ -255,7 +255,7 @@ def recording(solver, calls):
 
 
 # the solution needs str.replace three times; the full grammar finds it after
-# about 60k candidates, well past the probe
+# about 55k candidates, well past the probe
 CRITICAL_DROP_GRAMMAR = default_grammar(string_literals=("-", "."), int_literals=(0, 1))
 CRITICAL_DROP_CONSTRAINTS = (
     IoConstraint(("a-b-c-d",), "a.b.c.d"),
