@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from grt.datagen import (
 )
 from grt.enumerator import solve
 from grt.neural import TrainConfig, encode_batch, forward, save_weights, train
-from grt.pruner import decide, fallback_point, savings, vote
+from grt.pruner import fallback_point, fallback_runs, savings
 from grt.sygus_format import parse_problem_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,14 +100,7 @@ def main() -> int:
     log(f"timing set: {len(time_samples)} rows ({time.monotonic()-t0:.1f}s)")
     log("top savers: " + ", ".join(f"{g}={a:+.3f}" for g, a in table.positive()[:3]))
 
-    t_full_of = {}
-    for s in time_samples:
-        t_full_of.setdefault(s.problem_id, s.t_full_s)
-    runs = []
-    for pid, problem in timing_problems:
-        decision = decide(problem.grammar, table, vote(weights, problem.constraints))
-        result = solve(replace(problem, grammar=decision.reduced, timeout_s=5.0))
-        runs.append((result.elapsed_s if result.solved else float("inf"), t_full_of[pid]))
+    runs = fallback_runs(timing_problems, weights, table, time_samples, solve)
     x = fallback_point(runs, timeout_s=args.bench_timeout)
     log(f"fallback switch point: {x}s")
 

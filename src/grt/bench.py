@@ -1,5 +1,8 @@
 """Benchmark harness: baseline vs. reduced-grammar runs, scoring, reports.
 
+A treated mode (grt, grtc) votes, decides the reduction and runs it through
+``pruner.run_with_fallback``, the one probe -> reduced -> full schedule.
+
 Every mode re-verifies solved programs with the interpreter before accepting
 them; solver trust is never assumed. Per-benchmark failures are recorded in
 the results, never raised out of a suite run. Timeout entries carry the
@@ -15,12 +18,12 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .core import program_size, satisfies
-from .enumerator import SynthesisResult, solve
+from .enumerator import SynthesisResult, solve, solve_with_external
 from .neural import ModelWeights
 from .pruner import SavingsTable, decide, run_with_fallback, vote
 from .sygus_format import ProblemFile
@@ -45,9 +48,15 @@ def size_points(size: int) -> int:
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """Per-benchmark budget, fallback point and timing repeats.
+
+    ``fallback_x`` is the reduced grammar's budget in treated modes, capped at
+    ``timeout_s``; None gives the reduced grammar whatever the probe leaves,
+    and is refused for an external solver, whose probe is not bounded in work.
+    """
+
     timeout_s: float = 60.0
-    threshold: float = 0.5
-    fallback_x: float | None = None  # None runs the reduced grammar on the full budget
+    fallback_x: float | None = None
     repeats: int = 1
 
 
@@ -65,33 +74,11 @@ class BenchRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "benchmark_id": self.benchmark_id,
-            "mode": self.mode,
-            "solved_full": self.solved_full,
-            "t_full_s": self.t_full_s,
-            "size_full": self.size_full,
-            "solved_pruned": self.solved_pruned,
-            "t_pruned_s": self.t_pruned_s,
-            "size_pruned": self.size_pruned,
-            "removed": list(self.removed),
-            "error": self.error,
-        }
+        return {**asdict(self), "removed": list(self.removed)}
 
     @classmethod
     def from_dict(cls, row: dict) -> "BenchRecord":
-        return cls(
-            benchmark_id=row["benchmark_id"],
-            mode=row["mode"],
-            solved_full=row["solved_full"],
-            t_full_s=row["t_full_s"],
-            size_full=row["size_full"],
-            solved_pruned=row["solved_pruned"],
-            t_pruned_s=row["t_pruned_s"],
-            size_pruned=row["size_pruned"],
-            removed=tuple(row["removed"]),
-            error=row["error"],
-        )
+        return cls(**{**row, "removed": tuple(row["removed"])})
 
 
 @dataclass(frozen=True)
@@ -105,25 +92,31 @@ class Score:
         return 5 * self.n_solved + 3 * self.speed + self.size
 
 
-def _verified(result: SynthesisResult, problem, var_names) -> bool:
-    if not result.solved:
-        return False
-    return all(satisfies(result.program, c, var_names) for c in problem.constraints)
+def _timed_lane(
+    run_once: Callable[[], SynthesisResult], problem, config: BenchConfig, lane: str
+) -> tuple[bool, float, int | None]:
+    """The (solved, time, size) columns of one lane.
 
-
-def _timed_runs(run_once: Callable[[], SynthesisResult], repeats: int) -> tuple[float, SynthesisResult]:
-    """Median elapsed time over repeats; skips repeats after a timeout since
-    the solver is deterministic."""
-    times = []
-    first = None
-    for _ in range(max(1, repeats)):
+    The time is the median over ``config.repeats`` runs; repeats stop after a
+    timeout since the solver is deterministic, and an unsolved lane carries
+    the budget as its time. A returned program that fails the constraints
+    raises.
+    """
+    result = first = run_once()
+    times = [first.elapsed_s]
+    while result.solved and len(times) < config.repeats:
         result = run_once()
-        if first is None:
-            first = result
         times.append(result.elapsed_s)
-        if not result.solved:
-            break
-    return statistics.median(times), first
+    if not first.solved:
+        return False, config.timeout_s, None
+    var_names = problem.grammar.var_names
+    if not all(satisfies(first.program, c, var_names) for c in problem.constraints):
+        raise RuntimeError(f"{lane} solution failed verification")
+    return True, statistics.median(times), program_size(first.program)
+
+
+def _ignores_work_budget(solver: Callable) -> bool:
+    return getattr(solver, "func", solver) is solve_with_external
 
 
 def bench_one(
@@ -137,24 +130,26 @@ def bench_one(
 ) -> BenchRecord:
     """Time one benchmark in the given mode.
 
+    The pruned columns of a treated mode time the whole fallback schedule.
+    Without ``config.fallback_x`` the schedule relies on the probe stopping at
+    PROBE_EXPLORED candidates, so a solver that ignores ``max_explored``
+    (``solve_with_external``) is rejected there: its probe would take the
+    whole budget and the reduced grammar would never run.
     ``baseline``, a record of the same benchmark from an earlier run, supplies
     the full-grammar columns instead of timing the full grammar again.
     """
     bid = Path(pf.path).stem if pf.path else pf.fn_name
+    if mode != "baseline" and config.fallback_x is None and _ignores_work_budget(solver):
+        raise ValueError("an external solver needs a fallback point (--fallback-x with --solver-cmd)")
     problem = replace(pf.problem, timeout_s=config.timeout_s)
-    var_names = problem.grammar.var_names
     try:
-        if baseline is not None:
-            if baseline.benchmark_id != bid:
-                raise ValueError(f"baseline record is for {baseline.benchmark_id}, not {bid}")
-            solved_full, t_full_s, size_full = baseline.solved_full, baseline.t_full_s, baseline.size_full
+        if baseline is None:
+            full = _timed_lane(lambda: solver(problem), problem, config, "full-grammar")
+        elif baseline.benchmark_id != bid:
+            raise ValueError(f"baseline record is for {baseline.benchmark_id}, not {bid}")
         else:
-            t_full, full = _timed_runs(lambda: solver(problem), config.repeats)
-            solved_full = _verified(full, problem, var_names)
-            if full.solved and not solved_full:
-                raise RuntimeError("full-grammar solution failed verification")
-            t_full_s = t_full if solved_full else config.timeout_s
-            size_full = program_size(full.program) if solved_full else None
+            full = baseline.solved_full, baseline.t_full_s, baseline.size_full
+        solved_full, t_full_s, size_full = full
         record = BenchRecord(
             benchmark_id=bid,
             mode=mode,
@@ -169,21 +164,13 @@ def bench_one(
         if mode == "baseline":
             return record
 
-        votes = vote(weights, problem.constraints, config.threshold)
+        votes = vote(weights, problem.constraints)
         decision = decide(problem.grammar, savings_table if mode == "grt" else None, votes)
-
-        if config.fallback_x is not None and config.fallback_x < config.timeout_s:
-            run_once = lambda: run_with_fallback(problem, decision.reduced, config.fallback_x, solver)
-        else:
-            reduced_problem = replace(problem, grammar=decision.reduced)
-            run_once = lambda: solver(reduced_problem)
-        t_pruned, pruned = _timed_runs(run_once, config.repeats)
-        solved_pruned = _verified(pruned, problem, var_names)
-        if pruned.solved and not solved_pruned:
-            raise RuntimeError("reduced-grammar solution failed verification")
-        record.solved_pruned = solved_pruned
-        record.t_pruned_s = t_pruned if solved_pruned else config.timeout_s
-        record.size_pruned = program_size(pruned.program) if solved_pruned else None
+        x = config.timeout_s if config.fallback_x is None else min(config.fallback_x, config.timeout_s)
+        run_once = lambda: run_with_fallback(problem, decision.reduced, x, solver)
+        record.solved_pruned, record.t_pruned_s, record.size_pruned = _timed_lane(
+            run_once, problem, config, "pruned-lane"
+        )
         record.removed = decision.removed
         return record
     except Exception as exc:  # per-benchmark errors never abort the suite

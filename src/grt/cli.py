@@ -4,6 +4,7 @@ pruning, benchmarking, and scoring."""
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import sys
@@ -50,8 +51,8 @@ def _problem_paths(patterns):
 
 
 def _solver_for(args):
-    if getattr(args, "solver_cmd", None):
-        return lambda problem: enumerator.solve_with_external(problem, args.solver_cmd)
+    if args.solver_cmd:
+        return functools.partial(enumerator.solve_with_external, solver_cmd=args.solver_cmd)
     return enumerator.solve
 
 
@@ -151,18 +152,24 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _pruning_inputs(args, grammar):
+    """Model weights and, for --mode grt, the savings table (None for grtc)."""
+    if not args.weights:
+        raise SystemExit(f"{args.command}: --mode {args.mode} requires --weights")
+    if args.mode == "grt" and not args.time_data:
+        raise SystemExit(f"{args.command}: --mode grt requires --time-data")
+    weights = neural.load_weights(args.weights, grammar.terminal_names)
+    if args.mode != "grt":
+        return weights, None
+    time_samples, _ = datagen.load_time_dataset(args.time_data)
+    return weights, pruner.savings(time_samples)
+
+
 def cmd_prune(args) -> int:
     pf = _read_problem(args.problem)
     grammar = pf.problem.grammar
-    weights = neural.load_weights(args.weights, grammar.terminal_names)
-    votes = pruner.vote(weights, pf.problem.constraints, args.threshold)
-    table = None
-    if args.mode != "grtc":
-        if not args.time_data:
-            raise SystemExit("prune: --time-data is required unless --mode grtc")
-        time_samples, _ = datagen.load_time_dataset(args.time_data)
-        table = pruner.savings(time_samples)
-    decision = pruner.decide(grammar, table, votes)
+    weights, table = _pruning_inputs(args, grammar)
+    decision = pruner.decide(grammar, table, pruner.vote(weights, pf.problem.constraints))
     payload = decision.to_dict()
     payload["benchmark"] = Path(args.problem).stem
     text = json.dumps(payload, indent=2) + "\n"
@@ -175,19 +182,12 @@ def cmd_prune(args) -> int:
 
 def cmd_bench(args) -> int:
     files = [_read_problem(p) for p in _problem_paths(args.problems)]
-    config = bench.BenchConfig(
-        timeout_s=args.timeout,
-        threshold=args.threshold,
-        fallback_x=None if args.no_fallback else args.fallback_x,
-        repeats=args.repeats,
-    )
+    config = bench.BenchConfig(timeout_s=args.timeout, fallback_x=args.fallback_x, repeats=args.repeats)
     weights = savings_table = None
     if args.mode != "baseline":
-        grammar = files[0].problem.grammar
-        weights = neural.load_weights(args.weights, grammar.terminal_names)
-    if args.mode == "grt":
-        time_samples, _ = datagen.load_time_dataset(args.time_data)
-        savings_table = pruner.savings(time_samples)
+        if args.solver_cmd and args.fallback_x is None:
+            raise SystemExit(f"bench: --mode {args.mode} with --solver-cmd requires --fallback-x")
+        weights, savings_table = _pruning_inputs(args, files[0].problem.grammar)
     records = bench.run_suite(files, args.mode, config, weights, savings_table, _solver_for(args))
     suite_score = bench.score(records)
     if args.output:
@@ -203,47 +203,47 @@ def cmd_score(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--timeout", type=float, default=60.0, help="per-problem budget in seconds")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--grammar-config", help="JSON grammar configuration file")
-    common.add_argument("--weights", help="model weights file")
-    common.add_argument("--solver-cmd", help="external solver command template ({} = problem path)")
-    common.add_argument("--mode", choices=bench.MODES, default="grt")
-
     parser = argparse.ArgumentParser(prog="grt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common], help="parse and normalize a problem file")
+    p = sub.add_parser("parse", help="parse and normalize a problem file")
     p.add_argument("problem")
     p.set_defaults(fn=cmd_parse)
 
-    p = sub.add_parser("solve", parents=[common], help="synthesize a program for a problem file")
+    p = sub.add_parser("solve", help="synthesize a program for a problem file")
     p.add_argument("problem")
+    p.add_argument("--timeout", type=float, default=60.0, help="per-problem budget in seconds")
+    p.add_argument("--solver-cmd", help="external solver command template ({} = problem path)")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("stream", parents=[common], help="enumerate distinct programs from a grammar")
+    p = sub.add_parser("stream", help="enumerate distinct programs from a grammar")
     p.add_argument("problem", nargs="?", help="problem file supplying the grammar")
     p.add_argument("-n", type=int, default=enumerator.DEFAULT_STREAM_N)
     p.add_argument("-o", "--output")
+    p.add_argument("--grammar-config", help="JSON grammar configuration file")
     p.set_defaults(fn=cmd_stream)
 
-    p = sub.add_parser("datagen-crit", parents=[common], help="generate the criticality training set")
+    p = sub.add_parser("datagen-crit", help="generate the criticality training set")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--n-programs", type=int, default=datagen.DEFAULT_N_PROGRAMS)
     p.add_argument("--inputs-per-program", type=int, default=datagen.DEFAULT_INPUTS_PER_PROGRAM)
+    p.add_argument("--grammar-config", help="JSON grammar configuration file")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_datagen_crit)
 
-    p = sub.add_parser("datagen-time", parents=[common], help="measure per-terminal timing deltas")
+    p = sub.add_parser("datagen-time", help="measure per-terminal timing deltas")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--problems", nargs="+", required=True, help="problem files or globs")
     p.add_argument("--crit-data", help="criticality dataset to draw extra problems from")
     p.add_argument("--crit-problems", type=int, default=20)
     p.add_argument("--budget", type=float, default=datagen.DEFAULT_TIME_BUDGET_S)
     p.add_argument("--repeats", type=int, default=datagen.DEFAULT_TIMING_REPEATS)
+    p.add_argument("--grammar-config", help="JSON grammar configuration file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--solver-cmd", help="external solver command template ({} = problem path)")
     p.set_defaults(fn=cmd_datagen_time)
 
-    p = sub.add_parser("train", parents=[common], help="train the criticality model")
+    p = sub.add_parser("train", help="train the criticality model")
     p.add_argument("--data", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--epochs", type=int, default=15)
@@ -251,26 +251,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=3e-3)
     p.add_argument("--dropout", type=float, default=0.2)
     p.add_argument("--pooling", choices=("mean", "flatten"), default="mean")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("prune", parents=[common], help="emit the reduction decision for one problem")
+    p = sub.add_parser("prune", help="emit the reduction decision for one problem")
     p.add_argument("problem")
-    p.add_argument("--time-data", help="timing dataset (required unless --mode grtc)")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--mode", choices=("grt", "grtc"), default="grt")
     p.add_argument("-o", "--output")
+    p.add_argument("--weights", help="model weights file")
+    p.add_argument("--time-data", help="timing dataset (required by --mode grt)")
     p.set_defaults(fn=cmd_prune)
 
-    p = sub.add_parser("bench", parents=[common], help="run a benchmark suite in one mode")
+    p = sub.add_parser("bench", help="run a benchmark suite in one mode")
     p.add_argument("--problems", nargs="+", required=True)
-    p.add_argument("--time-data")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--fallback-x", type=float, default=None)
-    p.add_argument("--no-fallback", action="store_true")
+    p.add_argument("--mode", choices=bench.MODES, default="grt")
+    p.add_argument(
+        "--fallback-x",
+        type=float,
+        help="reduced-grammar budget in s (default: what the probe leaves; required with --solver-cmd)",
+    )
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("-o", "--output")
+    p.add_argument("--weights", help="model weights file")
+    p.add_argument("--time-data", help="timing dataset (required by --mode grt)")
+    p.add_argument("--timeout", type=float, default=60.0, help="per-problem budget in seconds")
+    p.add_argument("--solver-cmd", help="external solver command template ({} = problem path)")
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("score", parents=[common], help="re-score a saved results file")
+    p = sub.add_parser("score", help="re-score a saved results file")
     p.add_argument("results")
     p.set_defaults(fn=cmd_score)
 

@@ -9,9 +9,10 @@ two least-voted terminals outright (``decide`` without a table).
 The fallback schedule runs three searches in sequence: a short probe of the
 full grammar, bounded by a budget in counted work (PROBE_EXPLORED candidates),
 then the reduced grammar for the fallback point x, then the full grammar for
-whatever time is left. ``fallback_point`` picks x from timing data. The probe
-lets problems the full grammar solves cheaply skip the reduced search, so they
-no longer wait out x when the reduction removed a terminal they need.
+whatever time is left. ``fallback_point`` picks x from timing data, fed by
+``fallback_runs``. The probe lets problems the full grammar solves cheaply skip
+the reduced search, so they no longer wait out x when the reduction removed a
+terminal they need.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ CANDIDATE_POOL = 3
 # among the drawn timing problems of the benchmark fixture (the largest,
 # p03220, needs 2,803 candidates).
 PROBE_EXPLORED = 3 * 1024
+# Time budget of each reduced-grammar run that ``fallback_runs`` measures.
+FALLBACK_RUN_S = 5.0
 
 
 @dataclass
@@ -129,6 +132,27 @@ def fallback_cost(x: float, runs: Sequence[tuple[float, float]], timeout_s: floa
         else:
             total += min(x + t_full, timeout_s)
     return total
+
+
+def fallback_runs(
+    timing_problems: Sequence[tuple[str, SygusProblem]],
+    weights: ModelWeights,
+    table: SavingsTable,
+    time_dataset,
+    solver: Callable[[SygusProblem], SynthesisResult],
+) -> list[tuple[float, float]]:
+    """The (reduced time or inf, full time) pairs that ``fallback_point`` takes.
+
+    Each (id, problem) is reduced as a grt run reduces it and solved on the
+    reduced grammar for FALLBACK_RUN_S; the full time is the timing set's.
+    """
+    t_full_of = {s.problem_id: s.t_full_s for s in time_dataset}
+    runs = []
+    for pid, problem in timing_problems:
+        decision = decide(problem.grammar, table, vote(weights, problem.constraints))
+        result = solver(replace(problem, grammar=decision.reduced, timeout_s=FALLBACK_RUN_S))
+        runs.append((result.elapsed_s if result.solved else float("inf"), t_full_of[pid]))
+    return runs
 
 
 def fallback_point(

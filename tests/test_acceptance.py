@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import random
 import time
-from dataclasses import replace
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -41,7 +40,7 @@ from grt.neural import (
     train,
 )
 from grt.neural import _params
-from grt.pruner import decide, fallback_point, savings, vote
+from grt.pruner import fallback_point, fallback_runs, savings
 from grt.sygus_format import parse_problem_file, print_problem
 from oracles import all_programs, brute_force_min_size, random_program_with_root, ref_eval
 
@@ -128,14 +127,7 @@ def savings_table(time_dataset):
 
 @pytest.fixture(scope="module")
 def fallback_x(model, savings_table, time_dataset, timing_problems):
-    t_full_of = {}
-    for s in time_dataset:
-        t_full_of.setdefault(s.problem_id, s.t_full_s)
-    runs = []
-    for pid, problem in timing_problems:
-        decision = decide(problem.grammar, savings_table, vote(model, problem.constraints))
-        result = solve(replace(problem, grammar=decision.reduced, timeout_s=5.0))
-        runs.append((result.elapsed_s if result.solved else float("inf"), t_full_of[pid]))
+    runs = fallback_runs(timing_problems, model, savings_table, time_dataset, solve)
     return fallback_point(runs, timeout_s=SUITE_TIMEOUT_S)
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from grt.bench import (
@@ -13,12 +15,12 @@ from grt.bench import (
     size_points,
     speed_points,
 )
-from grt.core import IoConstraint, StrLit, SygusProblem, default_grammar
+from grt.core import InputVar, IoConstraint, StrLit, SygusProblem, default_grammar
 from grt.datagen import TimeSample
-from grt.enumerator import SynthesisResult, solve
+from grt.enumerator import SynthesisResult, solve, solve_with_external
 from grt.neural import TrainConfig, train
 from grt.datagen import gen_crit_dataset
-from grt.pruner import savings
+from grt.pruner import PROBE_EXPLORED, savings
 from grt.sygus_format import ProblemFile
 
 GRAMMAR = default_grammar()
@@ -99,6 +101,23 @@ class TestBenchOne:
         assert rec.error is not None
         assert "verification" in rec.error
 
+    def test_repeats_take_the_median_and_stop_after_a_timeout(self):
+        def scripted(outcomes):
+            calls = iter(outcomes)  # a call past the script raises, which the record shows
+
+            def solver(problem):
+                solved, elapsed = next(calls)
+                return SynthesisResult(solved, InputVar("x0") if solved else None, elapsed, 1)
+
+            return solver
+
+        pf = self.problem_file((IoConstraint(("a",), "a"),))
+        config = BenchConfig(timeout_s=5, repeats=3)
+        rec = bench_one(pf, "baseline", config, solver=scripted([(True, 0.3), (True, 0.1), (True, 0.2)]))
+        assert rec.error is None and rec.t_full_s == pytest.approx(0.2)
+        rec = bench_one(pf, "baseline", config, solver=scripted([(True, 0.1), (False, 5.0)]))
+        assert rec.error is None and rec.t_full_s == pytest.approx(2.55)
+
     def test_timeout_carries_budget_and_flag(self):
         grammar = default_grammar(string_literals=("",), int_literals=(0,))
         pf = self.problem_file((IoConstraint(("abcdef",), "fedcba"),), grammar, "rev")
@@ -159,17 +178,18 @@ class TestRunSuite:
 
     def test_baseline_records_replace_full_grammar_runs(self, tiny_weights):
         files = self.files()
-        config = BenchConfig(timeout_s=10)
+        config = BenchConfig(timeout_s=10, fallback_x=None)
         base = run_suite(files, "baseline", config)
-        full_size = len(GRAMMAR.terminals)
-        grammar_sizes = []
+        full_grammar_budgets = []
 
         def counting_solver(problem):
-            grammar_sizes.append(len(problem.grammar.terminals))
+            if problem.grammar == GRAMMAR:
+                full_grammar_budgets.append(problem.max_explored)
             return solve(problem)
 
         records = run_suite(files, "grtc", config, tiny_weights, solver=counting_solver, baseline=base)
-        assert full_size not in grammar_sizes
+        # every full-grammar search is a probe of the fallback schedule, none a timing run
+        assert set(full_grammar_budgets) == {PROBE_EXPLORED}
         for r, b in zip(records, base):
             assert (r.solved_full, r.t_full_s, r.size_full) == (b.solved_full, b.t_full_s, b.size_full)
             assert r.error is None and r.solved_pruned
@@ -187,6 +207,9 @@ class TestRunSuite:
             run_suite(self.files(), "fancy", BenchConfig())
         with pytest.raises(ValueError):
             run_suite(self.files(), "grt", BenchConfig())  # missing weights/savings
+        external = functools.partial(solve_with_external, solver_cmd="true")
+        with pytest.raises(ValueError, match="fallback"):
+            run_suite(self.files(), "grtc", BenchConfig(), tiny_weights, solver=external)
 
     def test_identity_solved_equally_in_all_modes(self, tiny_weights, tiny_savings):
         files = self.files()[:1]

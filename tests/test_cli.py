@@ -3,6 +3,8 @@ import json
 import pytest
 
 from grt.cli import main
+from grt.neural import init_weights, save_weights
+from grt.sygus_format import parse_problem_file
 
 PROBLEM = """
 (set-logic SLIA)
@@ -105,3 +107,32 @@ def test_bench_baseline_smoke(problem_file, tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "selfdash" in out
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["bench", "--problems", "{problem}", "--mode", "grt", "--weights", "{weights}"], "--time-data"),
+    (["bench", "--problems", "{problem}", "--mode", "grtc"], "--weights"),
+    (["prune", "{problem}", "--mode", "grtc"], "--weights"),
+    (["bench", "--problems", "{problem}", "--mode", "grtc", "--weights", "{weights}", "--solver-cmd", "true"],
+     "--fallback-x"),
+])
+def test_missing_pruning_input_names_the_flag(argv, missing, problem_file, tmp_path):
+    weights = tmp_path / "weights.bin"
+    save_weights(weights, init_weights(parse_problem_file(PROBLEM).problem.grammar.terminal_names))
+    argv = [arg.format(problem=problem_file, weights=weights) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert missing in str(exc.value.code)
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "p.sl", "--weights", "w.bin"],
+    ["score", "results.jsonl", "--mode", "grt"],
+    ["train", "--data", "crit.jsonl", "-o", "w.bin", "--timeout", "5"],
+    ["solve", "p.sl", "--seed", "1"],
+    ["prune", "p.sl", "--mode", "baseline"],
+])
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -11,10 +12,12 @@ from grt.enumerator import SynthesisResult
 from grt.neural import init_weights
 from grt.pruner import (
     DEFAULT_FALLBACK_GRID,
+    FALLBACK_RUN_S,
     PROBE_EXPLORED,
     decide,
     fallback_cost,
     fallback_point,
+    fallback_runs,
     run_with_fallback,
     savings,
     vote,
@@ -363,3 +366,31 @@ class TestRunWithFallback:
         assert result.elapsed_s == pytest.approx(sum(r.elapsed_s for _, _, r in calls))
         assert result.programs_explored == sum(r.programs_explored for _, _, r in calls)
         assert result.elapsed_s >= 1.0
+
+
+class TestFallbackRuns:
+    def test_unsolved_reduced_run_is_inf_and_full_time_comes_from_time_set(self, weights):
+        table = savings([ts("str.replace", "p", 0.3), ts("ite", "p", 0.2), ts("str.at", "p", 0.1)])
+        quick = SygusProblem(GRAMMAR, (IoConstraint(("a",), "a"),))
+        hard = SygusProblem(GRAMMAR, (IoConstraint(("ab",), "ba"),))
+        time_set = [
+            TimeSample("str.at", "quick", 0.7, 0.6, 0.1),
+            TimeSample("ite", "quick", 0.7, 0.5, 0.2),
+            TimeSample("str.at", "hard", 1.5, 1.5, 0.0),
+        ]
+        calls = []
+
+        def solver(problem):
+            calls.append((problem.grammar, problem.timeout_s))
+            if problem.constraints == quick.constraints:
+                return SynthesisResult(True, InputVar("x0"), 0.25, 3)
+            return SynthesisResult(False, None, FALLBACK_RUN_S, 1000)
+
+        runs = fallback_runs([("quick", quick), ("hard", hard)], weights, table, time_set, solver)
+        assert runs == [(0.25, 0.7), (math.inf, 1.5)]
+        # each problem is solved once, on its reduced grammar, for FALLBACK_RUN_S
+        assert calls == [
+            (decide(GRAMMAR, table, vote(weights, p.constraints)).reduced, FALLBACK_RUN_S)
+            for p in (quick, hard)
+        ]
+        assert all(len(g.terminal_names) == len(NAMES) - 2 for g, _ in calls)
