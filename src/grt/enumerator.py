@@ -18,13 +18,17 @@ examples the condition picks), and those values are looked up in the smaller
 pools. A ``str.++`` child whose pool is not complete is searched top-down in
 turn, with its required value as the target, so finding it does not complete
 that pool. The outputs can also rule a root out at once: ``str.at`` makes at
-most one character and ``int.to.str`` only decimals. These are the witness
-functions of FlashMeta (Polozov & Gulwani, OOPSLA 2015), applied recursively
-and combined with bottom-up enumeration as in Duet (Lee, POPL 2021). Only the
-other operators (``str.replace`` in the full grammar) are then enumerated at
-that size; the witnessed operators' entries of the start-sort pool are added
-when a larger size reads it (see ``_Space``). ``stream`` defers nothing and
-yields the programs eager growth would.
+most one character and ``int.to.str`` only decimals. A ``str.substr``,
+``str.at`` or ``ite`` size split is first checked against those of its child
+pools that are already complete (a length pool must reach every output's
+length; an index, start or condition pool must not be empty), so a split
+ruled out there grows no other pool. These are the witness functions of
+FlashMeta (Polozov & Gulwani, OOPSLA 2015), applied recursively and combined
+with bottom-up enumeration as in Duet (Lee, POPL 2021). Only the other
+operators (``str.replace`` in the full grammar) are then enumerated at that
+size; the witnessed operators' entries of the start-sort pool are added when a
+larger size reads it (see ``_Space``). ``stream`` defers nothing and yields the
+programs eager growth would.
 
 The search is fully deterministic: terminals, literals, and size partitions
 are iterated in grammar order.
@@ -149,7 +153,12 @@ class _Space:
     by value (``_find``); in a pool not yet complete that means the entries
     ``level`` grew eagerly there and then the witnesses again, with the
     child's value as their target. So at size L the String pool of size L-2
-    is not completed just to supply ``str.++`` children. Then the other
+    is not completed just to supply ``str.++`` children. The ``str.substr``,
+    ``str.at`` and ``ite`` witnesses check each size split against its
+    complete pools before reading the others, and ``str.substr`` grows its
+    length pool only once a host and a start fit; so at size L neither the
+    Int pool of size L-3 nor the String pool of size L-4 is completed for a
+    split that cannot make the target. Then the other
     operators grow the start-sort pool of size L, checking each new value
     against the target; a grammar without ``str.replace`` grows nothing there.
     The witnessed operators' own entries of that pool are deferred until a
@@ -158,8 +167,8 @@ class _Space:
     as without deferral (only the representative program may differ).
 
     Work is counted in ``explored``: every candidate evaluated and every check a
-    witness makes, in nested lookups too. Every 1024 of them the deadline and the work budget are
-    checked, and ``_Stop`` is raised once either is spent.
+    witness makes, in nested lookups too. Every 1024 of them the deadline and
+    the work budget are checked, and ``_Stop`` is raised once either is spent.
     """
 
     def __init__(
@@ -182,6 +191,7 @@ class _Space:
         self.found: dict[tuple[int, tuple], ProgramAst | None] = {}  # _find by (size, value vector)
         self.hosts: dict[tuple[int, tuple], list] = {}  # String pools cut to values containing a target
         self.matches: dict[tuple[int, tuple], dict] = {}  # String pools by examples of a target met
+        self.lengths: dict[tuple[int, tuple], bool] = {}  # _long_enough by (size, target)
         self.explored = 0
         ops = [t for t in grammar.terminals if t.arity > 0]
         self.max_arity = max((t.arity for t in ops), default=0)
@@ -408,14 +418,43 @@ class _Space:
             self.explored = explored
         return None
 
+    def _complete_and_empty(self, sort: Sort, size: int) -> bool:
+        """Whether pool (sort, size) is complete and holds nothing, so a split needing it fails."""
+        return size <= self.grown[sort] and not self.vals[(sort, size)]
+
+    def _long_enough(self, size: int, target: tuple) -> bool:
+        """Whether the complete Int pool of this size holds a length that can make every output.
+
+        ``str.substr`` makes at most n characters, so n must reach the
+        output's length on every example whose output is non-empty.
+        """
+        key = (size, target)
+        ok = self.lengths.get(key)
+        if ok is None:
+            explored = self.explored
+            ok = False
+            for nv in self.vals[(Sort.INT, size)]:
+                explored += 1
+                if not (explored & _CHECK_MASK):
+                    self._checkpoint(explored)
+                if all(n >= len(t) for n, t in zip(nv, target) if t):
+                    ok = True
+                    break
+            self.explored = explored
+            self.lengths[key] = ok
+        return ok
+
     def _witness_at(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.at s i) is one character of s or "", so an output longer than
         # that rules the root out; otherwise every value of s contains its
-        # output and i is checked by evaluation.
+        # output and i is checked by evaluation. A split whose index pool is
+        # complete and empty is skipped before the hosts are read.
         if any(len(t) > 1 for t in target):
             return None
         at = COLUMN_SEMANTICS[term.name]
         for a in range(1, size - 1):
+            if self._complete_and_empty(Sort.INT, size - 1 - a):
+                continue
             hosts = self._hosts(a, target)
             if not hosts:
                 continue
@@ -435,33 +474,45 @@ class _Space:
     def _witness_substr(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.substr s i n) meets the target only if every value of s contains
         # its output and, where the output is non-empty, i is an occurrence of
-        # it; n is then checked by evaluation.
+        # it and n reaches its length; n is then checked by evaluation. A split
+        # is first ruled out on whichever Int pools are complete, before the
+        # hosts are read, and the length pool is grown only once a host and a
+        # start fit.
         substr = COLUMN_SEMANTICS[term.name]
         for a in range(1, size - 2):
-            hosts = self._hosts(a, target)
-            if not hosts:
-                continue
             rest = size - 1 - a
             for b in range(1, rest):
-                iprogs, ivals = self.pool(Sort.INT, b)
-                nprogs, nvals = self.pool(Sort.INT, rest - b)
-                if not ivals or not nvals:
+                c = rest - b
+                if c <= self.grown[Sort.INT] and not self._long_enough(c, target):
                     continue
+                if self._complete_and_empty(Sort.INT, b):
+                    continue
+                hosts = self._hosts(a, target)
+                if not hosts:
+                    break
+                iprogs, ivals = self.pool(Sort.INT, b)
+                lengths = None
                 explored = self.explored
-                for sp, sv in hosts:
-                    for ip, iv in zip(iprogs, ivals):
+                for (sp, sv), (ip, iv) in itertools.product(hosts, zip(iprogs, ivals)):
+                    explored += 1
+                    if not (explored & _CHECK_MASK):
+                        self._checkpoint(explored)
+                    if not _occurs_at(sv, iv, target):
+                        continue
+                    if lengths is None:
+                        self.explored = explored
+                        lengths = self.pool(Sort.INT, c)
+                        reach = self._long_enough(c, target)
+                        explored = self.explored
+                        if not reach:
+                            break
+                    for np_, nv in zip(*lengths):
                         explored += 1
                         if not (explored & _CHECK_MASK):
                             self._checkpoint(explored)
-                        if not _occurs_at(sv, iv, target):
-                            continue
-                        for np_, nv in zip(nprogs, nvals):
-                            explored += 1
-                            if not (explored & _CHECK_MASK):
-                                self._checkpoint(explored)
-                            if substr(sv, iv, nv) == target:
-                                self.explored = explored
-                                return Apply(term, (sp, ip, np_))
+                        if substr(sv, iv, nv) == target:
+                            self.explored = explored
+                            return Apply(term, (sp, ip, np_))
                 self.explored = explored
         return None
 
@@ -489,8 +540,11 @@ class _Space:
         # wherever c is false. A branch is reduced to the examples it meets
         # (``_matches``). A condition that is true, or false, everywhere would
         # need a branch that meets every example, and that branch alone would
-        # have been found at a smaller size.
+        # have been found at a smaller size. A split whose condition pool is
+        # complete and empty is skipped before the branches are read.
         for c, a, b in _compositions(size - 1, 3):
+            if self._complete_and_empty(Sort.BOOL, c):
+                continue
             thens, elses = self._matches(a, target), self._matches(b, target)
             if not thens or not elses:
                 continue

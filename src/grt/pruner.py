@@ -32,7 +32,7 @@ CANDIDATE_POOL = 3
 # Work budget of the full-grammar probe: the smallest multiple of the
 # enumerator's 1024-candidate checkpoint that covers every full-grammar solve
 # among the drawn timing problems of the benchmark fixture (the largest,
-# p03220, needs 2,803 candidates).
+# p03220, needs 2,762 candidates). tests/test_pruner.py checks the rule.
 PROBE_EXPLORED = 3 * 1024
 # Time budget of each reduced-grammar run that ``fallback_runs`` measures.
 FALLBACK_RUN_S = 5.0

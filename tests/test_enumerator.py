@@ -228,9 +228,10 @@ class TestWitnessedRoots:
     def test_guard_rejected_roots_grow_no_int_pool(self, generated_paths, monkeypatch):
         # gen-001's outputs are not all single characters or decimals, so its
         # str.at and int.to.str roots are ruled out without work. The Int pool
-        # of size 8, which only int.to.str roots of size 9 read, is never grown:
-        # the largest Int pool it needs is the size-7 one that str.substr
-        # roots of size 10, its solution's size, read.
+        # of size 8, which only int.to.str roots of size 9 read, is never grown,
+        # and neither is the size-7 one: a str.substr root of size 10, its
+        # solution's size, grows its length pool only once a host and a start
+        # fit, and no host and start of size 1 fit gen-001's outputs.
         problem, entry = generated_problem(generated_paths, "gen-001")
         grow = enumerator._Space._grow
         grown = []
@@ -242,7 +243,7 @@ class TestWitnessedRoots:
         monkeypatch.setattr(enumerator._Space, "_grow", recording_grow)
         result = solve(problem)
         assert program_size(result.program) == entry["solved_size"] == 10
-        assert max(size for sort, size in grown if sort is Sort.INT) == 7
+        assert max(size for sort, size in grown if sort is Sort.INT) == 6
 
     @pytest.mark.parametrize("name", ["gen-001", "gen-037"])
     @pytest.mark.parametrize("removed", [(), ("str.replace", "str.suffixof")])
@@ -268,6 +269,75 @@ class TestWitnessedRoots:
         result = solve(replace(problem, grammar=grammar))
         assert program_size(result.program) == entry["solved_size"]
         assert max(size for sort, size in completed if sort is Sort.STRING) < entry["solved_size"] - 2
+
+    def test_reduced_search_completes_no_pool_for_ruled_out_splits(self, generated_paths, monkeypatch):
+        # On the grammar the grt lane searches, gen-001's answer is
+        # (str.substr x0 <Int of size 6> (str.len x0)). The other str.substr
+        # splits of size 10 are ruled out on the complete Int pools, or on
+        # hosts and starts that do not fit, before their larger pools are
+        # read: the Int pool of size 7 and the String pool of size 6 cost
+        # nothing.
+        problem, entry = generated_problem(generated_paths, "gen-001")
+        grammar = problem.grammar.drop("str.replace").drop("str.suffixof")
+        grow = enumerator._Space._grow
+        spent = {}
+
+        def recording_grow(space, sort, size, *args, **kwargs):
+            before = space.explored
+            try:
+                return grow(space, sort, size, *args, **kwargs)
+            finally:
+                spent[(sort, size)] = spent.get((sort, size), 0) + space.explored - before
+
+        monkeypatch.setattr(enumerator._Space, "_grow", recording_grow)
+        result = solve(replace(problem, grammar=grammar))
+        assert program_size(result.program) == entry["solved_size"] == 10
+        assert max(size for sort, size in spent if sort is Sort.INT) == 6
+        assert spent.get((Sort.STRING, 6), 0) == 0
+
+    @pytest.mark.parametrize("output, solvable", [("abcdef", False), ("ab", True)])
+    def test_substr_split_with_too_short_lengths_reads_no_hosts(self, monkeypatch, output, solvable):
+        # Without Int operators the only lengths are the literals 0, 1 and 2,
+        # so the one split of size 4, (x0, literal, literal), is ruled out
+        # before its hosts are read when an output is longer than that, and
+        # searched when it is not.
+        grammar = default_grammar(terminals=["str.substr"], string_literals=(), int_literals=(0, 1, 2))
+        space = enumerator._Space(grammar, [("abcdefgh",)], target=(output,))
+        hosts = enumerator._Space._hosts
+        read = []
+
+        def recording_hosts(space, size, target):
+            read.append(size)
+            return hosts(space, size, target)
+
+        monkeypatch.setattr(enumerator._Space, "_hosts", recording_hosts)
+        found = enumerator._WITNESSES["str.substr"](space, grammar.terminal("str.substr"), 4, (output,))
+        assert (found is not None) == bool(read) == solvable
+        if solvable:
+            assert program_to_text(found) == "(str.substr x0 0 2)"
+
+    @pytest.mark.parametrize("size, solvable", [(5, False), (6, True)])
+    def test_ite_split_with_empty_condition_pool_reads_no_branches(self, monkeypatch, size, solvable):
+        # str.prefixof makes the smallest conditions, of size 3. With the Bool
+        # pools of sizes 1 and 2 complete (and empty), no split of size 5 reads
+        # its branches; at size 6 the size-3 conditions give the answer.
+        grammar = default_grammar(terminals=["ite", "str.prefixof"], string_literals=("a", "b"), int_literals=())
+        target = ("a", "b")
+        space = enumerator._Space(grammar, [("ab",), ("ba",)], target=target)
+        space.pool(Sort.BOOL, 2)
+        matches = enumerator._Space._matches
+        read = []
+
+        def recording_matches(space, size, target):
+            read.append(size)
+            return matches(space, size, target)
+
+        monkeypatch.setattr(enumerator._Space, "_matches", recording_matches)
+        found = enumerator._WITNESSES["ite"](space, grammar.terminal("ite"), size, target)
+        assert (found is not None) == bool(read) == solvable
+        if solvable:
+            assert program_size(found) == 6
+            assert [ref_eval(found, {"x0": x}) for x in ("ab", "ba")] == list(target)
 
     def test_minimality_over_random_grammars_with_nested_concat(self):
         # Targets are rooted at str.++ with a str.++ child or with a left
@@ -396,7 +466,7 @@ class TestWorkBudget:
 
     @pytest.fixture(scope="class")
     def suite_problem(self, generated_paths):
-        # gen-001 needs about 144k candidates, far past every budget below, so
+        # gen-001 needs about 135k candidates, far past every budget below, so
         # each cut lands inside the search
         return generated_problem(generated_paths, "gen-001")
 

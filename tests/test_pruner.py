@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from grt.core import InputVar, IoConstraint, SygusProblem, default_grammar
-from grt.datagen import TimeSample
-from grt.enumerator import SynthesisResult
+from grt.datagen import TimeSample, draw_crit_problems, gen_crit_dataset
+from grt.enumerator import SynthesisResult, solve
 from grt.neural import init_weights
 from grt.pruner import (
     DEFAULT_FALLBACK_GRID,
@@ -335,8 +337,6 @@ class TestRunWithFallback:
         grammar = CRITICAL_DROP_GRAMMAR
         constraints = (IoConstraint(("a-b",), "a.b"), IoConstraint(("zz",), "zz"))
         problem = SygusProblem(grammar, constraints, timeout_s=20.0)
-        from grt.enumerator import solve
-
         calls = []
         result = run_with_fallback(problem, grammar.drop("str.replace"), 1.0, recording(solve, calls))
         assert result.solved
@@ -349,8 +349,6 @@ class TestRunWithFallback:
         grammar = CRITICAL_DROP_GRAMMAR
         problem = SygusProblem(grammar, CRITICAL_DROP_CONSTRAINTS, timeout_s=20.0)
         reduced = grammar.drop("str.replace")
-        from grt.enumerator import solve
-
         calls = []
         result = run_with_fallback(problem, reduced, 1.0, recording(solve, calls))
         assert result.solved
@@ -394,3 +392,21 @@ class TestFallbackRuns:
             for p in (quick, hard)
         ]
         assert all(len(g.terminal_names) == len(NAMES) - 2 for g, _ in calls)
+
+
+def test_probe_budget_covers_the_drawn_timing_problems():
+    # PROBE_EXPLORED's rule: the smallest multiple of the enumerator's
+    # 1024-candidate checkpoint at or above the largest full-grammar solve
+    # among the drawn timing problems of the benchmark fixture, drawn with
+    # the fixture generator's own seed and count.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "make_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_fixture", path)
+    make_fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixture)
+    seed = make_fixture.FIXTURE_SEED
+    samples = gen_crit_dataset(GRAMMAR, seed=seed)
+    drawn = draw_crit_problems(samples, GRAMMAR, make_fixture.N_DRAWN_TIMING_PROBLEMS, seed)
+    results = [solve(problem) for _, problem in drawn]
+    assert all(r.solved for r in results)
+    largest = max(r.programs_explored for r in results)
+    assert PROBE_EXPLORED == -(-largest // 1024) * 1024
