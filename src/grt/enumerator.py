@@ -45,7 +45,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import sygus_format
 from .core import (
@@ -85,7 +85,7 @@ PROBE_STRINGS: tuple[str, ...] = ("", "a", "Z", "0", "123", "ab cd", "Hello Worl
 
 DEFAULT_STREAM_N = 2000
 
-_CHECK_MASK = 0x3FF  # deadline and work budget checked every 1024 candidates
+_CHECK_MASK = 0x3FF  # _Space._counted checks the deadline and work budget every 1024 candidates
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,23 @@ class _Stop(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+
+
+def _memo(method):
+    """Cache a ``_Space`` method's results in ``self.memo``, keyed by (method name, arguments).
+
+    ``None`` is a result like any other. A call cut by ``_Stop`` stores nothing.
+    """
+    name = method.__name__
+
+    @wraps(method)
+    def cached(self, *args):
+        key = (name, *args)
+        if key not in self.memo:
+            self.memo[key] = method(self, *args)
+        return self.memo[key]
+
+    return cached
 
 
 def _occurs_at(hosts: tuple, starts: tuple, target: tuple) -> bool:
@@ -166,9 +183,11 @@ class _Space:
     kept at a larger size moves down, so a completed pool holds the same values
     as without deferral (only the representative program may differ).
 
-    Work is counted in ``explored``: every candidate evaluated and every check a
-    witness makes, in nested lookups too. Every 1024 of them the deadline and
-    the work budget are checked, and ``_Stop`` is raised once either is spent.
+    Work is counted in ``explored`` by ``_counted``, the one loop every scan
+    goes through: every candidate evaluated and every check a witness makes,
+    in nested lookups too. Every 1024 of them ``_checkpoint`` tests the
+    deadline and the work budget and raises ``_Stop`` once either is spent.
+    What a lookup computes once is cached in ``memo`` by ``_memo``.
     """
 
     def __init__(
@@ -186,13 +205,8 @@ class _Space:
         self.progs: dict[tuple[Sort, int], list] = {}
         self.vals: dict[tuple[Sort, int], list] = {}
         self.seen: dict[Sort, dict[tuple, int]] = {s: {} for s in Sort}  # value vector -> size kept
-        self.index: dict[tuple[Sort, int], dict[tuple, ProgramAst]] = {}  # complete pools by value
-        self.partial: dict[int, dict[tuple, ProgramAst]] = {}  # eager parts of incomplete String pools
-        self.found: dict[tuple[int, tuple], ProgramAst | None] = {}  # _find by (size, value vector)
-        self.hosts: dict[tuple[int, tuple], list] = {}  # String pools cut to values containing a target
-        self.matches: dict[tuple[int, tuple], dict] = {}  # String pools by examples of a target met
-        self.lengths: dict[tuple[int, tuple], bool] = {}  # _long_enough by (size, target)
-        self.explored = 0
+        self.memo: dict[tuple, object] = {}  # what the @_memo lookups returned, by (method name, arguments)
+        self.explored = 0  # advanced by _counted alone, once the leaves are seeded
         ops = [t for t in grammar.terminals if t.arity > 0]
         self.max_arity = max((t.arity for t in ops), default=0)
         self.ops = {s: [t for t in ops if t.ret_sort is s] for s in Sort}
@@ -258,12 +272,22 @@ class _Space:
     def _max_kept_size(self) -> int:
         return max((size for (_, size), vals in self.vals.items() if vals), default=0)
 
-    def _checkpoint(self, explored: int) -> None:
-        self.explored = explored
+    def _checkpoint(self) -> None:
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise _Stop("deadline")
-        if self.max_explored is not None and explored >= self.max_explored:
+        if self.max_explored is not None and self.explored >= self.max_explored:
             raise _Stop("budget")
+
+    def _counted(self, items):
+        """Yield each item after counting it as explored, with a checkpoint every 1024.
+
+        ``explored`` is re-read per item, since the caller's nested lookups advance it.
+        """
+        for item in items:
+            explored = self.explored = self.explored + 1
+            if not (explored & _CHECK_MASK):
+                self._checkpoint()
+            yield item
 
     def _args(self, sorts: tuple[Sort, ...], parts: tuple[int, ...]):
         """The children's program and value lists for one size split, or None if one is empty."""
@@ -292,12 +316,8 @@ class _Space:
                 args = self._args(term.arg_sorts, parts)
                 if args is None:
                     continue
-                explored = self.explored
-                for cols, children in zip(itertools.product(*args[1]), itertools.product(*args[0])):
-                    explored += 1
-                    if not (explored & _CHECK_MASK):
-                        self._checkpoint(explored)
-                    v = fn(*cols)
+                values = itertools.starmap(fn, itertools.product(*args[1]))
+                for v, children in self._counted(zip(values, itertools.product(*args[0]))):
                     if v in seen:
                         if not moves or seen[v] <= size:
                             continue
@@ -307,9 +327,7 @@ class _Space:
                     progs.append(prog)
                     vals.append(v)
                     if v == target:
-                        self.explored = explored
                         return prog
-                self.explored = explored
         for larger, gone in moved.items():
             kept = [(p, v) for p, v in zip(self.progs[(sort, larger)], self.vals[(sort, larger)]) if v not in gone]
             self.progs[(sort, larger)][:] = [p for p, _ in kept]
@@ -324,13 +342,16 @@ class _Space:
                 return found
         return None
 
+    @_memo
     def _index(self, sort: Sort, size: int) -> dict[tuple, ProgramAst]:
         """The complete pool (sort, size) as {value vector: program}."""
-        index = self.index.get((sort, size))
-        if index is None:
-            progs, vals = self.pool(sort, size)
-            index = self.index[(sort, size)] = dict(zip(vals, progs))
-        return index
+        progs, vals = self.pool(sort, size)
+        return dict(zip(vals, progs))
+
+    @_memo
+    def _partial(self, size: int) -> dict[tuple, ProgramAst]:
+        """What ``level`` grew eagerly in the incomplete String pool of this size, by value."""
+        return dict(zip(self.vals[(Sort.STRING, size)], self.progs[(Sort.STRING, size)]))
 
     def _find(self, size: int, vector: tuple) -> ProgramAst | None:
         """A String program of this size with this value vector, or None.
@@ -342,53 +363,36 @@ class _Space:
         """
         if size <= self.grown[Sort.STRING]:
             return self._index(Sort.STRING, size).get(vector)
-        key = (size, vector)
-        if key not in self.found:
-            partial = self.partial.get(size)
-            if partial is None:
-                progs, vals = self.progs[(Sort.STRING, size)], self.vals[(Sort.STRING, size)]
-                partial = self.partial[size] = dict(zip(vals, progs))
-            found = partial.get(vector)
-            self.found[key] = found if found is not None else self.witness(size, vector)
-        return self.found[key]
+        return self._find_top_down(size, vector)
 
+    @_memo
+    def _find_top_down(self, size: int, vector: tuple) -> ProgramAst | None:
+        """``_find`` in a pool not yet complete; a complete pool is read through its index instead."""
+        found = self._partial(size).get(vector)
+        return found if found is not None else self.witness(size, vector)
+
+    @_memo
     def _hosts(self, size: int, target: tuple) -> list[tuple[ProgramAst, tuple]]:
         """The String programs of this size whose every value contains its output."""
-        hosts = self.hosts.get((size, target))
-        if hosts is None:
-            progs, vals = self.pool(Sort.STRING, size)
-            explored = self.explored
-            hosts = []
-            for p, v in zip(progs, vals):
-                explored += 1
-                if not (explored & _CHECK_MASK):
-                    self._checkpoint(explored)
-                if all(map(str.__contains__, v, target)):
-                    hosts.append((p, v))
-            self.explored = explored
-            self.hosts[(size, target)] = hosts
-        return hosts
+        return [
+            (p, v)
+            for p, v in self._counted(zip(*self.pool(Sort.STRING, size)))
+            if all(map(str.__contains__, v, target))
+        ]
 
+    @_memo
     def _matches(self, size: int, target: tuple) -> dict[tuple, ProgramAst]:
         """The String programs of this size by the examples on which they meet the target.
 
         Keys are tuples of booleans, one per example; the first program per key
         is kept, and values that meet no example are left out.
         """
-        matches = self.matches.get((size, target))
-        if matches is None:
-            progs, vals = self.pool(Sort.STRING, size)
-            explored = self.explored
-            matches = {}
-            for p, v in zip(progs, vals):
-                explored += 1
-                if not (explored & _CHECK_MASK):
-                    self._checkpoint(explored)
-                hit = tuple(map(operator.eq, v, target))
-                if any(hit):
-                    matches.setdefault(hit, p)
-            self.explored = explored
-            self.matches[(size, target)] = matches
+        progs, vals = self.pool(Sort.STRING, size)
+        matches = {}
+        for p, v in self._counted(zip(progs, vals)):
+            hit = tuple(map(operator.eq, v, target))
+            if any(hit):
+                matches.setdefault(hit, p)
         return matches
 
     def _witness_concat(self, term, size: int, target: tuple) -> ProgramAst | None:
@@ -403,46 +407,28 @@ class _Space:
                 scan, seek, fits, rest = a, b, str.startswith, lambda t, x: t[len(x):]
             else:
                 scan, seek, fits, rest = b, a, str.endswith, lambda t, x: t[: len(t) - len(x)]
-            progs, vals = self.pool(Sort.STRING, scan)
-            explored = self.explored
-            for p, v in zip(progs, vals):
-                explored += 1
-                if not (explored & _CHECK_MASK):
-                    self._checkpoint(explored)
+            for p, v in self._counted(zip(*self.pool(Sort.STRING, scan))):
                 if all(map(fits, target, v)):
-                    self.explored = explored
                     other = self._find(seek, tuple(map(rest, target, v)))
-                    explored = self.explored
                     if other is not None:
                         return Apply(term, (p, other) if left else (other, p))
-            self.explored = explored
         return None
 
     def _complete_and_empty(self, sort: Sort, size: int) -> bool:
         """Whether pool (sort, size) is complete and holds nothing, so a split needing it fails."""
         return size <= self.grown[sort] and not self.vals[(sort, size)]
 
+    @_memo
     def _long_enough(self, size: int, target: tuple) -> bool:
         """Whether the complete Int pool of this size holds a length that can make every output.
 
         ``str.substr`` makes at most n characters, so n must reach the
         output's length on every example whose output is non-empty.
         """
-        key = (size, target)
-        ok = self.lengths.get(key)
-        if ok is None:
-            explored = self.explored
-            ok = False
-            for nv in self.vals[(Sort.INT, size)]:
-                explored += 1
-                if not (explored & _CHECK_MASK):
-                    self._checkpoint(explored)
-                if all(n >= len(t) for n, t in zip(nv, target) if t):
-                    ok = True
-                    break
-            self.explored = explored
-            self.lengths[key] = ok
-        return ok
+        return any(
+            all(n >= len(t) for n, t in zip(nv, target) if t)
+            for nv in self._counted(self.vals[(Sort.INT, size)])
+        )
 
     def _witness_at(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.at s i) is one character of s or "", so an output longer than
@@ -458,17 +444,10 @@ class _Space:
             hosts = self._hosts(a, target)
             if not hosts:
                 continue
-            iprogs, ivals = self.pool(Sort.INT, size - 1 - a)
-            explored = self.explored
-            for sp, sv in hosts:
-                for ip, iv in zip(iprogs, ivals):
-                    explored += 1
-                    if not (explored & _CHECK_MASK):
-                        self._checkpoint(explored)
-                    if at(sv, iv) == target:
-                        self.explored = explored
-                        return Apply(term, (sp, ip))
-            self.explored = explored
+            indices = list(zip(*self.pool(Sort.INT, size - 1 - a)))
+            for (sp, sv), (ip, iv) in self._counted(itertools.product(hosts, indices)):
+                if at(sv, iv) == target:
+                    return Apply(term, (sp, ip))
         return None
 
     def _witness_substr(self, term, size: int, target: tuple) -> ProgramAst | None:
@@ -490,30 +469,18 @@ class _Space:
                 hosts = self._hosts(a, target)
                 if not hosts:
                     break
-                iprogs, ivals = self.pool(Sort.INT, b)
+                starts = zip(*self.pool(Sort.INT, b))
                 lengths = None
-                explored = self.explored
-                for (sp, sv), (ip, iv) in itertools.product(hosts, zip(iprogs, ivals)):
-                    explored += 1
-                    if not (explored & _CHECK_MASK):
-                        self._checkpoint(explored)
+                for (sp, sv), (ip, iv) in self._counted(itertools.product(hosts, starts)):
                     if not _occurs_at(sv, iv, target):
                         continue
                     if lengths is None:
-                        self.explored = explored
-                        lengths = self.pool(Sort.INT, c)
-                        reach = self._long_enough(c, target)
-                        explored = self.explored
-                        if not reach:
+                        lengths = list(zip(*self.pool(Sort.INT, c)))
+                        if not self._long_enough(c, target):
                             break
-                    for np_, nv in zip(*lengths):
-                        explored += 1
-                        if not (explored & _CHECK_MASK):
-                            self._checkpoint(explored)
+                    for np_, nv in self._counted(lengths):
                         if substr(sv, iv, nv) == target:
-                            self.explored = explored
                             return Apply(term, (sp, ip, np_))
-                self.explored = explored
         return None
 
     def _witness_int_to_str(self, term, size: int, target: tuple) -> ProgramAst | None:
@@ -523,16 +490,9 @@ class _Space:
         if not all(t == "" or _is_decimal(t) for t in target):
             return None
         to_str = COLUMN_SEMANTICS[term.name]
-        nprogs, nvals = self.pool(Sort.INT, size - 1)
-        explored = self.explored
-        for np_, nv in zip(nprogs, nvals):
-            explored += 1
-            if not (explored & _CHECK_MASK):
-                self._checkpoint(explored)
+        for np_, nv in self._counted(zip(*self.pool(Sort.INT, size - 1))):
             if to_str(nv) == target:
-                self.explored = explored
                 return Apply(term, (np_,))
-        self.explored = explored
         return None
 
     def _witness_ite(self, term, size: int, target: tuple) -> ProgramAst | None:
@@ -548,29 +508,19 @@ class _Space:
             thens, elses = self._matches(a, target), self._matches(b, target)
             if not thens or not elses:
                 continue
-            conds = self._index(Sort.BOOL, c)
-            explored = self.explored
-            for cv, cp in conds.items():
+            for cv, cp in self._index(Sort.BOOL, c).items():
                 if all(cv) or not any(cv):
                     continue
                 then = None
-                for hit, p in thens.items():
-                    explored += 1
-                    if not (explored & _CHECK_MASK):
-                        self._checkpoint(explored)
+                for hit, p in self._counted(thens.items()):
                     if all(map(operator.le, cv, hit)):  # meets the target wherever cv holds
                         then = p
                         break
                 if then is None:
                     continue
-                for hit, p in elses.items():
-                    explored += 1
-                    if not (explored & _CHECK_MASK):
-                        self._checkpoint(explored)
+                for hit, p in self._counted(elses.items()):
                     if all(map(operator.or_, cv, hit)):  # meets it wherever cv fails
-                        self.explored = explored
                         return Apply(term, (cp, then, p))
-            self.explored = explored
         return None
 
 
@@ -595,19 +545,19 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     search also stops, unsolved and not exhausted, before a size level once
     that many candidates have been explored, or at the first 1024-candidate
     checkpoint at or past it, and reports the time it ran rather than the
-    whole budget. The checks a top-down witness makes count as candidates;
-    a witnessed root the outputs rule out costs none.
+    whole budget. Both limits are tested by ``_Space._checkpoint``: before
+    each level, and every 1024 candidates counted by ``_Space._counted``.
+    The checks a top-down witness makes count as candidates; a witnessed
+    root the outputs rule out costs none.
     """
     if not problem.constraints:
         raise ValueError("cannot solve a problem with no constraints")
     grammar = problem.grammar
     timeout = problem.timeout_s
-    max_explored = problem.max_explored
     start = time.monotonic()
-    deadline = start + timeout
     target = tuple(c.output for c in problem.constraints)
     assignments = [tuple(c.inputs) for c in problem.constraints]
-    space = _Space(grammar, assignments, target, deadline, max_explored)
+    space = _Space(grammar, assignments, target, start + timeout, problem.max_explored)
 
     def elapsed():
         return min(time.monotonic() - start, timeout)
@@ -623,10 +573,7 @@ def solve(problem: SygusProblem) -> SynthesisResult:
         while True:
             if space.exhausted_beyond(size):
                 return unsolved(exhausted=True)
-            if time.monotonic() >= deadline:
-                raise _Stop("deadline")
-            if max_explored is not None and space.explored >= max_explored:
-                return unsolved()
+            space._checkpoint()
             prog = space.level(size)
             if prog is not None:
                 return SynthesisResult(True, prog, elapsed(), space.explored)

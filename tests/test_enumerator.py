@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -31,6 +32,11 @@ from grt.enumerator import (
 )
 from grt.sygus_format import parse_problem_file, program_to_text
 from oracles import all_programs, brute_force_min_size, ref_eval, ref_int_to_str, ref_to_int
+
+
+SUITE_MANIFEST = json.loads(
+    (Path(__file__).resolve().parent.parent / "benchmarks" / "generated" / "manifest.json").read_text(encoding="utf-8")
+)
 
 
 def generated_problem(generated_paths, name):
@@ -470,10 +476,28 @@ class TestWorkBudget:
         # each cut lands inside the search
         return generated_problem(generated_paths, "gen-001")
 
-    @pytest.mark.parametrize("budget, stop", [(4096, 4096), (5000, 5120), (16 * 1024, 16 * 1024)])
-    def test_stops_at_first_checkpoint_at_or_past_budget(self, suite_problem, budget, stop):
+    @pytest.mark.parametrize(
+        "budget, stop, dropped",
+        [
+            pytest.param(4096, 4096, (), id="4096-4096"),
+            pytest.param(5000, 5120, (), id="5000-5120"),
+            pytest.param(16 * 1024, 16 * 1024, (), id="16384-16384"),
+            # The grt lane's grammar for gen-001 solves it after 5,179
+            # candidates. These cuts land inside nested lookups: the str.++
+            # scan, a _hosts scan growing its pool, a _find looking a child up
+            # through the str.substr witness, and that witness growing a pool.
+            *(
+                pytest.param(k * 1024, k * 1024, ("str.replace", "str.suffixof"), id=f"reduced-{k * 1024}")
+                for k in range(1, 6)
+            ),
+        ],
+    )
+    def test_stops_at_first_checkpoint_at_or_past_budget(self, suite_problem, budget, stop, dropped):
         problem, _ = suite_problem
-        result = solve(replace(problem, max_explored=budget))
+        grammar = problem.grammar
+        for terminal in dropped:
+            grammar = grammar.drop(terminal)
+        result = solve(replace(problem, grammar=grammar, max_explored=budget))
         assert not result.solved and not result.exhausted
         assert result.program is None
         assert result.programs_explored == stop
@@ -484,14 +508,18 @@ class TestWorkBudget:
         cut = replace(problem, max_explored=5000)
         assert solve(cut).programs_explored == solve(cut).programs_explored
 
-    def test_none_leaves_search_unchanged(self, suite_problem):
-        problem, entry = suite_problem
+    @pytest.mark.parametrize("name", [e["id"] for e in SUITE_MANIFEST])
+    def test_none_leaves_search_unchanged(self, generated_paths, name):
+        # Every suite problem's full-grammar search explores exactly the
+        # manifest's count, so a change to how work is counted or cached
+        # shows on any of them; a budget it never reaches changes nothing.
+        problem, entry = generated_problem(generated_paths, name)
         assert problem.max_explored is None
         free = solve(problem)
         assert free.solved
         assert free.programs_explored == entry["explored"]
         assert program_size(free.program) == entry["solved_size"]
-        roomy = solve(replace(problem, max_explored=256 * 1024))
+        roomy = solve(replace(problem, max_explored=2 * entry["explored"]))
         assert roomy.program == free.program
         assert roomy.programs_explored == free.programs_explored
 

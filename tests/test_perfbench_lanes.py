@@ -30,13 +30,14 @@ def test_both_lanes_pass_their_checks(workload, n_requests):
             assert harness.check(req, res) is None, (workload, req.key, lane)
 
 
-def test_many_small_decisions_are_stable():
-    # The first 200 many-small problems of seed 1, solved through the library
+@pytest.mark.parametrize("seed", [1, 2])
+def test_many_small_decisions_are_stable(seed):
+    # All 700 many-small problems of the seed, solved through the library
     # with the frozen fixture: both lanes solve every one, the grt lane's
     # answer is never smaller than the baseline's minimal one, and a second
     # vote and decision remove the same terminals.
-    st = harness.set_up("many-small", ROOT, 1)
-    for req in st.requests[:200]:
+    st = harness.set_up("many-small", ROOT, seed)
+    for req in st.requests:
         problem = replace(parse_problem_file(req.text).problem, timeout_s=st.timeout_s)
         baseline = solve(problem)
         decision = decide(problem.grammar, st.table, vote(st.weights, problem.constraints))
