@@ -23,6 +23,11 @@ class Sort(enum.Enum):
     INT = "Int"
     BOOL = "Bool"
 
+    # Members are singletons, so identity hashing agrees with equality; the
+    # search keys its pools and seen-sets by sort, and Enum.__hash__ runs in
+    # Python on every such lookup.
+    __hash__ = object.__hash__
+
 
 class UnknownTerminal(KeyError):
     """A terminal name that is not part of the grammar (or catalog) at hand."""

@@ -53,25 +53,25 @@ class WeightsFormatError(ValueError):
 # --- Encoding -----------------------------------------------------------------
 
 
-def _codes_for(s: str) -> list[int]:
-    # UTF-8 byte view, truncated to the fixed width; bytes past the 7-bit
-    # range collapse onto the last embedding row so codes always index it
-    data = s.encode("utf-8")[:SIDE_WIDTH]
-    return [b if b < EMBED_VOCAB else EMBED_VOCAB - 1 for b in data]
+def encode_batch(constraints: Sequence[IoConstraint]) -> np.ndarray:
+    """Fixed-width integer codes, one row per constraint: input side then output side.
+
+    Each side is its UTF-8 bytes, truncated to SIDE_WIDTH and zero padded;
+    bytes past the 7-bit range collapse onto the last embedding row so codes
+    always index it.
+    """
+    buf = b"".join(
+        side.encode("utf-8")[:SIDE_WIDTH].ljust(SIDE_WIDTH, b"\0")
+        for c in constraints
+        for side in (VAR_SEPARATOR.join(c.inputs), c.output)
+    )
+    codes = np.frombuffer(buf, dtype=np.uint8).reshape(-1, 2 * SIDE_WIDTH)
+    return np.minimum(codes, EMBED_VOCAB - 1).astype(np.int64)
 
 
 def encode(constraint: IoConstraint) -> np.ndarray:
-    """Fixed-width integer codes: input side then output side, zero padded."""
-    joined = VAR_SEPARATOR.join(constraint.inputs)
-    codes = np.zeros(2 * SIDE_WIDTH, dtype=np.int64)
-    for offset, s in ((0, joined), (SIDE_WIDTH, constraint.output)):
-        cs = _codes_for(s)
-        codes[offset : offset + len(cs)] = cs
-    return codes
-
-
-def encode_batch(constraints: Sequence[IoConstraint]) -> np.ndarray:
-    return np.stack([encode(c) for c in constraints])
+    """The codes of one constraint, as ``encode_batch`` gives them."""
+    return encode_batch([constraint])[0]
 
 
 # --- Layer sizing ---------------------------------------------------------------
@@ -187,6 +187,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _check_shapes(weights: ModelWeights, codes: np.ndarray) -> None:
     if codes.ndim != 2 or codes.shape[1] != 2 * SIDE_WIDTH:
         raise ShapeMismatch(f"codes must be (batch, {2 * SIDE_WIDTH}), got {codes.shape}")
+    if codes.size and not 0 <= codes.min() <= codes.max() < EMBED_VOCAB:
+        raise ShapeMismatch(f"codes must lie in [0, {EMBED_VOCAB})")
     if weights.embedding.shape != (EMBED_VOCAB, EMBED_DIM):
         raise ShapeMismatch(f"embedding must be {(EMBED_VOCAB, EMBED_DIM)}")
     dims = weights.layer_dims
@@ -199,10 +201,13 @@ def _check_shapes(weights: ModelWeights, codes: np.ndarray) -> None:
 
 
 def _pool(weights: ModelWeights, codes: np.ndarray) -> np.ndarray:
-    emb = weights.embedding[codes]  # (B, 40, EMBED_DIM)
     if weights.pooling == "mean":
-        return emb.mean(axis=1)
-    return emb.reshape(emb.shape[0], -1)
+        # the mean of a row's embedded codes: its code counts times the table, over the width
+        batch, width = codes.shape
+        rows = codes + EMBED_VOCAB * np.arange(batch)[:, None]
+        counts = np.bincount(rows.ravel(), minlength=batch * EMBED_VOCAB)
+        return counts.reshape(batch, EMBED_VOCAB) @ weights.embedding / width
+    return weights.embedding[codes].reshape(codes.shape[0], -1)
 
 
 def _forward_all(weights, codes, dropout_rate=0.0, rng=None):

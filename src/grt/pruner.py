@@ -106,7 +106,7 @@ def decide(grammar: Grammar, table: SavingsTable | None, votes: Sequence[int]) -
     is a candidate and the two least-voted go; ``candidates`` is then empty.
     """
     names = grammar.terminal_names
-    votes = tuple(int(v) for v in votes)
+    votes = tuple(np.asarray(votes, dtype=np.int64).tolist())
     if len(votes) != len(names):
         raise ValueError(f"{len(votes)} votes for {len(names)} terminals")
     vote_of = dict(zip(names, votes))
@@ -117,9 +117,7 @@ def decide(grammar: Grammar, table: SavingsTable | None, votes: Sequence[int]) -
         candidates = [(g, a) for g, a in table.positive() if g in vote_of][:CANDIDATE_POOL]
         pool = [g for g, _ in candidates]
     removed = tuple(sorted(sorted(pool, key=lambda g: (vote_of[g], g))[:MAX_REMOVALS]))
-    reduced = grammar
-    for g in removed:
-        reduced = reduced.drop(g)
+    reduced = replace(grammar, terminals=tuple(t for t in grammar.terminals if t.name not in removed))
     return PruneDecision(removed, tuple(candidates), votes, reduced)
 
 

@@ -8,6 +8,7 @@ escaping ("" inside a literal denotes one quote character).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,9 +47,8 @@ class Symbol(str):
     __slots__ = ()
 
 
-_INT_RE = re.compile(r"-?\d+")
 # Deepest nesting the reader accepts, well inside Python's recursion limit:
-# reading, checking and printing a form all recurse into it.
+# checking and printing a form recurse into it.
 MAX_DEPTH = 100
 _SORT_NAMES = {"String": Sort.STRING, "Int": Sort.INT, "Bool": Sort.BOOL}
 
@@ -68,105 +68,64 @@ class ParsedSolution:
     program: ProgramAst
 
 
-# --- Tokenizer / reader -------------------------------------------------------
+# --- Reader -----------------------------------------------------------------------
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            parts = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    if i + 1 < n and text[i + 1] == '"':
-                        parts.append('"')
-                        i += 2
-                        col += 2
-                        continue
-                    i += 1
-                    col += 1
-                    break
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                parts.append(c)
-                i += 1
-            tokens.append(("str", "".join(parts), start_line, start_col))
+# One token per match, after any blanks and ``;`` comments: a parenthesis, a
+# string literal from its opening quote (with its closing quote in the next
+# group, empty when unterminated), an integer, or any other bare word. A match
+# with no token is the end of the text.
+_TOKEN_RE = re.compile(
+    r'(?:[ \t\r\n]+|;[^\n]*)*'
+    r'(?:([()])|("[^"]*(?:""[^"]*)*)("?)|(-?\d+)(?![^ \t\r\n();"])|([^ \t\r\n();"]+))?'
+)
+
+
+def _error_at(message: str, text: str, index: int) -> ParseError:
+    """A ParseError at the index-th token of the text, with its line and column."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
+    # a token starts where the first of its groups does
+    offset = min(start for start in map(match.start, range(1, _TOKEN_RE.groups + 1)) if start >= 0)
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+def _forms(text: str):
+    """Yield each top-level s-expression of the text in turn; a caller that
+    stops early gets no error for malformed text after the forms it took."""
+    stack: list[tuple[int, list]] = []  # (token index of "(", items so far) per open list
+    items: list = []
+    for index, (paren, string, closing, integer, word) in enumerate(_TOKEN_RE.findall(text)):
+        if paren == "(":
+            if len(stack) == MAX_DEPTH:
+                raise _error_at(f"nesting deeper than {MAX_DEPTH}", text, index)
+            stack.append((index, items))
+            items = []
+            continue
+        if paren:
+            if not stack:
+                raise _error_at("unexpected ')'", text, index)
+            form = items
+            items = stack.pop()[1]
+        elif string:
+            if not closing:
+                raise _error_at("unterminated string literal", text, index)
+            form = string[1:].replace('""', '"')
+        elif word:
+            form = Symbol(word)
+        elif integer:
+            try:
+                form = int(integer)
+            except ValueError:  # more digits than int() converts
+                raise _error_at("integer literal too long", text, index) from None
         else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in ' \t\r\n();"':
-                i += 1
-                col += 1
-            word = text[start:i]
-            if _INT_RE.fullmatch(word):
-                try:
-                    value = int(word)
-                except ValueError:  # more digits than int() converts
-                    raise ParseError("integer literal too long", line, start_col) from None
-                tokens.append(("int", value, line, start_col))
-            else:
-                tokens.append(("sym", word, line, start_col))
-    return tokens
-
-
-def _read_all(text: str) -> list:
-    """Read every top-level s-expression in the text."""
-    tokens = _tokenize(text)
-    forms = []
-    pos = 0
-    while pos < len(tokens):
-        form, pos = _read_one(tokens, pos)
-        forms.append(form)
-    return forms
-
-
-def _read_one(tokens, pos, depth=0):
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of input")
-    kind, value, line, col = tokens[pos]
-    if kind == "(":
-        if depth == MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH}", line, col)
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("unbalanced parenthesis", line, col)
-            if tokens[pos][0] == ")":
-                return items, pos + 1
-            item, pos = _read_one(tokens, pos, depth + 1)
-            items.append(item)
-    if kind == ")":
-        raise ParseError("unexpected ')'", line, col)
-    if kind == "sym":
-        return Symbol(value), pos + 1
-    return value, pos + 1  # "str" -> str, "int" -> int
+            break
+        if stack:
+            items.append(form)
+        else:
+            yield form
+    if stack:
+        raise _error_at("unbalanced parenthesis", text, stack[-1][0])
 
 
 def _sort_of(sym, where: str) -> Sort:
@@ -179,7 +138,7 @@ def _sort_of(sym, where: str) -> Sort:
 
 
 def parse_problem_file(text: str, path: str | None = None) -> ProblemFile:
-    forms = _read_all(text)
+    forms = list(_forms(text))
     fn_name = None
     params: list[tuple[str, Sort]] = []
     ops: list[str] = []
@@ -221,8 +180,9 @@ def parse_problem_file(text: str, path: str | None = None) -> ProblemFile:
     if not saw_check:
         raise ParseError("missing (check-synth)")
 
+    used = set(ops)
     grammar = Grammar(
-        terminals=tuple(CATALOG[n] for n in DEFAULT_TERMINAL_ORDER if n in set(ops)),
+        terminals=tuple(CATALOG[n] for n in DEFAULT_TERMINAL_ORDER if n in used),
         start_sort=Sort.STRING,
         string_literals=tuple(dict.fromkeys(str_lits)),
         int_literals=tuple(dict.fromkeys(int_lits)),
@@ -305,16 +265,19 @@ def _parse_synth_fun(form):
     return str(name_sym), params, ops, str_lits, int_lits
 
 
+def _bad_constraint(fn_name: str) -> ParseError:
+    return ParseError(f"constraints must look like (constraint (= ({fn_name} \"in\"...) \"out\"))")
+
+
 def _parse_constraint(form, fn_name: str, n_params: int) -> IoConstraint:
-    bad = ParseError(f"constraints must look like (constraint (= ({fn_name} \"in\"...) \"out\"))")
     if len(form) != 2 or not isinstance(form[1], list):
-        raise bad
+        raise _bad_constraint(fn_name)
     eq = form[1]
     if len(eq) != 3 or str(eq[0]) != "=" or not isinstance(eq[0], Symbol):
-        raise bad
+        raise _bad_constraint(fn_name)
     call, out = eq[1], eq[2]
     if not (isinstance(call, list) and call and isinstance(call[0], Symbol) and str(call[0]) == fn_name):
-        raise bad
+        raise _bad_constraint(fn_name)
     args = call[1:]
     if len(args) != n_params:
         raise ParseError(
@@ -411,8 +374,7 @@ def parse_solution(text: str) -> ParsedSolution:
     start = text.find("(define-fun")
     if start < 0:
         raise ParseError("no define-fun found in solver output")
-    tokens = _tokenize(text[start:])
-    form, _ = _read_one(tokens, 0)
+    form = next(_forms(text[start:]))
     if len(form) != 5 or str(form[0]) != "define-fun":
         raise ParseError("malformed define-fun")
     _, name_sym, params_form, ret_form, body = form

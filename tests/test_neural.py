@@ -118,6 +118,13 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(w, np.zeros((2, 17), dtype=np.int64))
 
+    @pytest.mark.parametrize("code", [-1, EMBED_VOCAB])
+    def test_codes_outside_the_vocabulary_rejected(self, code):
+        codes = np.zeros((2, 40), dtype=np.int64)
+        codes[1, 7] = code
+        with pytest.raises(ShapeMismatch):
+            forward(init_weights(TERMS, seed=0), codes)
+
     def test_outputs_in_open_unit_interval(self):
         w = init_weights(TERMS, seed=2)
         probs = forward(w, encode_batch([IoConstraint(("a",), "b"), IoConstraint(("",), "")]))

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from grt.core import InputVar, IoConstraint, SygusProblem, default_grammar
 from grt.datagen import TimeSample, draw_crit_problems, gen_crit_dataset
 from grt.enumerator import SynthesisResult, solve
-from grt.neural import init_weights
+from grt.neural import EMBED_VOCAB, SIDE_WIDTH, VAR_SEPARATOR, encode, encode_batch, init_weights, load_weights
 from grt.pruner import (
     DEFAULT_FALLBACK_GRID,
     FALLBACK_RUN_S,
@@ -24,6 +24,7 @@ from grt.pruner import (
     savings,
     vote,
 )
+from grt.sygus_format import parse_problem
 
 GRAMMAR = default_grammar()
 NAMES = GRAMMAR.terminal_names
@@ -98,6 +99,54 @@ class TestVote:
     def test_empty_rejected(self, weights):
         with pytest.raises(ValueError):
             vote(weights, [])
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def reference_codes(constraint):
+    """The per-constraint encoding loop that encode_batch replaced."""
+    codes = np.zeros(2 * SIDE_WIDTH, dtype=np.int64)
+    for offset, s in ((0, VAR_SEPARATOR.join(constraint.inputs)), (SIDE_WIDTH, constraint.output)):
+        data = s.encode("utf-8")[:SIDE_WIDTH]
+        codes[offset : offset + len(data)] = [min(b, EMBED_VOCAB - 1) for b in data]
+    return codes
+
+
+def reference_vote(weights, constraints, threshold=0.5):
+    """The vote with the embedding gathered and averaged row by row."""
+    h = weights.embedding[np.stack([reference_codes(c) for c in constraints])].mean(axis=1)
+    for W, b in [*weights.hidden, weights.output]:
+        h = 0.5 * (1.0 + np.tanh(0.5 * (h @ W + b)))
+    return (h >= threshold).sum(axis=0, dtype=np.int64)
+
+
+@pytest.fixture(scope="module")
+def benchmark_constraint_sets(generated_paths):
+    """The constraints of the 37 suite problems and the 700 many-small seed-1 problems."""
+    suite = [parse_problem(p.read_text(encoding="utf-8")).constraints for p in generated_paths]
+    samples = gen_crit_dataset(GRAMMAR, n_programs=700, seed=1)
+    many_small = [p.constraints for _, p in draw_crit_problems(samples, GRAMMAR, 700, 1)]
+    return suite + many_small
+
+
+class TestVoteMatchesReference:
+    def test_fixture_votes_on_the_benchmark_problems(self, benchmark_constraint_sets):
+        fixture = load_weights(ROOT / "perfbench" / "fixture" / "weights.bin", NAMES)
+        assert len(benchmark_constraint_sets) == 737
+        for constraints in benchmark_constraint_sets:
+            assert vote(fixture, constraints).tolist() == reference_vote(fixture, constraints).tolist()
+
+    def test_encode_batch_is_the_stacked_loop(self, benchmark_constraint_sets):
+        edge_cases = [
+            [IoConstraint(("a", "bc", ""), "abc"), IoConstraint(("", "", ""), "")],  # several variables
+            [IoConstraint(("x" * 30,), "y" * 25), IoConstraint(("0123456789" * 3,), "")],  # over 20 bytes
+            [IoConstraint(("\u00e9t\u00e9", "\u4e2d"), "\U0001f600" * 6), IoConstraint(("\x7f\x80",), "\u00ff")],
+        ]
+        for constraints in edge_cases + benchmark_constraint_sets:
+            expected = np.stack([reference_codes(c) for c in constraints]).tolist()
+            assert encode_batch(constraints).tolist() == expected
+            assert np.stack([encode(c) for c in constraints]).tolist() == expected
 
 
 def votes_with(**named):

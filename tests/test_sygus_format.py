@@ -130,6 +130,11 @@ class TestSolutionRoundTrip:
         out = "unsat\n(define-fun f ((x0 String)) String x0)\ndone"
         assert parse_solution(out).program == InputVar("x0")
 
+    @pytest.mark.parametrize("after", ['\n"abc', "\n("], ids=["open-quote", "open-paren"])
+    def test_parse_solution_ignores_malformed_noise_after_it(self, after):
+        out = "(define-fun f ((x0 String)) String x0)" + after
+        assert parse_solution(out).program == InputVar("x0")
+
     def test_ill_typed_rejected(self):
         with pytest.raises(ParseError):
             parse_solution('(define-fun f ((x0 String)) String (str.++ x0 1))')
@@ -215,6 +220,26 @@ class TestParserRobustness:
     def test_deep_nesting_rejected(self, text):
         with pytest.raises(ParseError):
             parse_problem_file(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('(set-logic SLIA)\n(a "abc', "unterminated string literal (line 2, column 4)"),
+            ('(set-logic SLIA)\n(a "x""y', "unterminated string literal (line 2, column 4)"),
+            ("(set-logic SLIA)\n)", "unexpected ')' (line 2, column 1)"),
+            ("(set-logic SLIA)\n (a (b", "unbalanced parenthesis (line 2, column 5)"),
+            ("(set-logic SLIA)\n(a " + "9" * 5000 + ")", "integer literal too long (line 2, column 4)"),
+            (
+                "(set-logic SLIA)\n" + "(" * (MAX_DEPTH + 1) + ")" * (MAX_DEPTH + 1),
+                f"nesting deeper than {MAX_DEPTH} (line 2, column {MAX_DEPTH + 1})",
+            ),
+        ],
+        ids=["unterminated", "unterminated-after-escape", "unexpected-close", "unbalanced", "long-integer", "deep"],
+    )
+    def test_error_position(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_problem_file(text)
+        assert str(info.value) == message
 
     def test_huge_integer_rejected(self):
         with pytest.raises(ParseError):
