@@ -17,14 +17,19 @@ string holding the output at some index, or branches that meet it on the
 examples the condition picks), and those values are looked up in the smaller
 pools. A ``str.++`` child whose pool is not complete is searched top-down in
 turn, with its required value as the target, so finding it does not complete
-that pool. The outputs can also rule a root out at once: ``str.at`` makes at
-most one character and ``int.to.str`` only decimals. A ``str.substr``,
-``str.at`` or ``ite`` size split is first checked against those of its child
-pools that are already complete (a length pool must reach every output's
-length; an index, start or condition pool must not be empty), so a split
-ruled out there grows no other pool. These are the witness functions of
-FlashMeta (Polozov & Gulwani, OOPSLA 2015), applied recursively and combined
-with bottom-up enumeration as in Duet (Lee, POPL 2021). Only the other
+that pool. Likewise a ``str.substr`` start or ``str.at`` index is an
+occurrence of the output in the host on every example, and those vectors are
+looked up by value among the Int programs of that size, found top-down by
+inverting ``+``, ``-``, ``str.len``, ``str.to.int`` and ``str.indexof``, so
+the Int pool of that size is not completed either. The outputs can also rule
+a root out at once: ``str.at`` makes at most one character and ``int.to.str``
+only decimals. A ``str.substr``, ``str.at`` or ``ite`` size split is first
+checked against those of its child pools that are already complete (a length
+pool must reach every output's length; an index, start or condition pool
+must not be empty), so a split ruled out there grows no other pool. These
+are the witness functions of FlashMeta (Polozov & Gulwani, OOPSLA 2015),
+applied recursively and combined with bottom-up enumeration as in Duet (Lee,
+POPL 2021). A witness search is made once per size and target. Only the other
 operators (``str.replace`` in the full grammar) are then enumerated at that
 size; the witnessed operators' entries of the start-sort pool are added when a
 larger size reads it (see ``_Space``). ``stream`` defers nothing and yields the
@@ -37,11 +42,13 @@ are iterated in grammar order.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 import shlex
 import signal
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -85,7 +92,7 @@ PROBE_STRINGS: tuple[str, ...] = ("", "a", "Z", "0", "123", "ab cd", "Hello Worl
 
 DEFAULT_STREAM_N = 2000
 
-_CHECK_MASK = 0x3FF  # _Space._counted checks the deadline and work budget every 1024 candidates
+_CHECK_MASK = 0x3FF  # _Space._counted checks the deadline every 1024 candidates (the work budget on every one)
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,15 @@ def _occurs_at(hosts: tuple, starts: tuple, target: tuple) -> bool:
     return all(not t or (i >= 0 and s.startswith(t, i)) for s, i, t in zip(hosts, starts, target))
 
 
+def _occurrences(host: str, part: str) -> list[int]:
+    """Every index at which a non-empty part occurs in host."""
+    found, i = [], host.find(part)
+    while i >= 0:
+        found.append(i)
+        i = host.find(part, i + 1)
+    return found
+
+
 def _is_decimal(s: str) -> bool:
     """Whether s is what ``int.to.str`` makes of a non-negative integer."""
     return s.isascii() and s.isdigit() and (s == "0" or s[0] != "0")
@@ -175,9 +191,15 @@ class _Space:
     complete pools before reading the others, and ``str.substr`` grows its
     length pool only once a host and a start fit; so at size L neither the
     Int pool of size L-3 nor the String pool of size L-4 is completed for a
-    split that cannot make the target. Then the other
-    operators grow the start-sort pool of size L, checking each new value
-    against the target; a grammar without ``str.replace`` grows nothing there.
+    split that cannot make the target. The ``str.substr`` starts and
+    ``str.at`` indices are Int children found by value (``_placed``): where
+    every output is non-empty they are its occurrences in the host, and each
+    such vector is looked up with ``_find_int``, which inverts the Int
+    operators top-down where that pool is not complete. ``witness`` is
+    memoised by size and target, so a search that found nothing is not made
+    again. Then the other operators grow the start-sort pool of size L,
+    checking each new value against the target; a grammar without
+    ``str.replace`` grows nothing there.
     The witnessed operators' own entries of that pool are deferred until a
     later level reads it. A value they then produce that the other operators
     kept at a larger size moves down, so a completed pool holds the same values
@@ -185,9 +207,10 @@ class _Space:
 
     Work is counted in ``explored`` by ``_counted``, the one loop every scan
     goes through: every candidate evaluated and every check a witness makes,
-    in nested lookups too. Every 1024 of them ``_checkpoint`` tests the
-    deadline and the work budget and raises ``_Stop`` once either is spent.
-    What a lookup computes once is cached in ``memo`` by ``_memo``.
+    in nested lookups too. It raises ``_Stop`` rather than count one past
+    the work budget, and tests the deadline every 1024 candidates;
+    ``_checkpoint`` tests both before each level. What a lookup computes
+    once is cached in ``memo`` by ``_memo``.
     """
 
     def __init__(
@@ -200,8 +223,8 @@ class _Space:
     ):
         self.grammar = grammar
         self.target = target
-        self.deadline = deadline
-        self.max_explored = max_explored
+        self.deadline = math.inf if deadline is None else deadline
+        self.max_explored = sys.maxsize if max_explored is None else max_explored  # an int, for a fast compare
         self.progs: dict[tuple[Sort, int], list] = {}
         self.vals: dict[tuple[Sort, int], list] = {}
         self.seen: dict[Sort, dict[tuple, int]] = {s: {} for s in Sort}  # value vector -> size kept
@@ -261,32 +284,41 @@ class _Space:
 
         Every candidate of size s combines kept programs whose sizes sum to
         s - 1, so nothing new appears past 1 + arity * (largest kept size). The
-        answer is yes only once every pool below ``size`` is complete.
+        answer is yes only once every pool below ``size`` is complete, so the
+        pools are completed size by size until a kept size rules it out.
         """
-        if size <= 1 + self.max_arity * self._max_kept_size():
-            return False
-        for sort in Sort:
-            self.pool(sort, size - 1)
-        return size > 1 + self.max_arity * self._max_kept_size()
+        grown = min(self.grown.values())
+        while size > 1 + self.max_arity * self._max_kept_size():
+            if grown >= size - 1:
+                return True
+            grown += 1
+            for sort in Sort:
+                self.pool(sort, grown)
+        return False
 
     def _max_kept_size(self) -> int:
         return max((size for (_, size), vals in self.vals.items() if vals), default=0)
 
     def _checkpoint(self) -> None:
-        if self.deadline is not None and time.monotonic() >= self.deadline:
+        if time.monotonic() >= self.deadline:
             raise _Stop("deadline")
-        if self.max_explored is not None and self.explored >= self.max_explored:
+        if self.explored >= self.max_explored:
             raise _Stop("budget")
 
     def _counted(self, items):
-        """Yield each item after counting it as explored, with a checkpoint every 1024.
+        """Yield each item after counting it as explored.
 
+        The work budget is tested before every item, so a search stops with
+        exactly ``max_explored`` counted; the deadline is tested every 1024.
         ``explored`` is re-read per item, since the caller's nested lookups advance it.
         """
+        budget = self.max_explored
         for item in items:
+            if self.explored >= budget:
+                raise _Stop("budget")
             explored = self.explored = self.explored + 1
-            if not (explored & _CHECK_MASK):
-                self._checkpoint()
+            if not (explored & _CHECK_MASK) and time.monotonic() >= self.deadline:
+                raise _Stop("deadline")
             yield item
 
     def _args(self, sorts: tuple[Sort, ...], parts: tuple[int, ...]):
@@ -334,8 +366,13 @@ class _Space:
             self.vals[(sort, larger)][:] = [v for _, v in kept]
         return None
 
+    @_memo
     def witness(self, size: int, target: tuple) -> ProgramAst | None:
-        """A program of this size rooted at a deferred operator with this value vector, or None."""
+        """A program of this size rooted at a deferred operator with this value vector, or None.
+
+        Memoised, so the ``str.++`` witness looking up a level's own target
+        two sizes down reads that level's answer instead of searching again.
+        """
         for term in self.deferred:
             found = _WITNESSES[term.name](self, term, size, target)
             if found is not None:
@@ -363,13 +400,95 @@ class _Space:
         """
         if size <= self.grown[Sort.STRING]:
             return self._index(Sort.STRING, size).get(vector)
-        return self._find_top_down(size, vector)
-
-    @_memo
-    def _find_top_down(self, size: int, vector: tuple) -> ProgramAst | None:
-        """``_find`` in a pool not yet complete; a complete pool is read through its index instead."""
         found = self._partial(size).get(vector)
         return found if found is not None else self.witness(size, vector)
+
+    def _find_int(self, size: int, vector: tuple) -> ProgramAst | None:
+        """An Int program of at most this size with this value vector, or None.
+
+        Finds every vector whose smallest program has this size, without
+        completing the pool: a complete pool is read through its index, and
+        otherwise the Int operators are inverted top-down (``_INT_INVERSES``).
+        A vector that a smaller program makes gives None or a program of at
+        most this size; a solution using it would have been found at a smaller
+        size.
+        """
+        if size <= self.grown[Sort.INT]:
+            return self._index(Sort.INT, size).get(vector)
+        if self.seen[Sort.INT].get(vector, size) < size:
+            return None
+        return self._find_int_top_down(size, vector)
+
+    @_memo
+    def _find_int_top_down(self, size: int, vector: tuple) -> ProgramAst | None:
+        """``_find_int`` in a pool not yet complete: each Int operator in catalog order."""
+        for term in self.ops[Sort.INT]:
+            found = _INT_INVERSES[term.name](self, term, size, vector)
+            if found is not None:
+                return found
+        return None
+
+    @_memo
+    def _images(self, term, size: int) -> dict[tuple, ProgramAst]:
+        """What a unary operator makes of the complete pool of size - 1, by value, first child kept."""
+        progs, vals = self.pool(term.arg_sorts[0], size - 1)
+        images = {}
+        for p, v in self._counted(zip(progs, map(COLUMN_SEMANTICS[term.name], vals))):
+            images.setdefault(v, p)
+        return images
+
+    def _invert_unary(self, term, size: int, vector: tuple) -> ProgramAst | None:
+        # (str.len s) and (str.to.int s): every child is evaluated once per
+        # size, and the images are kept by value.
+        child = self._images(term, size).get(vector)
+        return None if child is None else Apply(term, (child,))
+
+    def _invert_indexof(self, term, size: int, vector: tuple) -> ProgramAst | None:
+        # (str.indexof s t k) is v on an example only if v is -1 or t occurs at
+        # v in s, so v is at most s's length. Per size split the s that fit are
+        # kept, then the t that occur there, and only then is k read and
+        # checked by evaluation.
+        if any(v < -1 for v in vector):
+            return None
+        indexof = COLUMN_SEMANTICS[term.name]
+        for a, b, c in _compositions(size - 1, 3):
+            if self._complete_and_empty(Sort.INT, c):
+                continue
+            hosts = [
+                (p, s) for p, s in self._counted(zip(*self.pool(Sort.STRING, a)))
+                if all(map(operator.le, vector, map(len, s)))
+            ]
+            if not hosts:
+                continue
+            starts = None
+            for (sp, sv), (tp, tv) in self._counted(itertools.product(hosts, zip(*self.pool(Sort.STRING, b)))):
+                if not all(v < 0 or s.startswith(t, v) for s, t, v in zip(sv, tv, vector)):
+                    continue
+                if starts is None:
+                    starts = list(zip(*self.pool(Sort.INT, c)))
+                for kp, kv in self._counted(starts):
+                    if indexof(sv, tv, kv) == vector:
+                        return Apply(term, (sp, tp, kp))
+        return None
+
+    def _invert_arith(self, term, size: int, vector: tuple) -> ProgramAst | None:
+        # (+ x y) is v iff y is v - x, and (- x y) is v iff y is x - v. Per
+        # size split the side whose pool is complete (else the smaller) is
+        # scanned and the other child is looked up by value.
+        plus = term.name == "+"
+        for a in range(1, size - 1):
+            b = size - 1 - a
+            left = a <= max(self.grown[Sort.INT], b)
+            scan, seek = (a, b) if left else (b, a)
+            for p, x in self._counted(zip(*self.pool(Sort.INT, scan))):
+                if left:
+                    other = tuple(map(operator.sub, vector, x) if plus else map(operator.sub, x, vector))
+                else:
+                    other = tuple(map(operator.sub if plus else operator.add, vector, x))
+                found = self._find_int(seek, other)
+                if found is not None:
+                    return Apply(term, (p, found) if left else (found, p))
+        return None
 
     @_memo
     def _hosts(self, size: int, target: tuple) -> list[tuple[ProgramAst, tuple]]:
@@ -430,22 +549,64 @@ class _Space:
             for nv in self._counted(self.vals[(Sort.INT, size)])
         )
 
+    @_memo
+    def _host_occurrences(self, host_size: int, target: tuple) -> tuple[list, int]:
+        """Where each non-empty output occurs in its host, per host of this size, and how many index vectors that makes."""
+        found = [list(map(_occurrences, sv, target)) for _, sv in self._hosts(host_size, target)]
+        return found, sum(math.prod(map(len, occ)) for occ in found)
+
+    def _placed(self, host_size: int, size: int, target: tuple):
+        """Each (host, index) pair, the index an Int program of this size, that puts every non-empty output there in its host.
+
+        The hosts are those of ``host_size`` (``_hosts``). When no output is
+        empty the index vectors are the outputs' occurrences in each host,
+        looked up by value (``_find_int``), so the Int pool of this size is
+        not completed; unless there are more of them than the scan over that
+        pool would count candidates, and then it is scanned.
+        """
+        hosts = self._hosts(host_size, target)
+        if all(target):
+            occurrences, vectors = self._host_occurrences(host_size, target)
+            if vectors <= self._scan_cost(size, len(hosts)):
+                for host, occ in zip(hosts, occurrences):
+                    for iv in self._counted(itertools.product(*occ)):
+                        ip = self._find_int(size, iv)
+                        if ip is not None:
+                            yield host, (ip, iv)
+                return
+        for host, (ip, iv) in self._counted(itertools.product(hosts, zip(*self.pool(Sort.INT, size)))):
+            if _occurs_at(host[1], iv, target):
+                yield host, (ip, iv)
+
+    def _scan_cost(self, size: int, n_hosts: int) -> int:
+        """The candidates scanning n hosts against Int pool ``size`` counts, or a lower bound if the pool is incomplete.
+
+        Completing the pool evaluates every operator over the products of its
+        child pools; those not yet complete are counted as empty.
+        """
+        if size <= self.grown[Sort.INT]:
+            return n_hosts * len(self.vals[(Sort.INT, size)])
+        return sum(
+            math.prod(len(self.vals[(s, k)]) if k <= self.grown[s] else 0 for s, k in zip(term.arg_sorts, parts))
+            for term in self.ops[Sort.INT]
+            for parts in _compositions(size - 1, term.arity)
+        )
+
     def _witness_at(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.at s i) is one character of s or "", so an output longer than
         # that rules the root out; otherwise every value of s contains its
-        # output and i is checked by evaluation. A split whose index pool is
-        # complete and empty is skipped before the hosts are read.
+        # output, a non-empty one at i (``_placed``), and i is checked by
+        # evaluation. A split whose index pool is complete and empty is
+        # skipped before the hosts are read.
         if any(len(t) > 1 for t in target):
             return None
         at = COLUMN_SEMANTICS[term.name]
         for a in range(1, size - 1):
             if self._complete_and_empty(Sort.INT, size - 1 - a):
                 continue
-            hosts = self._hosts(a, target)
-            if not hosts:
+            if not self._hosts(a, target):
                 continue
-            indices = list(zip(*self.pool(Sort.INT, size - 1 - a)))
-            for (sp, sv), (ip, iv) in self._counted(itertools.product(hosts, indices)):
+            for (sp, sv), (ip, iv) in self._placed(a, size - 1 - a, target):
                 if at(sv, iv) == target:
                     return Apply(term, (sp, ip))
         return None
@@ -453,10 +614,10 @@ class _Space:
     def _witness_substr(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.substr s i n) meets the target only if every value of s contains
         # its output and, where the output is non-empty, i is an occurrence of
-        # it and n reaches its length; n is then checked by evaluation. A split
-        # is first ruled out on whichever Int pools are complete, before the
-        # hosts are read, and the length pool is grown only once a host and a
-        # start fit.
+        # it (``_placed``) and n reaches its length; n is then checked by
+        # evaluation. A split is first ruled out on whichever Int pools are
+        # complete, before the hosts are read, and the length pool is grown
+        # only once a host and a start fit.
         substr = COLUMN_SEMANTICS[term.name]
         for a in range(1, size - 2):
             rest = size - 1 - a
@@ -466,14 +627,10 @@ class _Space:
                     continue
                 if self._complete_and_empty(Sort.INT, b):
                     continue
-                hosts = self._hosts(a, target)
-                if not hosts:
+                if not self._hosts(a, target):
                     break
-                starts = zip(*self.pool(Sort.INT, b))
                 lengths = None
-                for (sp, sv), (ip, iv) in self._counted(itertools.product(hosts, starts)):
-                    if not _occurs_at(sv, iv, target):
-                        continue
+                for (sp, sv), (ip, iv) in self._placed(a, b, target):
                     if lengths is None:
                         lengths = list(zip(*self.pool(Sort.INT, c)))
                         if not self._long_enough(c, target):
@@ -536,19 +693,29 @@ _WITNESSES = {
     "ite": _Space._witness_ite,
 }
 
+# How ``_find_int`` inverts each Int operator of the catalog top-down.
+_INT_INVERSES = {
+    "str.len": _Space._invert_unary,
+    "str.indexof": _Space._invert_indexof,
+    "str.to.int": _Space._invert_unary,
+    "+": _Space._invert_arith,
+    "-": _Space._invert_arith,
+}
+
 
 def solve(problem: SygusProblem) -> SynthesisResult:
     """Find a smallest-generation program satisfying every constraint.
 
     Timeouts are an outcome, not an error; the reported elapsed time never
     exceeds the problem's budget. With ``problem.max_explored`` set, the
-    search also stops, unsolved and not exhausted, before a size level once
-    that many candidates have been explored, or at the first 1024-candidate
-    checkpoint at or past it, and reports the time it ran rather than the
-    whole budget. Both limits are tested by ``_Space._checkpoint``: before
-    each level, and every 1024 candidates counted by ``_Space._counted``.
-    The checks a top-down witness makes count as candidates; a witnessed
-    root the outputs rule out costs none.
+    search also stops, unsolved and not exhausted, once exactly that many
+    candidates have been explored (or before a size level, if the leaves
+    alone took more), and reports the time it ran rather than the whole
+    budget; so a budget of n solves every search that needs at most n.
+    ``_Space._counted`` tests the budget on every candidate and the deadline
+    every 1024, and ``_Space._checkpoint`` tests both before each level. The
+    checks a top-down witness makes count as candidates; a witnessed root
+    the outputs rule out costs none.
     """
     if not problem.constraints:
         raise ValueError("cannot solve a problem with no constraints")

