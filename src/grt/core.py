@@ -12,8 +12,9 @@ import decimal
 import enum
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 
 class Sort(enum.Enum):
@@ -204,6 +205,61 @@ COLUMN_SEMANTICS.update({
     "str.prefixof": lambda p, s: tuple(map(str.startswith, s, p)),
     "str.suffixof": lambda p, s: tuple(map(str.endswith, s, p)),
 })
+
+_NO_SLICE = slice(0, 0)
+
+
+def _at_slices(iv: tuple) -> tuple:
+    # s[k:k+1] is (str.at s k) for every k >= 0; a negative k would count from the end.
+    return tuple(slice(k, k + 1) if k >= 0 else _NO_SLICE for k in iv)
+
+
+def _substr_slices(iv: tuple, nv: tuple) -> tuple:
+    # s[k:k+m] is (str.substr s k m) for k >= 0 and m > 0; with m < 0 it would wrap around.
+    return tuple(slice(k, k + m) if k >= 0 and m > 0 else _NO_SLICE for k, m in zip(iv, nv))
+
+
+def _find_starts(iv: tuple) -> tuple:
+    # str.find gives -1 from a start past the end, so a negative start is sent there.
+    return tuple(k if k >= 0 else sys.maxsize for k in iv)
+
+
+# Per-example C callables for evaluating every combination of the children at
+# once (``product_values``): name -> (f, columns). f is mapped over one
+# combination's value vectors, example by example. ``columns``, if given, first
+# turns the children's value lists into the lists f reads: str.replace gains a
+# count, str.at and str.substr read slices built once per index vector or
+# (start, length) pair, and str.indexof reads its starts remapped once per vector.
+KERNELS: dict[str, tuple[Callable, Callable | None]] = {
+    "str.++": (operator.add, None),
+    "str.replace": (str.replace, lambda s, t, r: (s, t, r, (itertools.repeat(1),))),
+    "str.at": (operator.getitem, lambda s, i: (s, list(map(_at_slices, i)))),
+    "str.substr": (
+        operator.getitem,
+        lambda s, i, n: (s, list(itertools.starmap(_substr_slices, itertools.product(i, n)))),
+    ),
+    "str.len": (len, None),
+    "str.indexof": (str.find, lambda s, t, i: (s, t, list(map(_find_starts, i)))),
+    "str.contains": (operator.contains, None),
+    "+": (operator.add, None),
+    "-": (operator.sub, None),
+    "=": (operator.eq, None),
+}
+
+
+def product_values(name: str, value_lists: Sequence[Sequence[tuple]]) -> Iterator[tuple]:
+    """The operator's value vector for each combination of its children's, in ``itertools.product`` order.
+
+    With a kernel no Python frame runs per combination; every other operator
+    goes through ``COLUMN_SEMANTICS``.
+    """
+    if name not in KERNELS:
+        return itertools.starmap(COLUMN_SEMANTICS[name], itertools.product(*value_lists))
+    fn, columns = KERNELS[name]
+    if columns is not None:
+        value_lists = columns(*value_lists)
+    return map(tuple, itertools.starmap(map, itertools.product((fn,), *value_lists)))
+
 
 # Canonical terminal ordering: catalog order. Label vectors, vote vectors and
 # the model output layer all index terminals in this order.

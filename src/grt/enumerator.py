@@ -35,6 +35,12 @@ size; the witnessed operators' entries of the start-sort pool are added when a
 larger size reads it (see ``_Space``). ``stream`` defers nothing and yields the
 programs eager growth would.
 
+Growing a pool is the inner loop. Its candidates are counted and deduplicated
+in batches of up to 1024, and for most operators each is evaluated by a C
+callable mapped over its children's value vectors (``core.product_values``),
+so no Python frame runs per candidate. The work counted, the stops and the
+programs kept are those of counting one candidate at a time.
+
 The search is fully deterministic: terminals, literals, and size partitions
 are iterated in grammar order.
 """
@@ -65,6 +71,7 @@ from .core import (
     Sort,
     StrLit,
     SygusProblem,
+    product_values,
     satisfies,
 )
 
@@ -92,7 +99,10 @@ PROBE_STRINGS: tuple[str, ...] = ("", "a", "Z", "0", "123", "ab cd", "Hello Worl
 
 DEFAULT_STREAM_N = 2000
 
-_CHECK_MASK = 0x3FF  # _Space._counted checks the deadline every 1024 candidates (the work budget on every one)
+# The deadline is tested each time explored reaches a multiple of 1024 (the work
+# budget on every candidate): per candidate by _Space._counted, at the end of
+# each batch by _Space._batches, whose batches end there.
+_CHECK_MASK = 0x3FF
 
 
 @dataclass(frozen=True)
@@ -205,12 +215,14 @@ class _Space:
     kept at a larger size moves down, so a completed pool holds the same values
     as without deferral (only the representative program may differ).
 
-    Work is counted in ``explored`` by ``_counted``, the one loop every scan
-    goes through: every candidate evaluated and every check a witness makes,
-    in nested lookups too. It raises ``_Stop`` rather than count one past
-    the work budget, and tests the deadline every 1024 candidates;
-    ``_checkpoint`` tests both before each level. What a lookup computes
-    once is cached in ``memo`` by ``_memo``.
+    Work is counted in ``explored``: every candidate evaluated and every
+    check a witness makes, in nested lookups too. A scan that makes a nested
+    lookup per item counts through ``_counted``, one item at a time; ``_grow``
+    and the other scans count through ``_batches``, a list of up to 1024 items
+    at a time, with the same stops. Both raise ``_Stop`` rather than count one
+    past the work budget, and test the deadline at every multiple of 1024
+    explored; ``_checkpoint`` tests both before each level. What a lookup
+    computes once is cached in ``memo`` by ``_memo``.
     """
 
     def __init__(
@@ -234,8 +246,9 @@ class _Space:
         self.max_arity = max((t.arity for t in ops), default=0)
         self.ops = {s: [t for t in ops if t.ret_sort is s] for s in Sort}
         start = grammar.start_sort
-        self.deferred = [t for t in self.ops[start] if target is not None and t.name in _WITNESSES]
-        self.eager = [t for t in self.ops[start] if t not in self.deferred]
+        witnessed = _WITNESSES if target is not None else {}
+        self.deferred = [t for t in self.ops[start] if t.name in witnessed]
+        self.eager = [t for t in self.ops[start] if t.name not in witnessed]
         self.grown = dict.fromkeys(Sort, 1)  # every pool up to this size is complete
         self.deferred_to = 1  # start-sort pools above grown[start] up to here lack the deferred ops
         self._seed_leaves(assignments)
@@ -309,8 +322,10 @@ class _Space:
         """Yield each item after counting it as explored.
 
         The work budget is tested before every item, so a search stops with
-        exactly ``max_explored`` counted; the deadline is tested every 1024.
-        ``explored`` is re-read per item, since the caller's nested lookups advance it.
+        exactly ``max_explored`` counted; the deadline is tested when the count
+        reaches a multiple of 1024, before that item is used. ``explored`` is
+        re-read per item, since the caller's nested lookups advance it; a scan
+        without them counts faster through ``_batches``.
         """
         budget = self.max_explored
         for item in items:
@@ -320,6 +335,42 @@ class _Space:
             if not (explored & _CHECK_MASK) and time.monotonic() >= self.deadline:
                 raise _Stop("deadline")
             yield item
+
+    def _batches(self, items):
+        """Yield the items in lists, each counted as explored once the next is asked for.
+
+        A list ends at the work budget or at the next multiple of 1024 explored,
+        where ``_spend`` tests the deadline, so the stops are those of
+        ``_counted``; an item past the budget raises ``_Stop`` instead. (The
+        caller has used the whole list by then, which matters only to a search
+        that the deadline then ends.) A caller
+        that returns inside a list counts what it used of it with ``_spend``.
+        A list's length is fixed from ``explored`` when it is taken, so the
+        caller must count nothing else while it holds one.
+        """
+        items = iter(items)
+        while True:
+            room = min(self.max_explored - self.explored, _CHECK_MASK + 1 - (self.explored & _CHECK_MASK))
+            batch = list(itertools.islice(items, max(room, 1)))
+            if not batch:
+                return
+            if room <= 0:
+                raise _Stop("budget")
+            yield batch
+            self._spend(len(batch))
+
+    def _spend(self, n: int) -> None:
+        """Count n more candidates as explored, testing the deadline if that reaches a multiple of 1024."""
+        self.explored += n
+        if not (self.explored & _CHECK_MASK) and time.monotonic() >= self.deadline:
+            raise _Stop("deadline")
+
+    def _count_all(self, items) -> list:
+        """Every item, each counted as explored (``_batches``)."""
+        out = []
+        for batch in self._batches(items):
+            out += batch
+        return out
 
     def _args(self, sorts: tuple[Sort, ...], parts: tuple[int, ...]):
         """The children's program and value lists for one size split, or None if one is empty."""
@@ -337,29 +388,33 @@ class _Space:
 
         Returns the first new program whose value vector equals ``target``, if
         any. With ``moves``, a value kept at a larger size moves down to this one.
+        Candidates are evaluated (``product_values``) and counted
+        (``_batches``) in batches, so for an operator with a kernel no Python
+        frame runs per candidate.
         """
         progs = self.progs.setdefault((sort, size), [])
         vals = self.vals.setdefault((sort, size), [])
         seen = self.seen[sort]
         moved: dict[int, set] = {}
         for term in ops:
-            fn = COLUMN_SEMANTICS[term.name]
             for parts in _compositions(size - 1, term.arity):
                 args = self._args(term.arg_sorts, parts)
                 if args is None:
                     continue
-                values = itertools.starmap(fn, itertools.product(*args[1]))
-                for v, children in self._counted(zip(values, itertools.product(*args[0]))):
-                    if v in seen:
-                        if not moves or seen[v] <= size:
-                            continue
-                        moved.setdefault(seen[v], set()).add(v)
-                    seen[v] = size
-                    prog = Apply(term, children)
-                    progs.append(prog)
-                    vals.append(v)
-                    if v == target:
-                        return prog
+                children = itertools.product(*args[0])  # advanced in step with the values
+                for batch in self._batches(product_values(term.name, args[1])):
+                    for v, kids in zip(batch, children):
+                        if v in seen:
+                            if not moves or seen[v] <= size:
+                                continue
+                            moved.setdefault(seen[v], set()).add(v)
+                        seen[v] = size
+                        prog = Apply(term, kids)
+                        progs.append(prog)
+                        vals.append(v)
+                        if v == target:
+                            self._spend(batch.index(v) + 1)  # no copy of a new value comes before it
+                            return prog
         for larger, gone in moved.items():
             kept = [(p, v) for p, v in zip(self.progs[(sort, larger)], self.vals[(sort, larger)]) if v not in gone]
             self.progs[(sort, larger)][:] = [p for p, _ in kept]
@@ -433,7 +488,7 @@ class _Space:
         """What a unary operator makes of the complete pool of size - 1, by value, first child kept."""
         progs, vals = self.pool(term.arg_sorts[0], size - 1)
         images = {}
-        for p, v in self._counted(zip(progs, map(COLUMN_SEMANTICS[term.name], vals))):
+        for v, p in self._count_all(zip(product_values(term.name, [vals]), progs)):
             images.setdefault(v, p)
         return images
 
@@ -495,7 +550,7 @@ class _Space:
         """The String programs of this size whose every value contains its output."""
         return [
             (p, v)
-            for p, v in self._counted(zip(*self.pool(Sort.STRING, size)))
+            for p, v in self._count_all(zip(*self.pool(Sort.STRING, size)))
             if all(map(str.__contains__, v, target))
         ]
 
@@ -508,7 +563,7 @@ class _Space:
         """
         progs, vals = self.pool(Sort.STRING, size)
         matches = {}
-        for p, v in self._counted(zip(progs, vals)):
+        for p, v in self._count_all(zip(progs, vals)):
             hit = tuple(map(operator.eq, v, target))
             if any(hit):
                 matches.setdefault(hit, p)
@@ -712,10 +767,10 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     candidates have been explored (or before a size level, if the leaves
     alone took more), and reports the time it ran rather than the whole
     budget; so a budget of n solves every search that needs at most n.
-    ``_Space._counted`` tests the budget on every candidate and the deadline
-    every 1024, and ``_Space._checkpoint`` tests both before each level. The
-    checks a top-down witness makes count as candidates; a witnessed root
-    the outputs rule out costs none.
+    The budget is tested on every candidate and the deadline at every 1024th
+    (``_Space._counted`` and ``_Space._batches``), and ``_Space._checkpoint``
+    tests both before each level. The checks a top-down witness makes count
+    as candidates; a witnessed root the outputs rule out costs none.
     """
     if not problem.constraints:
         raise ValueError("cannot solve a problem with no constraints")

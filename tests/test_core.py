@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from grt.core import (
     Apply,
     CATALOG,
     COLUMN_SEMANTICS,
+    KERNELS,
     Grammar,
     InputVar,
     IntLit,
@@ -18,6 +20,7 @@ from grt.core import (
     TerminalSymbol,
     UnknownTerminal,
     evaluate,
+    product_values,
     program_size,
     satisfies,
     terminals_used,
@@ -82,8 +85,10 @@ class TestEvaluate:
         s = "".join(random.Random(digits).choice("0123456789") for _ in range(digits))
         (n,) = COLUMN_SEMANTICS["str.to.int"]((s,))
         assert n == ref_to_int(s)
+        assert list(product_values("str.to.int", [[(s,), ("12",)]])) == [(n,), (12,)]
         for m in (n, n * 10 + 7, -n - 1):
             assert COLUMN_SEMANTICS["int.to.str"]((m,)) == (ref_int_to_str(m),)
+            assert list(product_values("int.to.str", [[(m,), (12,)]])) == [(ref_int_to_str(m),), ("12",)]
 
     def test_matches_reference_on_random_substr_cases(self):
         rng = random.Random(1234)
@@ -118,6 +123,32 @@ def test_column_semantics_match_reference_row_by_row(name):
             cols = [tuple(draw[sort]() for _ in range(n_rows)) for sort in term.arg_sorts]
             want = tuple(REF_SEMANTICS[name](*row) for row in zip(*cols))
             assert COLUMN_SEMANTICS[name](*cols) == want, (name, cols)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_product_values_match_reference_row_by_row(name):
+    # product_values evaluates every combination of the children's value
+    # vectors at once. Each child list holds vectors that
+    # are the same edge case on every example (empty strings, so empty
+    # str.replace patterns; negative, zero, past-the-end and huge indices, so
+    # str.substr lengths <= 0 too) and random ones. str.substr's product has
+    # 1,152 combinations, more than one batch of the search.
+    assert set(KERNELS) <= set(CATALOG)
+    rng = random.Random(f"products:{name}")
+    draw = {
+        Sort.STRING: lambda: "".join(rng.choice("ab -1.") for _ in range(rng.randint(0, 5))),
+        Sort.INT: lambda: rng.randint(-3, 8),
+        Sort.BOOL: lambda: rng.random() < 0.5,
+    }
+    edges = {Sort.STRING: ("", "ab -1."), Sort.INT: (-3, -1, 0, 1, 6, 2**70), Sort.BOOL: (False, True)}
+    term = CATALOG[name]
+    for n_rows in (1, 3, 6):
+        value_lists = [
+            [(e,) * n_rows for e in edges[sort]] + [tuple(draw[sort]() for _ in range(n_rows)) for _ in range(6)]
+            for sort in term.arg_sorts
+        ]
+        want = [tuple(REF_SEMANTICS[name](*row) for row in zip(*combo)) for combo in itertools.product(*value_lists)]
+        assert list(product_values(name, value_lists)) == want, (name, n_rows)
 
 
 class TestSatisfies:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -32,7 +33,7 @@ from grt.enumerator import (
 )
 from grt.pruner import PROBE_EXPLORED
 from grt.sygus_format import parse_problem_file, program_to_text
-from oracles import all_programs, brute_force_min_size, ref_eval, ref_int_to_str, ref_to_int
+from oracles import REF_SEMANTICS, all_programs, brute_force_min_size, ref_eval, ref_int_to_str, ref_to_int
 
 
 SUITE_MANIFEST = json.loads(
@@ -470,6 +471,82 @@ class TestWitnessedRoots:
         assert reason == "deadline"
         assert stopped == result.programs_explored == (entered // 1024 + 1) * 1024
 
+    def test_grow_stops_at_its_deadline(self, generated_paths, monkeypatch):
+        # The clock jumps past the deadline as size 7's eager str.replace
+        # growth starts, at 2,521 candidates. That growth counts in batches,
+        # and the search stops inside it at the next multiple of 1,024.
+        problem, _ = generated_problem(generated_paths, "gen-001")
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(enumerator, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        grow = enumerator._Space._grow
+        stops = []
+
+        def late_grow(space, sort, size, ops, target=None, moves=False):
+            if target is None or size != 7:
+                return grow(space, sort, size, ops, target, moves)
+            clock.now = 2 * problem.timeout_s
+            entered = space.explored
+            try:
+                return grow(space, sort, size, ops, target, moves)
+            except enumerator._Stop as stop:
+                stops.append((stop.reason, entered, space.explored))
+                raise
+
+        monkeypatch.setattr(enumerator._Space, "_grow", late_grow)
+        result = solve(problem)
+        assert not result.solved and not result.exhausted
+        assert result.elapsed_s <= problem.timeout_s
+        [(reason, entered, stopped)] = stops
+        assert reason == "deadline"
+        assert stopped == result.programs_explored == (entered // 1024 + 1) * 1024
+
+
+class TestBatchedGrowth:
+    """``_grow`` evaluates and counts candidates in batches and keeps what one at a time would."""
+
+    def test_pools_match_one_candidate_at_a_time(self):
+        # Every pool of the full grammar up to size 6, on the probe inputs,
+        # holds the programs and values that evaluating each candidate with
+        # the reference semantics, in catalog and product order, and keeping
+        # the first of each value per sort gives, and counts as many
+        # candidates. String pool 6 alone spans several batches.
+        grammar = default_grammar()
+        space = enumerator._Space(grammar, probe_assignments(1))
+        progs, vals = dict(space.progs), dict(space.vals)
+        seen = {sort: set(space.seen[sort]) for sort in Sort}
+        explored = space.explored
+        largest = 0
+        for size in range(2, 7):
+            for sort in Sort:
+                before = explored
+                progs[(sort, size)], vals[(sort, size)] = [], []
+                for term in (t for t in grammar.terminals if t.arity and t.ret_sort is sort):
+                    for parts in enumerator._compositions(size - 1, term.arity):
+                        pools = [list(zip(progs[key], vals[key])) for key in zip(term.arg_sorts, parts)]
+                        for combo in itertools.product(*pools):
+                            explored += 1
+                            v = tuple(REF_SEMANTICS[term.name](*row) for row in zip(*(cv for _, cv in combo)))
+                            if v not in seen[sort]:
+                                seen[sort].add(v)
+                                progs[(sort, size)].append(Apply(term, tuple(cp for cp, _ in combo)))
+                                vals[(sort, size)].append(v)
+                largest = max(largest, explored - before)
+                assert space.pool(sort, size) == (progs[(sort, size)], vals[(sort, size)])
+                assert space.explored == explored
+        assert largest > 3 * 1024
+
+    @pytest.mark.parametrize("room", [1, 1000, 1024, 1500])
+    def test_growth_past_the_budget_raises(self, room):
+        # A pool whose growth would count one candidate past the budget is not
+        # left half grown: the growth stops with exactly the budget counted.
+        space = enumerator._Space(default_grammar(), probe_assignments(1))
+        space.max_explored = space.explored + room
+        with pytest.raises(enumerator._Stop, match="budget"):
+            for size in range(2, 7):
+                for sort in Sort:
+                    space.pool(sort, size)
+        assert space.explored == space.max_explored
+
 
 class TestIntLookup:
     """Int children are found by value, top-down, and no witness search is made twice."""
@@ -587,6 +664,9 @@ class TestWorkBudget:
     @pytest.mark.parametrize(
         "budget, dropped",
         [
+            # Each side of the first two multiples of 1,024, where a batch
+            # of the search ends.
+            *(pytest.param(budget, (), id=str(budget)) for budget in (1023, 1024, 1025, 2047, 2048, 2049)),
             pytest.param(4096, (), id="4096"),
             pytest.param(5000, (), id="5000"),
             pytest.param(16 * 1024, (), id="16384"),
@@ -595,10 +675,11 @@ class TestWorkBudget:
             # scan, the str.substr witness inverting a + and a str.indexof to
             # look a start up by value, a _hosts scan growing a pool that grows
             # another, the ite witness's branch scan, and the length scan one
-            # candidate before the answer.
+            # candidate before the answer; and each side of the batch ends
+            # at 1,024 and 2,048.
             *(
                 pytest.param(budget, ("str.replace", "str.suffixof"), id=f"reduced-{budget}")
-                for budget in (100, 191, 345, 576, 2048, 2580)
+                for budget in (100, 191, 345, 576, 1023, 1024, 1025, 2047, 2048, 2049, 2580)
             ),
         ],
     )

@@ -2,6 +2,7 @@
 few requests of each workload so a library API change that would break it
 fails here first. Nothing is written."""
 
+import hashlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from grt.core import program_size
 from grt.enumerator import solve
 from grt.pruner import decide, run_with_fallback, vote
-from grt.sygus_format import parse_problem_file
+from grt.sygus_format import parse_problem_file, program_to_text
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -30,13 +31,24 @@ def test_both_lanes_pass_their_checks(workload, n_requests):
             assert harness.check(req, res) is None, (workload, req.key, lane)
 
 
+# Per seed, the full-grammar searches' total explored count and the sha256 of
+# their 700 programs' texts, one a line in request order.
+MANY_SMALL_BASELINE = {
+    1: (187_803, "e23db59b43a2cd31a332c8b3d8d0b32d400ee83e1ca1a14e4a515484dc0fbb44"),
+    2: (184_531, "caf8e5f35abe15b8358da3819989a73525dd69dab37e4f86a9c1ff4f290b99d4"),
+}
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_many_small_decisions_are_stable(seed):
     # All 700 many-small problems of the seed, solved through the library
     # with the frozen fixture: both lanes solve every one, the grt lane's
     # answer is never smaller than the baseline's minimal one, and a second
-    # vote and decision remove the same terminals.
+    # vote and decision remove the same terminals. The baseline's programs
+    # and counted work are pinned, so a change to the order in which the
+    # enumerator makes candidates, or to which it keeps, fails here.
     st = harness.set_up("many-small", ROOT, seed)
+    explored, texts = 0, []
     for req in st.requests:
         problem = replace(parse_problem_file(req.text).problem, timeout_s=st.timeout_s)
         baseline = solve(problem)
@@ -46,3 +58,7 @@ def test_many_small_decisions_are_stable(seed):
         assert program_size(grt.program) >= program_size(baseline.program), req.key
         again = decide(problem.grammar, st.table, vote(st.weights, problem.constraints))
         assert again.removed == decision.removed, req.key
+        explored += baseline.programs_explored
+        texts.append(program_to_text(baseline.program))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert (explored, digest) == MANY_SMALL_BASELINE[seed]
