@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -130,7 +131,9 @@ def bench_one(
 ) -> BenchRecord:
     """Time one benchmark in the given mode.
 
-    The pruned columns of a treated mode time the whole fallback schedule.
+    The pruned columns of a treated mode time the vote and the decision
+    (once) and the whole fallback schedule; an unsolved lane carries the
+    budget.
     Without ``config.fallback_x`` the schedule relies on the probe stopping at
     PROBE_EXPLORED candidates, so a solver that ignores ``max_explored``
     (``solve_with_external``) is rejected there: its probe would take the
@@ -164,13 +167,14 @@ def bench_one(
         if mode == "baseline":
             return record
 
+        t0 = time.perf_counter()
         votes = vote(weights, problem.constraints)
         decision = decide(problem.grammar, savings_table if mode == "grt" else None, votes)
+        decide_s = time.perf_counter() - t0
         x = config.timeout_s if config.fallback_x is None else min(config.fallback_x, config.timeout_s)
         run_once = lambda: run_with_fallback(problem, decision.reduced, x, solver)
-        record.solved_pruned, record.t_pruned_s, record.size_pruned = _timed_lane(
-            run_once, problem, config, "pruned-lane"
-        )
+        solved, t_s, record.size_pruned = _timed_lane(run_once, problem, config, "pruned-lane")
+        record.solved_pruned, record.t_pruned_s = solved, t_s + decide_s if solved else t_s
         record.removed = decision.removed
         return record
     except Exception as exc:  # per-benchmark errors never abort the suite

@@ -13,7 +13,7 @@ import enum
 import itertools
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 
@@ -225,39 +225,47 @@ def _find_starts(iv: tuple) -> tuple:
 
 
 # Per-example C callables for evaluating every combination of the children at
-# once (``product_values``): name -> (f, columns). f is mapped over one
-# combination's value vectors, example by example. ``columns``, if given, first
-# turns the children's value lists into the lists f reads: str.replace gains a
-# count, str.at and str.substr read slices built once per index vector or
-# (start, length) pair, and str.indexof reads its starts remapped once per vector.
-KERNELS: dict[str, tuple[Callable, Callable | None]] = {
-    "str.++": (operator.add, None),
-    "str.replace": (str.replace, lambda s, t, r: (s, t, r, (itertools.repeat(1),))),
-    "str.at": (operator.getitem, lambda s, i: (s, list(map(_at_slices, i)))),
+# once (``product_values``): name -> (f, split, columns). f is mapped over one
+# combination's value vectors, example by example. ``columns``, if given, turns
+# the value lists of the children from ``split`` on (the arity: none of them)
+# into the lists f reads there: str.replace gains a count, str.at and str.substr read slices built
+# once per index vector or (start, length) pair, and str.indexof reads its
+# starts remapped once per vector. They depend on those children's pools
+# alone, so a caller that evaluates the same pools again can keep them.
+KERNELS: dict[str, tuple[Callable, int, Callable | None]] = {
+    "str.++": (operator.add, 2, None),
+    "str.replace": (str.replace, 3, lambda: [(itertools.repeat(1),)]),
+    "str.at": (operator.getitem, 1, lambda i: [list(map(_at_slices, i))]),
     "str.substr": (
         operator.getitem,
-        lambda s, i, n: (s, list(itertools.starmap(_substr_slices, itertools.product(i, n)))),
+        1,
+        lambda i, n: [list(itertools.starmap(_substr_slices, itertools.product(i, n)))],
     ),
-    "str.len": (len, None),
-    "str.indexof": (str.find, lambda s, t, i: (s, t, list(map(_find_starts, i)))),
-    "str.contains": (operator.contains, None),
-    "+": (operator.add, None),
-    "-": (operator.sub, None),
-    "=": (operator.eq, None),
+    "str.len": (len, 1, None),
+    "str.indexof": (str.find, 2, lambda i: [list(map(_find_starts, i))]),
+    "str.contains": (operator.contains, 2, None),
+    "+": (operator.add, 2, None),
+    "-": (operator.sub, 2, None),
+    "=": (operator.eq, 2, None),
 }
 
 
-def product_values(name: str, value_lists: Sequence[Sequence[tuple]]) -> Iterator[tuple]:
+def product_values(
+    name: str, value_lists: Sequence[Sequence[tuple]], columns: list | None = None
+) -> Iterator[tuple]:
     """The operator's value vector for each combination of its children's, in ``itertools.product`` order.
 
     With a kernel no Python frame runs per combination; every other operator
-    goes through ``COLUMN_SEMANTICS``.
+    goes through ``COLUMN_SEMANTICS``. ``columns``, if given, is what the
+    kernel's ``columns`` made of the value lists from its split on earlier.
     """
     if name not in KERNELS:
         return itertools.starmap(COLUMN_SEMANTICS[name], itertools.product(*value_lists))
-    fn, columns = KERNELS[name]
-    if columns is not None:
-        value_lists = columns(*value_lists)
+    fn, split, make = KERNELS[name]
+    if make is not None:
+        if columns is None:
+            columns = make(*value_lists[split:])
+        value_lists = [*value_lists[:split], *columns]
     return map(tuple, itertools.starmap(map, itertools.product((fn,), *value_lists)))
 
 
@@ -287,11 +295,14 @@ class Grammar:
     string_literals: tuple[str, ...] = ()
     int_literals: tuple[int, ...] = ()
     input_vars: tuple[tuple[str, Sort], ...] = (("x0", Sort.STRING),)
+    terminal_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by ``without``
 
     def __post_init__(self) -> None:
-        names = [t.name for t in self.terminals]
+        names = tuple(t.name for t in self.terminals)
         if len(names) != len(set(names)):
             raise ValueError("duplicate terminal names in grammar")
+        object.__setattr__(self, "terminal_names", names)
         var_sorts = dict(self.input_vars)
         for t in self.terminals:
             if t.arity == 0 and var_sorts.get(t.name) != t.ret_sort:
@@ -299,10 +310,6 @@ class Grammar:
                     f"arity-0 terminal {t.name!r} must name an input variable "
                     "of the same sort"
                 )
-
-    @property
-    def terminal_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.terminals)
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -316,15 +323,24 @@ class Grammar:
 
     def drop(self, name: str) -> "Grammar":
         """The same grammar without the named terminal."""
-        if name not in self.terminal_names:
-            raise UnknownTerminal(f"terminal {name!r} not in grammar")
-        return Grammar(
-            terminals=tuple(t for t in self.terminals if t.name != name),
-            start_sort=self.start_sort,
-            string_literals=self.string_literals,
-            int_literals=self.int_literals,
-            input_vars=self.input_vars,
-        )
+        return self.without((name,))
+
+    def without(self, names: Iterable[str]) -> "Grammar":
+        """The same grammar without the named terminals, made once per set of names."""
+        names = frozenset(names)
+        reduced = self._reduced.get(names)
+        if reduced is None:
+            if not names.issubset(self.terminal_names):
+                missing = sorted(names.difference(self.terminal_names))
+                raise UnknownTerminal(f"terminal {missing[0]!r} not in grammar")
+            reduced = self._reduced[names] = Grammar(
+                terminals=tuple(t for t in self.terminals if t.name not in names),
+                start_sort=self.start_sort,
+                string_literals=self.string_literals,
+                int_literals=self.int_literals,
+                input_vars=self.input_vars,
+            )
+        return reduced
 
 
 def default_grammar(

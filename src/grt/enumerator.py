@@ -63,10 +63,12 @@ from functools import lru_cache, wraps
 from . import sygus_format
 from .core import (
     Apply,
+    CATALOG,
     COLUMN_SEMANTICS,
     Grammar,
     InputVar,
     IntLit,
+    KERNELS,
     ProgramAst,
     Sort,
     StrLit,
@@ -401,8 +403,10 @@ class _Space:
                 args = self._args(term.arg_sorts, parts)
                 if args is None:
                     continue
+                _, split, make = KERNELS.get(term.name, (None, None, None))
+                columns = None if make is None else self._columns(term.name, parts[split:])
                 children = itertools.product(*args[0])  # advanced in step with the values
-                for batch in self._batches(product_values(term.name, args[1])):
+                for batch in self._batches(product_values(term.name, args[1], columns)):
                     for v, kids in zip(batch, children):
                         if v in seen:
                             if not moves or seen[v] <= size:
@@ -420,6 +424,13 @@ class _Space:
             self.progs[(sort, larger)][:] = [p for p, _ in kept]
             self.vals[(sort, larger)][:] = [v for _, v in kept]
         return None
+
+    @_memo
+    def _columns(self, name: str, sizes: tuple[int, ...]) -> list:
+        """What the operator's kernel reads in place of its children from its
+        split on, whose complete pools have these sizes; made once per pool."""
+        _, split, columns = KERNELS[name]
+        return columns(*(self.pool(sort, sz)[1] for sort, sz in zip(CATALOG[name].arg_sorts[split:], sizes)))
 
     @_memo
     def witness(self, size: int, target: tuple) -> ProgramAst | None:

@@ -9,6 +9,23 @@ inverted dropout after each hidden layer. A "flatten" pooling variant
 (concatenating the 40 embeddings into 4000 inputs) is supported as a
 configuration alternative.
 
+Evaluation (``forward`` in eval mode, ``predict_bits`` and ``pruner.vote``)
+runs on an inference form of the model (``_Inference``), built from its
+arrays by the first evaluation and kept in ``ModelWeights.inference``. With
+sigma(z) = (1 + tanh(z/2))/2, a layer reading u = tanh(z/2) of the one before
+has z/2 = u @ (W/4) + colsum(W)/4 + b/2, so every layer after the first is one
+step ``s <- tanh(s) @ A`` with A worked out in advance: the bias is A's last
+row, read by a unit of the layer before whose half-logit is fixed at 30, where
+tanh is exactly 1.0. Under mean pooling the embedding, the 1/40 and the first
+layer's weights and bias fold into one table, a row per code: every example
+holds exactly 40 codes, so the sum of its codes' rows is its first half-logit.
+A vote compares the output half-logits with atanh(2t - 1) instead of the
+probabilities with t. The weight shapes are checked once, when the form is
+built. Building it makes the model's arrays read-only, so an in-place edit
+raises instead of leaving the form stale; a model whose arrays are replaced
+gets a new form. Training keeps the plain sigmoid layers that
+backpropagation reads.
+
 Everything is deterministic per seed and implemented directly on numpy.
 """
 
@@ -17,7 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +71,20 @@ class WeightsFormatError(ValueError):
 # --- Encoding -----------------------------------------------------------------
 
 
+# Byte value -> code: bytes past the 7-bit range collapse onto the last embedding row.
+_BYTE_CODES = bytes(min(b, EMBED_VOCAB - 1) for b in range(256))
+
+
+def _codes(constraints: Sequence[IoConstraint]) -> np.ndarray:
+    """``encode_batch`` as uint8, which indexes the embedding as well."""
+    buf = b"".join(
+        side.encode("utf-8")[:SIDE_WIDTH].ljust(SIDE_WIDTH, b"\0")
+        for c in constraints
+        for side in (VAR_SEPARATOR.join(c.inputs), c.output)
+    )
+    return np.ndarray((len(constraints), 2 * SIDE_WIDTH), np.uint8, buf.translate(_BYTE_CODES))
+
+
 def encode_batch(constraints: Sequence[IoConstraint]) -> np.ndarray:
     """Fixed-width integer codes, one row per constraint: input side then output side.
 
@@ -60,13 +92,7 @@ def encode_batch(constraints: Sequence[IoConstraint]) -> np.ndarray:
     bytes past the 7-bit range collapse onto the last embedding row so codes
     always index it.
     """
-    buf = b"".join(
-        side.encode("utf-8")[:SIDE_WIDTH].ljust(SIDE_WIDTH, b"\0")
-        for c in constraints
-        for side in (VAR_SEPARATOR.join(c.inputs), c.output)
-    )
-    codes = np.frombuffer(buf, dtype=np.uint8).reshape(-1, 2 * SIDE_WIDTH)
-    return np.minimum(codes, EMBED_VOCAB - 1).astype(np.int64)
+    return _codes(constraints).astype(np.int64)
 
 
 def encode(constraint: IoConstraint) -> np.ndarray:
@@ -109,6 +135,8 @@ class ModelWeights:
     terminal_names: tuple[str, ...]
     pooling: str = "mean"
     epoch_losses: list[float] | None = None  # set by train(); not serialized
+    # built by the first evaluation (``_inference``); not serialized
+    inference: "_Inference | None" = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -184,11 +212,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _check_shapes(weights: ModelWeights, codes: np.ndarray) -> None:
+def _check_codes(codes: np.ndarray) -> None:
     if codes.ndim != 2 or codes.shape[1] != 2 * SIDE_WIDTH:
         raise ShapeMismatch(f"codes must be (batch, {2 * SIDE_WIDTH}), got {codes.shape}")
     if codes.size and not 0 <= codes.min() <= codes.max() < EMBED_VOCAB:
         raise ShapeMismatch(f"codes must lie in [0, {EMBED_VOCAB})")
+
+
+def _check_weights(weights: ModelWeights) -> None:
     if weights.embedding.shape != (EMBED_VOCAB, EMBED_DIM):
         raise ShapeMismatch(f"embedding must be {(EMBED_VOCAB, EMBED_DIM)}")
     dims = weights.layer_dims
@@ -198,6 +229,70 @@ def _check_shapes(weights: ModelWeights, codes: np.ndarray) -> None:
     expected = [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
     if mats != expected:
         raise ShapeMismatch(f"layer shapes {mats} do not chain as {expected}")
+
+
+def _sources(weights: ModelWeights) -> tuple:
+    """What an inference form is derived from, compared by identity."""
+    return (weights.embedding, weights.output, weights.pooling, weights.layer_dims, *weights.hidden)
+
+
+# A unit whose half-logit is this has a tanh of exactly 1.0 in float64, so the
+# next layer's bias rides in its weights as one more row.
+_ONE_UNIT = 30.0
+
+
+def _one_unit(A: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) with one more output unit, fixed at half-logit _ONE_UNIT."""
+    return np.hstack([A, np.zeros((len(A), 1))]), np.append(c, _ONE_UNIT)
+
+
+class _Inference:
+    """The model in tanh form, for evaluation (see the module docstring).
+
+    The first layer's half-logits come from ``table`` (mean pooling) or from
+    the embedding, ``A1`` and ``c1`` (flatten). Every later layer is one
+    matrix in ``layers``, its bias in the last row, read by the constant
+    unit that each layer but the output one carries.
+    """
+
+    def __init__(self, weights: ModelWeights):
+        _check_weights(weights)
+        self.sources = _sources(weights)
+        for _, arr in _params(weights):
+            arr.flags.writeable = False
+        (W, b), *rest = [*weights.hidden, weights.output]
+        # sigma(z) = (1 + tanh(z/2))/2: a layer reading u = tanh(z/2) of the
+        # one before has z/2 = u @ (W/4) + colsum(W)/4 + b/2
+        steps = [(W / 2, b / 2)] + [(W / 4, W.sum(axis=0) / 4 + b / 2) for W, b in rest]
+        steps[:-1] = [_one_unit(A, c) for A, c in steps[:-1]]
+        A1, c1 = steps[0]
+        if weights.pooling == "mean":
+            # an example's first half-logits are the sum of its 2 * SIDE_WIDTH
+            # codes' rows: the 1/width and c1 split evenly over them
+            self.table = (weights.embedding @ A1 + c1) / (2 * SIDE_WIDTH)
+        else:
+            self.table = None
+            self.embedding, self.A1, self.c1 = weights.embedding, A1, c1
+        self.layers = [np.vstack([A, c]) for A, c in steps[1:]]
+
+    def half_logits(self, codes: np.ndarray) -> np.ndarray:
+        """Half the output layer's logits, one row per row of codes."""
+        if self.table is not None:
+            s = self.table.take(codes, axis=0).sum(axis=1)
+        else:
+            s = self.embedding[codes].reshape(len(codes), -1) @ self.A1 + self.c1
+        for A in self.layers:
+            s = np.tanh(s) @ A
+        return s
+
+
+def _inference(weights: ModelWeights) -> _Inference:
+    """The model's inference form, built on first use and again if its arrays were replaced."""
+    form = weights.inference
+    sources = _sources(weights)
+    if form is None or len(sources) != len(form.sources) or not all(map(operator.is_, sources, form.sources)):
+        form = weights.inference = _Inference(weights)
+    return form
 
 
 def _pool(weights: ModelWeights, codes: np.ndarray) -> np.ndarray:
@@ -240,18 +335,19 @@ def forward(
     """Per-terminal criticality probabilities, in (0, 1).
 
     Dropout fires only in train mode (supply an rng for reproducibility);
-    evaluation mode is deterministic.
+    evaluation mode is deterministic and runs on the inference form.
     """
     codes = np.asarray(codes)
     single = codes.ndim == 1
     batch = codes[None, :] if single else codes
-    _check_shapes(weights, batch)
+    _check_codes(batch)
     if train_mode:
+        _check_weights(weights)
         if rng is None:
             rng = np.random.default_rng(0)
         _, _, _, _, probs = _forward_all(weights, batch, dropout_rate, rng)
     else:
-        _, _, _, _, probs = _forward_all(weights, batch)
+        probs = 0.5 * (1.0 + np.tanh(_inference(weights).half_logits(batch)))
     return probs[0] if single else probs
 
 
@@ -271,7 +367,8 @@ def loss_and_grads(
     """Mean BCE loss and its analytic gradients for every parameter."""
     codes = np.asarray(codes)
     labels = np.asarray(labels, dtype=np.float64)
-    _check_shapes(weights, codes)
+    _check_codes(codes)
+    _check_weights(weights)
     if labels.shape != (codes.shape[0], weights.layer_dims[-1]):
         raise ShapeMismatch(f"labels must be {(codes.shape[0], weights.layer_dims[-1])}")
     hs, pre, masks, logits, probs = _forward_all(weights, codes, dropout_rate, rng)
@@ -360,12 +457,21 @@ def train(dataset, config: TrainConfig, terminal_names: Sequence[str]) -> ModelW
     return weights
 
 
-def predict_bits(weights: ModelWeights, constraint: IoConstraint, threshold: float = 0.5) -> np.ndarray:
-    """Binary criticality vector: 1 where the probability reaches the threshold."""
+def hits(weights: ModelWeights, constraints: Sequence[IoConstraint], threshold: float = 0.5) -> np.ndarray:
+    """Per constraint and terminal, whether the probability reaches the threshold.
+
+    p >= t exactly where the half-logit reaches atanh(2t - 1).
+    """
+    if not constraints:
+        raise ValueError("no constraints")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    probs = forward(weights, encode(constraint))
-    return (probs >= threshold).astype(np.int64)
+    return _inference(weights).half_logits(_codes(constraints)) >= math.atanh(2.0 * threshold - 1.0)
+
+
+def predict_bits(weights: ModelWeights, constraint: IoConstraint, threshold: float = 0.5) -> np.ndarray:
+    """Binary criticality vector: 1 where the probability reaches the threshold."""
+    return hits(weights, [constraint], threshold)[0].astype(np.int64)
 
 
 # --- Weights file ------------------------------------------------------------------

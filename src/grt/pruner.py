@@ -17,14 +17,15 @@ terminal they need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .core import Grammar, IoConstraint, SygusProblem
 from .enumerator import SynthesisResult
-from .neural import ModelWeights, encode_batch, forward
+from .neural import ModelWeights, hits
 
 DEFAULT_FALLBACK_GRID: tuple[float, ...] = (1, 2, 5, 10, 20, 30, 60, 120, 300, 600)
 MAX_REMOVALS = 2
@@ -38,21 +39,39 @@ PROBE_EXPLORED = 2718
 FALLBACK_RUN_S = 5.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SavingsTable:
     """Mean per-terminal time saved by dropping it, with sample counts.
 
     Capped (timed-out) measurements are included in the mean; the counts say
-    how many samples back each figure.
+    how many samples back each figure. The table is read-only, so the
+    ranking made when it is built, and each grammar's candidates drawn from
+    it, stay true.
     """
 
-    means: dict[str, float]
-    counts: dict[str, int]
+    means: Mapping[str, float]
+    counts: Mapping[str, int]
+    _ranked: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
+    _pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def positive(self) -> list[tuple[str, float]]:
-        """Terminals worth considering for removal, best saver first."""
+    def __post_init__(self):
+        object.__setattr__(self, "means", MappingProxyType(dict(self.means)))
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         items = [(g, a) for g, a in self.means.items() if a > 0]
-        return sorted(items, key=lambda ga: (-ga[1], ga[0]))
+        object.__setattr__(self, "_ranked", tuple(sorted(items, key=lambda ga: (-ga[1], ga[0]))))
+
+    def positive(self) -> tuple[tuple[str, float], ...]:
+        """Terminals worth considering for removal, best saver first."""
+        return self._ranked
+
+    def pool(self, names: tuple[str, ...]) -> tuple[tuple[tuple[str, float], ...], tuple[int, ...]]:
+        """The CANDIDATE_POOL best positive savers among these terminals, and
+        their positions in ``names``; worked out once per tuple of names."""
+        found = self._pools.get(names)
+        if found is None:
+            candidates = tuple((g, a) for g, a in self._ranked if g in names)[:CANDIDATE_POOL]
+            found = self._pools[names] = (candidates, tuple(names.index(g) for g, _ in candidates))
+        return found
 
 
 def savings(time_dataset) -> SavingsTable:
@@ -73,12 +92,7 @@ def vote(
     threshold: float = 0.5,
 ) -> np.ndarray:
     """Sum of per-constraint binary criticality predictions, in one forward pass."""
-    if not constraints:
-        raise ValueError("no constraints to vote on")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    probs = forward(weights, encode_batch(constraints))
-    return (probs >= threshold).sum(axis=0, dtype=np.int64)
+    return hits(weights, constraints, threshold).sum(axis=0, dtype=np.int64)
 
 
 @dataclass
@@ -109,16 +123,10 @@ def decide(grammar: Grammar, table: SavingsTable | None, votes: Sequence[int]) -
     votes = tuple(np.asarray(votes, dtype=np.int64).tolist())
     if len(votes) != len(names):
         raise ValueError(f"{len(votes)} votes for {len(names)} terminals")
-    vote_of = dict(zip(names, votes))
-    if table is None:
-        candidates = []
-        pool = names
-    else:
-        candidates = [(g, a) for g, a in table.positive() if g in vote_of][:CANDIDATE_POOL]
-        pool = [g for g, _ in candidates]
-    removed = tuple(sorted(sorted(pool, key=lambda g: (vote_of[g], g))[:MAX_REMOVALS]))
-    reduced = replace(grammar, terminals=tuple(t for t in grammar.terminals if t.name not in removed))
-    return PruneDecision(removed, tuple(candidates), votes, reduced)
+    candidates, pool = ((), range(len(names))) if table is None else table.pool(names)
+    least_voted = sorted([(votes[i], names[i]) for i in pool])[:MAX_REMOVALS]
+    removed = tuple(sorted(name for _, name in least_voted))
+    return PruneDecision(removed, candidates, votes, grammar.without(removed))
 
 
 def fallback_cost(x: float, runs: Sequence[tuple[float, float]], timeout_s: float) -> float:

@@ -8,6 +8,7 @@ escaping ("" inside a literal denotes one quote character).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -72,54 +73,55 @@ class ParsedSolution:
 
 
 # One token per match, after any blanks and ``;`` comments: a parenthesis, a
-# string literal from its opening quote (with its closing quote in the next
-# group, empty when unterminated), an integer, or any other bare word. A match
-# with no token is the end of the text.
-_TOKEN_RE = re.compile(
-    r'(?:[ \t\r\n]+|;[^\n]*)*'
-    r'(?:([()])|("[^"]*(?:""[^"]*)*)("?)|(-?\d+)(?![^ \t\r\n();"])|([^ \t\r\n();"]+))?'
-)
+# string literal from its opening quote to its closing one (if any), or a
+# bare word, which ``_forms`` reads as an integer when it is one. A match with
+# no token is the end of the text.
+_TOKEN_RE = re.compile(r'(?:[ \t\r\n]+|;[^\n]*)*([()]|"[^"]*(?:""[^"]*)*"?|[^ \t\r\n();"]+)?')
 
 
 def _error_at(message: str, text: str, index: int) -> ParseError:
     """A ParseError at the index-th token of the text, with its line and column."""
-    match = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
-    # a token starts where the first of its groups does
-    offset = min(start for start in map(match.start, range(1, _TOKEN_RE.groups + 1)) if start >= 0)
+    offset = next(itertools.islice(_TOKEN_RE.finditer(text), index, None)).start(1)
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _forms(text: str):
     """Yield each top-level s-expression of the text in turn; a caller that
-    stops early gets no error for malformed text after the forms it took."""
+    stops early gets no error for malformed text after the forms it took.
+
+    A token is told by its first character. A string literal is closed when
+    it holds an even number of quotes: its doubled quotes come in pairs. An
+    integer is an optional ``-`` and Unicode decimal digits (what ``\\d``
+    matches), any other word a symbol.
+    """
     stack: list[tuple[int, list]] = []  # (token index of "(", items so far) per open list
     items: list = []
-    for index, (paren, string, closing, integer, word) in enumerate(_TOKEN_RE.findall(text)):
-        if paren == "(":
+    for index, token in enumerate(_TOKEN_RE.findall(text)):
+        if token == "(":
             if len(stack) == MAX_DEPTH:
                 raise _error_at(f"nesting deeper than {MAX_DEPTH}", text, index)
             stack.append((index, items))
             items = []
             continue
-        if paren:
+        if token == ")":
             if not stack:
                 raise _error_at("unexpected ')'", text, index)
             form = items
             items = stack.pop()[1]
-        elif string:
-            if not closing:
+        elif not token:
+            break
+        elif token[0] == '"':
+            if len(token) < 2 or token.count('"') % 2:
                 raise _error_at("unterminated string literal", text, index)
-            form = string[1:].replace('""', '"')
-        elif word:
-            form = Symbol(word)
-        elif integer:
+            form = token[1:-1].replace('""', '"')
+        elif token.isdecimal() or (token[0] == "-" and token[1:].isdecimal()):
             try:
-                form = int(integer)
+                form = int(token)
             except ValueError:  # more digits than int() converts
                 raise _error_at("integer literal too long", text, index) from None
         else:
-            break
+            form = Symbol(token)
         if stack:
             items.append(form)
         else:
@@ -181,15 +183,28 @@ def parse_problem_file(text: str, path: str | None = None) -> ProblemFile:
         raise ParseError("missing (check-synth)")
 
     used = set(ops)
-    grammar = Grammar(
-        terminals=tuple(CATALOG[n] for n in DEFAULT_TERMINAL_ORDER if n in used),
-        start_sort=Sort.STRING,
-        string_literals=tuple(dict.fromkeys(str_lits)),
-        int_literals=tuple(dict.fromkeys(int_lits)),
-        input_vars=tuple(params),
+    grammar = _grammar(
+        tuple(n for n in DEFAULT_TERMINAL_ORDER if n in used),
+        tuple(dict.fromkeys(str_lits)),
+        tuple(dict.fromkeys(int_lits)),
+        tuple(params),
     )
     problem = SygusProblem(grammar=grammar, constraints=tuple(constraints))
     return ProblemFile(path=path, problem=problem, fn_name=fn_name)
+
+
+@functools.lru_cache(maxsize=256)
+def _grammar(names: tuple, string_literals: tuple, int_literals: tuple, input_vars: tuple) -> Grammar:
+    """The grammar a synth-fun declares. Problems that declare the same one
+    share it, and with it what is worked out once per grammar
+    (``Grammar.without``)."""
+    return Grammar(
+        terminals=tuple(CATALOG[n] for n in names),
+        start_sort=Sort.STRING,
+        string_literals=string_literals,
+        int_literals=int_literals,
+        input_vars=input_vars,
+    )
 
 
 def parse_problem(text: str) -> SygusProblem:

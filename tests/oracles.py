@@ -7,7 +7,9 @@ in the package semantics cannot hide in the oracle.
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
 from grt.core import (
     Apply,
@@ -20,6 +22,7 @@ from grt.core import (
     Sort,
     StrLit,
 )
+from grt.sygus_format import MAX_DEPTH, ParseError, Symbol
 
 # --- Reference string-theory semantics -----------------------------------------
 
@@ -267,3 +270,58 @@ def brute_force_min_size(grammar: Grammar, constraints, max_size: int):
             if ok:
                 return size
     return None
+
+
+# --- Reference s-expression reader ----------------------------------------------
+
+# The reader as it was before tokens were told by their first character: one
+# regex group per token kind, an integer recognised by the regex with a
+# lookahead for the end of the word. It raises the package's ParseError and
+# builds its Symbol, so both readers' results compare directly.
+_REF_TOKEN_RE = re.compile(
+    r'(?:[ \t\r\n]+|;[^\n]*)*'
+    r'(?:([()])|("[^"]*(?:""[^"]*)*)("?)|(-?\d+)(?![^ \t\r\n();"])|([^ \t\r\n();"]+))?'
+)
+
+
+def _ref_error_at(message: str, text: str, index: int) -> ParseError:
+    match = next(itertools.islice(_REF_TOKEN_RE.finditer(text), index, None))
+    offset = min(start for start in map(match.start, range(1, _REF_TOKEN_RE.groups + 1)) if start >= 0)
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+def ref_forms(text: str) -> list:
+    """Every top-level s-expression of the text, or the reader's ParseError."""
+    stack: list[tuple[int, list]] = []
+    items: list = []
+    out = []
+    for index, (paren, string, closing, integer, word) in enumerate(_REF_TOKEN_RE.findall(text)):
+        if paren == "(":
+            if len(stack) == MAX_DEPTH:
+                raise _ref_error_at(f"nesting deeper than {MAX_DEPTH}", text, index)
+            stack.append((index, items))
+            items = []
+            continue
+        if paren:
+            if not stack:
+                raise _ref_error_at("unexpected ')'", text, index)
+            form = items
+            items = stack.pop()[1]
+        elif string:
+            if not closing:
+                raise _ref_error_at("unterminated string literal", text, index)
+            form = string[1:].replace('""', '"')
+        elif word:
+            form = Symbol(word)
+        elif integer:
+            try:
+                form = int(integer)
+            except ValueError:
+                raise _ref_error_at("integer literal too long", text, index) from None
+        else:
+            break
+        (items if stack else out).append(form)
+    if stack:
+        raise _ref_error_at("unbalanced parenthesis", text, stack[-1][0])
+    return out

@@ -1,6 +1,9 @@
 import functools
+import time
 
 import pytest
+
+from grt import bench
 
 from grt.bench import (
     BenchConfig,
@@ -20,7 +23,7 @@ from grt.datagen import TimeSample
 from grt.enumerator import SynthesisResult, solve, solve_with_external
 from grt.neural import TrainConfig, train
 from grt.datagen import gen_crit_dataset
-from grt.pruner import PROBE_EXPLORED, savings
+from grt.pruner import PROBE_EXPLORED, savings, vote
 from grt.sygus_format import ProblemFile
 
 GRAMMAR = default_grammar()
@@ -210,6 +213,29 @@ class TestRunSuite:
         external = functools.partial(solve_with_external, solver_cmd="true")
         with pytest.raises(ValueError, match="fallback"):
             run_suite(self.files(), "grtc", BenchConfig(), tiny_weights, solver=external)
+
+    @pytest.mark.parametrize("solved", [True, False])
+    def test_pruned_time_counts_the_vote_and_decision(self, tiny_weights, tiny_savings, monkeypatch, solved):
+        # the vote and the decision are timed once and added to a solved
+        # lane's time; an unsolved lane carries exactly the budget
+        calls = []
+
+        def slow_vote(weights, constraints):
+            calls.append(len(constraints))
+            time.sleep(0.05)
+            return vote(weights, constraints)
+
+        def solver(problem):
+            return SynthesisResult(solved, InputVar("x0") if solved else None, 0.01, 1)
+
+        monkeypatch.setattr(bench, "vote", slow_vote)
+        config = BenchConfig(timeout_s=10, fallback_x=2.0, repeats=3)
+        rec = bench_one(self.files()[0], "grt", config, tiny_weights, tiny_savings, solver=solver)
+        assert rec.error is None and calls == [1]
+        if solved:
+            assert 0.06 <= rec.t_pruned_s < 1.0
+        else:
+            assert rec.t_pruned_s == 10
 
     def test_identity_solved_equally_in_all_modes(self, tiny_weights, tiny_savings):
         files = self.files()[:1]

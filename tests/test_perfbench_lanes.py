@@ -38,6 +38,29 @@ MANY_SMALL_BASELINE = {
     2: (184_531, "caf8e5f35abe15b8358da3819989a73525dd69dab37e4f86a9c1ff4f290b99d4"),
 }
 
+# The sha256 of the grt lane's removed-terminal sets, one a line (names joined
+# by ","), for the 700 many-small requests of each seed in request order and
+# for the 37 suite requests in key order.
+MANY_SMALL_REMOVED = {
+    1: "d4c8324ab3b3e0c7f8951df12b7eb376bb75b4c6bed8c00575b9745acc5d999c",
+    2: "a118444336ae2b2e5be1bf40f665468de2713e6b39b1cb2d5375be16e65e29c7",
+}
+SUITE_REMOVED = "c55e0fc99cf33ef1a8260464b9b9afaf47e34d05e141fca257ad4e1ccd14a972"
+
+
+def removed_digest(removed_sets) -> str:
+    return hashlib.sha256("\n".join(map(",".join, removed_sets)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_suite_decisions_are_pinned(seed):
+    st = harness.set_up("suite", ROOT, seed)
+    removed = []
+    for req in sorted(st.requests, key=lambda r: r.key):
+        problem = parse_problem_file(req.text).problem
+        removed.append(decide(problem.grammar, st.table, vote(st.weights, problem.constraints)).removed)
+    assert removed_digest(removed) == SUITE_REMOVED
+
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_many_small_decisions_are_stable(seed):
@@ -46,9 +69,11 @@ def test_many_small_decisions_are_stable(seed):
     # answer is never smaller than the baseline's minimal one, and a second
     # vote and decision remove the same terminals. The baseline's programs
     # and counted work are pinned, so a change to the order in which the
-    # enumerator makes candidates, or to which it keeps, fails here.
+    # enumerator makes candidates, or to which it keeps, fails here; so are
+    # the removed-terminal sets, so a change to the model's arithmetic that
+    # flips a vote fails here too.
     st = harness.set_up("many-small", ROOT, seed)
-    explored, texts = 0, []
+    explored, texts, removed = 0, [], []
     for req in st.requests:
         problem = replace(parse_problem_file(req.text).problem, timeout_s=st.timeout_s)
         baseline = solve(problem)
@@ -60,5 +85,7 @@ def test_many_small_decisions_are_stable(seed):
         assert again.removed == decision.removed, req.key
         explored += baseline.programs_explored
         texts.append(program_to_text(baseline.program))
+        removed.append(decision.removed)
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert (explored, digest) == MANY_SMALL_BASELINE[seed]
+    assert removed_digest(removed) == MANY_SMALL_REMOVED[seed]

@@ -11,7 +11,17 @@ import hypothesis.strategies as st
 from grt.core import InputVar, IoConstraint, SygusProblem, default_grammar
 from grt.datagen import TimeSample, draw_crit_problems, gen_crit_dataset
 from grt.enumerator import SynthesisResult, solve
-from grt.neural import EMBED_VOCAB, SIDE_WIDTH, VAR_SEPARATOR, encode, encode_batch, init_weights, load_weights
+from grt.neural import (
+    EMBED_VOCAB,
+    SIDE_WIDTH,
+    VAR_SEPARATOR,
+    encode,
+    encode_batch,
+    forward,
+    init_weights,
+    load_weights,
+    predict_bits,
+)
 from grt.pruner import (
     DEFAULT_FALLBACK_GRID,
     FALLBACK_RUN_S,
@@ -113,12 +123,19 @@ def reference_codes(constraint):
     return codes
 
 
-def reference_vote(weights, constraints, threshold=0.5):
-    """The vote with the embedding gathered and averaged row by row."""
-    h = weights.embedding[np.stack([reference_codes(c) for c in constraints])].mean(axis=1)
+def reference_probs(weights, constraints):
+    """The model's probabilities with the embedding gathered row by row and
+    every layer a plain sigmoid."""
+    embedded = weights.embedding[np.stack([reference_codes(c) for c in constraints])]
+    h = embedded.mean(axis=1) if weights.pooling == "mean" else embedded.reshape(len(constraints), -1)
     for W, b in [*weights.hidden, weights.output]:
         h = 0.5 * (1.0 + np.tanh(0.5 * (h @ W + b)))
-    return (h >= threshold).sum(axis=0, dtype=np.int64)
+    return h
+
+
+def reference_vote(weights, constraints, threshold=0.5):
+    """The vote from ``reference_probs``."""
+    return (reference_probs(weights, constraints) >= threshold).sum(axis=0, dtype=np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +164,94 @@ class TestVoteMatchesReference:
             expected = np.stack([reference_codes(c) for c in constraints]).tolist()
             assert encode_batch(constraints).tolist() == expected
             assert np.stack([encode(c) for c in constraints]).tolist() == expected
+
+
+# Constraints whose codes cover the encoding's edge cases: several variables,
+# sides past 20 bytes, non-ASCII and NUL bytes, empty sides.
+EDGE_CONSTRAINTS = [
+    IoConstraint(("ab",), "b"),
+    IoConstraint(("",), ""),
+    IoConstraint(("x" * 30,), "y" * 25),
+    IoConstraint(("\u00e9t\u00e9",), "\U0001f600" * 6),
+    IoConstraint(("a\x00b",), "\x00"),
+    IoConstraint(("Hello World", "x-1"), "Hello"),
+]
+
+
+def random_model(seed, pooling):
+    """A model from init_weights with random biases, so every bias folds into the inference form."""
+    weights = init_weights(NAMES, seed=seed, pooling=pooling)
+    rng = np.random.default_rng(seed)
+    for _, b in [*weights.hidden, weights.output]:
+        b[:] = rng.normal(0.0, 0.5, b.shape)
+    return weights
+
+
+class TestVoteOnRandomModels:
+    @pytest.mark.parametrize("pooling", ["mean", "flatten"])
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7])
+    def test_vote_matches_reference_and_bits(self, benchmark_constraint_sets, pooling, threshold):
+        rng = random.Random(f"{pooling}:{threshold}")
+        sets = [EDGE_CONSTRAINTS, *rng.sample(benchmark_constraint_sets, 60)]
+        for seed in range(3):
+            weights = random_model(seed, pooling)
+            for constraints in sets:
+                votes = vote(weights, constraints, threshold).tolist()
+                assert votes == reference_vote(weights, constraints, threshold).tolist()
+                bits = sum(predict_bits(weights, c, threshold) for c in constraints)
+                assert votes == bits.tolist()
+
+    @pytest.mark.parametrize("pooling", ["mean", "flatten"])
+    def test_forward_matches_reference(self, pooling):
+        weights = random_model(7, pooling)
+        probs = forward(weights, encode_batch(EDGE_CONSTRAINTS))
+        assert np.allclose(probs, reference_probs(weights, EDGE_CONSTRAINTS), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pooling", ["mean", "flatten"])
+    def test_an_edited_model_is_never_voted_on_stale(self, pooling):
+        # After a vote, editing the model's arrays in place either raises or
+        # shows in the next vote; replacing them always shows.
+        rng = np.random.default_rng(3)
+        constraints = EDGE_CONSTRAINTS
+        weights = random_model(5, pooling)
+        vote(weights, constraints)
+        for W, b in [*weights.hidden, weights.output]:
+            for arr in (W, b):
+                try:
+                    arr *= -1.0
+                except ValueError:
+                    continue
+                assert vote(weights, constraints).tolist() == reference_vote(weights, constraints).tolist()
+        try:
+            weights.embedding[:] = rng.normal(0.0, 1.0, weights.embedding.shape)
+        except ValueError:
+            pass
+        assert vote(weights, constraints).tolist() == reference_vote(weights, constraints).tolist()
+        before = vote(weights, constraints).tolist()
+        W, b = weights.output
+        weights.output = (-W, b + 1.0)
+        after = vote(weights, constraints).tolist()
+        assert after == reference_vote(weights, constraints).tolist() and after != before
+        weights.hidden[0] = (weights.hidden[0][0] * 3.0, weights.hidden[0][1] - 2.0)
+        assert vote(weights, constraints).tolist() == reference_vote(weights, constraints).tolist()
+        weights.embedding = rng.normal(0.0, 1.0, weights.embedding.shape)
+        assert vote(weights, constraints).tolist() == reference_vote(weights, constraints).tolist()
+
+
+def test_fixture_probabilities_keep_clear_of_the_threshold(benchmark_constraint_sets):
+    # The smallest |p - 0.5| over every constraint of the 1,474 benchmark
+    # requests (both workloads, seeds 1 and 2) is 7.9e-6, so reordering the
+    # model's arithmetic (rounding near 1e-16) cannot flip a vote: a vote on
+    # these requests equals the plain-sigmoid reference's.
+    fixture = load_weights(ROOT / "perfbench" / "fixture" / "weights.bin", NAMES)
+    samples = gen_crit_dataset(GRAMMAR, n_programs=700, seed=2)
+    seed2 = [p.constraints for _, p in draw_crit_problems(samples, GRAMMAR, 700, 2)]
+    sets = benchmark_constraint_sets + seed2
+    assert len(sets) == 1437  # the 37 suite problems serve both seeds' 74 suite requests
+    margin = min(float(np.abs(reference_probs(fixture, cs) - 0.5).min()) for cs in sets)
+    assert margin == pytest.approx(7.9e-6, rel=0.05)
+    for constraints in seed2:
+        assert vote(fixture, constraints).tolist() == reference_vote(fixture, constraints).tolist()
 
 
 def votes_with(**named):

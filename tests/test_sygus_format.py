@@ -19,6 +19,7 @@ from grt.sygus_format import (
     MAX_DEPTH,
     ParseError,
     ProblemFile,
+    _forms,
     parse_problem,
     parse_problem_file,
     parse_solution,
@@ -26,7 +27,7 @@ from grt.sygus_format import (
     print_solution,
     program_to_text,
 )
-from oracles import random_program
+from oracles import random_program, ref_forms
 
 MINIMAL = """
 (set-logic SLIA)
@@ -248,3 +249,65 @@ class TestParserRobustness:
     def test_unknown_operator_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_problem(MINIMAL.replace("str.++ Start Start", "str.rot13 Start"))
+
+
+def tagged(form):
+    """A form with the kind of every atom spelled out: a Symbol equals a str."""
+    if isinstance(form, list):
+        return ["list", *map(tagged, form)]
+    return [type(form).__name__, form]
+
+
+def read_both(text):
+    """The reader's and the reference reader's forms, or their errors."""
+    outcomes = []
+    for reader in (lambda t: list(_forms(t)), ref_forms):
+        try:
+            outcomes.append(("forms", [tagged(f) for f in reader(text)]))
+        except ParseError as exc:
+            outcomes.append(("error", str(exc), exc.line, exc.col))
+    return outcomes
+
+
+# Blanks, the characters next to them that are not blanks (form feed, vertical
+# tab, no-break space), Unicode digits that \d does (Arabic-Indic three) and
+# does not (superscript two) accept, signs and quotes.
+READER_ALPHABET = '()"; \n\t\r\f\v\xa0-019\u0663\u00b2aS.x'
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "-", "-0", "--1", "1a", "a1", "-a", "0-", "007", "-12(", '1"a"', "12\f", "\u0663\u0664", "-\u0663",
+            "\u00b2", "1\xa0", "\v", "\f1", '""', '"a""b"', '"a""', '"', '(a "x""y', '("" "")', '"""', '""""',
+            "; only a comment", "(a ;c\n b)", "(a)(b)", ")", "(", "(a (b", "", "9" * 5000, "-" + "9" * 5000,
+        ],
+        ids=lambda text: repr(text) if len(text) < 20 else f"{text[:2]!r}...{len(text)}",
+    )
+    def test_edge_cases(self, text):
+        mine, ref = read_both(text)
+        assert mine == ref
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text(self, text):
+        mine, ref = read_both(text)
+        assert mine == ref
+
+    @given(st.text(alphabet=READER_ALPHABET, max_size=60))
+    @settings(max_examples=500, deadline=None)
+    def test_sexpression_alphabet(self, text):
+        mine, ref = read_both(text)
+        assert mine == ref
+
+    @given(mutated_shipped())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_shipped_files(self, text):
+        mine, ref = read_both(text)
+        assert mine == ref
+
+    def test_shipped_files(self):
+        for data in SHIPPED_TEXTS:
+            mine, ref = read_both(data.decode("utf-8"))
+            assert mine == ref and mine[0] == "forms"
