@@ -71,7 +71,10 @@ def cmd_solve(args) -> int:
         print(print_solution(result.program, pf.fn_name, params))
         print(f"; elapsed {result.elapsed_s:.3f}s, explored {result.programs_explored}", file=sys.stderr)
         return 0
-    print(f"; no solution within {problem.timeout_s}s (explored {result.programs_explored})", file=sys.stderr)
+    if result.exhausted:
+        print(f"; grammar exhausted: no solution (explored {result.programs_explored})", file=sys.stderr)
+    else:
+        print(f"; no solution within {problem.timeout_s}s (explored {result.programs_explored})", file=sys.stderr)
     return 0
 
 

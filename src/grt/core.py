@@ -13,7 +13,7 @@ import enum
 import itertools
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 
@@ -297,6 +297,7 @@ class Grammar:
     input_vars: tuple[tuple[str, Sort], ...] = (("x0", Sort.STRING),)
     terminal_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by ``without``
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by ``enumerator._plan``
 
     def __post_init__(self) -> None:
         names = tuple(t.name for t in self.terminals)
@@ -387,8 +388,7 @@ class SygusProblem:
     max_explored: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_explored is not None and self.max_explored < 1:
-            raise ValueError("max_explored must be at least 1")
+        _check_budget(self.max_explored)
         n_vars = len(self.grammar.input_vars)
         for c in self.constraints:
             if len(c.inputs) != n_vars:
@@ -396,6 +396,26 @@ class SygusProblem:
                     f"constraint has {len(c.inputs)} inputs, grammar declares "
                     f"{n_vars} variables"
                 )
+
+    def variant(self, grammar: Grammar, timeout_s: float, max_explored: int | None) -> "SygusProblem":
+        """``replace(self, grammar=grammar, timeout_s=timeout_s, max_explored=max_explored)``.
+
+        The constraints are checked again only when the grammar has another
+        number of input variables than the one they were checked against.
+        """
+        if len(grammar.input_vars) != len(self.grammar.input_vars):
+            return replace(self, grammar=grammar, timeout_s=timeout_s, max_explored=max_explored)
+        _check_budget(max_explored)
+        problem = object.__new__(SygusProblem)  # the fields set as __init__ sets them, less __post_init__
+        problem.__dict__.update(
+            grammar=grammar, constraints=self.constraints, timeout_s=timeout_s, max_explored=max_explored
+        )
+        return problem
+
+
+def _check_budget(max_explored: int | None) -> None:
+    if max_explored is not None and max_explored < 1:
+        raise ValueError("max_explored must be at least 1")
 
 
 # --- Evaluation ---------------------------------------------------------------

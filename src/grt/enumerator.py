@@ -180,6 +180,52 @@ def _is_decimal(s: str) -> bool:
     return s.isascii() and s.isdigit() and (s == "0" or s[0] != "0")
 
 
+_SORTS = tuple(Sort)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What a search over a grammar works out from the grammar alone.
+
+    ``ops`` holds the operators of each sort in catalog order. ``deferred``
+    and ``eager`` split the start sort's operators: with a target the
+    witnessed ones are deferred, without one (``stream``) none are. Each leaf
+    is (program, sort, column, value): an input variable's values are its
+    column of the assignments, a literal's its value on every one.
+    """
+
+    ops: dict
+    max_arity: int
+    deferred: tuple
+    eager: tuple
+    leaves: tuple
+
+
+def _plan(grammar: Grammar, witnessed: bool) -> _Plan:
+    """The grammar's search plan, made once per grammar and kind of search."""
+    plan = grammar._plans.get(witnessed)
+    if plan is None:
+        ops = [t for t in grammar.terminals if t.arity > 0]
+        by_sort = {s: tuple(t for t in ops if t.ret_sort is s) for s in _SORTS}
+        start = by_sort[grammar.start_sort]
+        names = _WITNESSES if witnessed else {}
+        leaves = [
+            (InputVar(name, sort), sort, j, None)
+            for j, (name, sort) in enumerate(grammar.input_vars)
+            if name not in grammar.var_names[:j]
+        ]
+        leaves += [(StrLit(s), Sort.STRING, None, s) for s in grammar.string_literals]
+        leaves += [(IntLit(n), Sort.INT, None, n) for n in grammar.int_literals]
+        plan = grammar._plans[witnessed] = _Plan(
+            ops=by_sort,
+            max_arity=max((t.arity for t in ops), default=0),
+            deferred=tuple(t for t in start if t.name in names),
+            eager=tuple(t for t in start if t.name not in names),
+            leaves=tuple(leaves),
+        )
+    return plan
+
+
 class _Space:
     """Pools of observationally distinct programs, one per (sort, size), grown on demand.
 
@@ -241,31 +287,21 @@ class _Space:
         self.max_explored = sys.maxsize if max_explored is None else max_explored  # an int, for a fast compare
         self.progs: dict[tuple[Sort, int], list] = {}
         self.vals: dict[tuple[Sort, int], list] = {}
-        self.seen: dict[Sort, dict[tuple, int]] = {s: {} for s in Sort}  # value vector -> size kept
+        self.seen: dict[Sort, dict[tuple, int]] = {s: {} for s in _SORTS}  # value vector -> size kept
         self.memo: dict[tuple, object] = {}  # what the @_memo lookups returned, by (method name, arguments)
         self.explored = 0  # advanced by _counted alone, once the leaves are seeded
-        ops = [t for t in grammar.terminals if t.arity > 0]
-        self.max_arity = max((t.arity for t in ops), default=0)
-        self.ops = {s: [t for t in ops if t.ret_sort is s] for s in Sort}
-        start = grammar.start_sort
-        witnessed = _WITNESSES if target is not None else {}
-        self.deferred = [t for t in self.ops[start] if t.name in witnessed]
-        self.eager = [t for t in self.ops[start] if t.name not in witnessed]
-        self.grown = dict.fromkeys(Sort, 1)  # every pool up to this size is complete
+        plan = _plan(grammar, target is not None)
+        self.ops, self.max_arity, self.deferred, self.eager = plan.ops, plan.max_arity, plan.deferred, plan.eager
+        self.grown = dict.fromkeys(_SORTS, 1)  # every pool up to this size is complete
         self.deferred_to = 1  # start-sort pools above grown[start] up to here lack the deferred ops
-        self._seed_leaves(assignments)
+        self._seed_leaves(plan.leaves, assignments)
 
-    def _seed_leaves(self, assignments: list[tuple[str, ...]]) -> None:
+    def _seed_leaves(self, leaves: tuple, assignments: list[tuple[str, ...]]) -> None:
         m = len(assignments)
-        leaves = []
-        for j, (name, sort) in enumerate(self.grammar.input_vars):
-            if name not in self.grammar.var_names[:j]:
-                leaves.append((InputVar(name, sort), sort, tuple(a[j] for a in assignments)))
-        leaves += [(StrLit(s), Sort.STRING, (s,) * m) for s in self.grammar.string_literals]
-        leaves += [(IntLit(n), Sort.INT, (n,) * m) for n in self.grammar.int_literals]
-        for sort in Sort:
+        for sort in _SORTS:
             self.progs[(sort, 1)], self.vals[(sort, 1)] = [], []
-        for prog, sort, vals in leaves:
+        for prog, sort, column, value in leaves:
+            vals = (value,) * m if column is None else tuple(a[column] for a in assignments)
             self.explored += 1
             if vals not in self.seen[sort]:
                 self.seen[sort][vals] = 1
@@ -307,7 +343,7 @@ class _Space:
             if grown >= size - 1:
                 return True
             grown += 1
-            for sort in Sort:
+            for sort in _SORTS:
                 self.pool(sort, grown)
         return False
 

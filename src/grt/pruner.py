@@ -196,13 +196,13 @@ def run_with_fallback(
     """
     if x > problem.timeout_s:
         raise ValueError(f"fallback point {x} exceeds problem timeout {problem.timeout_s}")
-    result = solver(replace(problem, timeout_s=x, max_explored=PROBE_EXPLORED))
+    result = solver(problem.variant(problem.grammar, x, PROBE_EXPLORED))
     elapsed, explored = result.elapsed_s, result.programs_explored
     for grammar, budget in ((reduced, x), (problem.grammar, problem.timeout_s)):
         remaining = problem.timeout_s - elapsed
         if result.solved or remaining <= 0:
             break
-        result = solver(replace(problem, grammar=grammar, timeout_s=min(budget, remaining)))
+        result = solver(problem.variant(grammar, min(budget, remaining), problem.max_explored))
         elapsed += result.elapsed_s
         explored += result.programs_explored
-    return replace(result, elapsed_s=elapsed, programs_explored=explored)
+    return SynthesisResult(result.solved, result.program, elapsed, explored, result.exhausted)

@@ -4,6 +4,29 @@ Supported surface: ``set-logic SLIA``, one ``synth-fun`` with an explicit
 grammar, ``declare-var``, ground PBE ``constraint`` forms, ``check-synth``.
 Anything else is rejected loudly. String literals use SMT-LIB double-quote
 escaping ("" inside a literal denotes one quote character).
+
+Each distinct synth-fun declaration is read once per process. Requests
+usually declare the same grammar verbatim and differ only in their
+constraints, and the declaration is most of a problem's tokens. So
+``parse_problem_file`` keeps the exact source text of every ``(synth-fun ...)``
+form it accepted, with the name and the shared ``Grammar`` read from it
+(``_Declarations``, an LRU of 256). A declaration is looked up by the text
+from the first ``(synth-fun`` up to the ``)`` that ends the last line before
+the next line that opens a form, which is where a printed declaration ends;
+so a lookup is one dictionary probe whatever the number kept. When that text
+is a kept source and its ``(`` is a top-level token, the reader takes the
+declaration and tokenizes only the text before and after it.
+
+This is exact. A kept source is one complete top-level form, from its ``(``
+token to the one-character ``)`` token that closes it. The tokenizer reads
+such a text the same inside any text as on its own, from a token start on,
+and the token after it starts right after it. So everything after it is read
+as the full reader would read it. That the source starts a top-level token is
+checked too: the text up to and including its ``(`` must tokenize to ``(``
+last, with every earlier list closed. Any ``ParseError`` on this path reads
+the whole text again with the full reader, so every error, with its message,
+line and column, is the full reader's. A declaration that does not end where
+the lookup looks is never kept; it is read in full each time.
 """
 
 from __future__ import annotations
@@ -11,8 +34,10 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Apply,
@@ -52,6 +77,11 @@ class Symbol(str):
 # checking and printing a form recurse into it.
 MAX_DEPTH = 100
 _SORT_NAMES = {"String": Sort.STRING, "Int": Sort.INT, "Bool": Sort.BOOL}
+# The reader hands out one Symbol per word, up to this many words: making a
+# str subclass copies the word, which costs several times a dict lookup, and
+# a problem's words (operators, sorts, names) repeat from text to text.
+_SYMBOLS: dict[str, Symbol] = {}
+_SYMBOLS_KEPT = 4096
 
 
 @dataclass(frozen=True)
@@ -88,7 +118,15 @@ def _error_at(message: str, text: str, index: int) -> ParseError:
 
 def _forms(text: str):
     """Yield each top-level s-expression of the text in turn; a caller that
-    stops early gets no error for malformed text after the forms it took.
+    stops early gets no error for malformed text after the forms it took."""
+    return _read(_TOKEN_RE.findall(text), text)
+
+
+def _read(tokens: list, text: str, closes: list | None = None):
+    """Yield each top-level s-expression the tokens make; an error names the
+    token's position in the text, counting ``tokens[0]`` as its first token.
+    Given ``closes``, the index of each top-level form's last token is
+    appended to it.
 
     A token is told by its first character. A string literal is closed when
     it holds an even number of quotes: its doubled quotes come in pairs. An
@@ -97,7 +135,7 @@ def _forms(text: str):
     """
     stack: list[tuple[int, list]] = []  # (token index of "(", items so far) per open list
     items: list = []
-    for index, token in enumerate(_TOKEN_RE.findall(text)):
+    for index, token in enumerate(tokens):
         if token == "(":
             if len(stack) == MAX_DEPTH:
                 raise _error_at(f"nesting deeper than {MAX_DEPTH}", text, index)
@@ -121,10 +159,16 @@ def _forms(text: str):
             except ValueError:  # more digits than int() converts
                 raise _error_at("integer literal too long", text, index) from None
         else:
-            form = Symbol(token)
+            form = _SYMBOLS.get(token)
+            if form is None:
+                form = Symbol(token)
+                if len(_SYMBOLS) < _SYMBOLS_KEPT:
+                    _SYMBOLS[token] = form
         if stack:
             items.append(form)
         else:
+            if closes is not None:
+                closes.append(index)
             yield form
     if stack:
         raise _error_at("unbalanced parenthesis", text, stack[-1][0])
@@ -140,9 +184,27 @@ def _sort_of(sym, where: str) -> Sort:
 
 
 def parse_problem_file(text: str, path: str | None = None) -> ProblemFile:
-    forms = list(_forms(text))
+    start = text.find(_SYNTH_FUN)
+    if start < 0:
+        return _problem_file(list(_forms(text)), path)
+    end = _declaration_end(text, start)
+    declared = _DECLARED.get(text[start:end])
+    if declared is not None:
+        try:
+            forms = _forms_around(text, start, end, declared)
+            if forms is not None:
+                return _problem_file(forms, path)
+        except ParseError:
+            pass  # read all of it again, so the error is the full reader's
+    return _read_and_remember(text, path, start, end)
+
+
+def _problem_file(forms: list, path: str | None) -> ProblemFile:
+    """The problem the top-level forms state; a ``_Declaration`` among them
+    stands for a synth-fun form read before."""
     fn_name = None
-    params: list[tuple[str, Sort]] = []
+    declared = None
+    params: Sequence[tuple[str, Sort]] = ()
     ops: list[str] = []
     str_lits: list[str] = []
     int_lits: list[int] = []
@@ -151,11 +213,17 @@ def parse_problem_file(text: str, path: str | None = None) -> ProblemFile:
     saw_check = False
 
     for form in forms:
+        if type(form) is _Declaration:
+            if fn_name is not None:
+                raise ParseError("multiple synth-fun declarations")
+            declared = form
+            fn_name, params = form.fn_name, form.grammar.input_vars
+            continue
         if not isinstance(form, list) or not form or not isinstance(form[0], Symbol):
             raise ParseError(f"unsupported top-level form: {form!r}")
-        head = str(form[0])
+        head = form[0]  # a Symbol, which compares and prints as its text
         if head == "set-logic":
-            if len(form) != 2 or str(form[1]) != "SLIA":
+            if len(form) != 2 or form[1] != "SLIA":
                 raise ParseError("only (set-logic SLIA) is supported")
             saw_logic = True
         elif head == "synth-fun":
@@ -182,13 +250,16 @@ def parse_problem_file(text: str, path: str | None = None) -> ProblemFile:
     if not saw_check:
         raise ParseError("missing (check-synth)")
 
-    used = set(ops)
-    grammar = _grammar(
-        tuple(n for n in DEFAULT_TERMINAL_ORDER if n in used),
-        tuple(dict.fromkeys(str_lits)),
-        tuple(dict.fromkeys(int_lits)),
-        tuple(params),
-    )
+    if declared is not None:
+        grammar = declared.grammar
+    else:
+        used = set(ops)
+        grammar = _grammar(
+            tuple([n for n in DEFAULT_TERMINAL_ORDER if n in used]),
+            tuple(dict.fromkeys(str_lits)),
+            tuple(dict.fromkeys(int_lits)),
+            tuple(params),
+        )
     problem = SygusProblem(grammar=grammar, constraints=tuple(constraints))
     return ProblemFile(path=path, problem=problem, fn_name=fn_name)
 
@@ -243,12 +314,13 @@ def _parse_synth_fun(form):
     str_lits: list[str] = []
     int_lits: list[int] = []
 
+    # A Symbol is looked up and reported as it is: it hashes, compares and
+    # prints as the str it holds.
     def walk(entry):
         if isinstance(entry, Symbol):
-            s = str(entry)
-            if s in param_names or s in nt_names or s in ("true", "false"):
+            if entry in param_names or entry in nt_names or entry in ("true", "false"):
                 return
-            raise UnknownEntry(f"unsupported grammar entry {s!r}")
+            raise UnknownEntry(f"unsupported grammar entry {entry!r}")
         if isinstance(entry, str):
             str_lits.append(entry)
             return
@@ -256,7 +328,7 @@ def _parse_synth_fun(form):
             int_lits.append(entry)
             return
         if isinstance(entry, list) and entry and isinstance(entry[0], Symbol):
-            op = str(entry[0])
+            op = entry[0]
             term = CATALOG.get(op)
             if term is None:
                 raise UnknownEntry(f"unsupported grammar operator {op!r}")
@@ -288,10 +360,10 @@ def _parse_constraint(form, fn_name: str, n_params: int) -> IoConstraint:
     if len(form) != 2 or not isinstance(form[1], list):
         raise _bad_constraint(fn_name)
     eq = form[1]
-    if len(eq) != 3 or str(eq[0]) != "=" or not isinstance(eq[0], Symbol):
+    if len(eq) != 3 or eq[0] != "=" or not isinstance(eq[0], Symbol):
         raise _bad_constraint(fn_name)
     call, out = eq[1], eq[2]
-    if not (isinstance(call, list) and call and isinstance(call[0], Symbol) and str(call[0]) == fn_name):
+    if not (isinstance(call, list) and call and isinstance(call[0], Symbol) and call[0] == fn_name):
         raise _bad_constraint(fn_name)
     args = call[1:]
     if len(args) != n_params:
@@ -304,6 +376,112 @@ def _parse_constraint(form, fn_name: str, n_params: int) -> IoConstraint:
     if isinstance(out, Symbol) or not isinstance(out, str):
         raise ParseError("constraint output must be a string literal")
     return IoConstraint(inputs=tuple(args), output=out)
+
+
+# --- Declarations read before -----------------------------------------------------
+
+
+# Where a declaration that may have been read before starts.
+_SYNTH_FUN = "(synth-fun"
+
+
+def _declaration_end(text: str, start: int) -> int:
+    """Where a declaration printed at ``start`` ends: after the ``)`` that ends
+    the last line before the next line that opens a form (0 if there is no
+    ``)`` after ``start``)."""
+    line = text.find("\n(", start)
+    return text.rfind(")", start, len(text) if line < 0 else line) + 1
+
+
+class _Declaration(NamedTuple):
+    """A synth-fun form the reader accepted: the function's name and the grammar
+    it declares, whose ``input_vars`` are the parameters."""
+
+    fn_name: str
+    grammar: Grammar
+
+
+class _Declarations:
+    """The last ``maxsize`` declarations the reader accepted, by their exact
+    source text, in least recently used order."""
+
+    def __init__(self, maxsize: int = 256):
+        self.maxsize = maxsize
+        self.by_source: OrderedDict[str, _Declaration] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self.by_source)
+
+    def get(self, source: str) -> _Declaration | None:
+        declaration = self.by_source.get(source)
+        if declaration is not None:
+            self.by_source.move_to_end(source)
+        return declaration
+
+    def add(self, source: str, declaration: _Declaration) -> None:
+        self.by_source[source] = declaration
+        if len(self.by_source) > self.maxsize:
+            self.by_source.popitem(last=False)
+
+
+_DECLARED = _Declarations()
+
+
+def _tokens_through(text: str, start: int) -> list | None:
+    """The text's tokens up to the ``(`` token at ``start``, that one included,
+    or None when no token starts there (it is in a comment or a literal).
+
+    Read up to and including that ``(``, the text ends in the token ``(`` and
+    the empty match at its end; a comment or a literal would have taken the
+    ``(`` in. Earlier tokens end before it, so the full reader reads them
+    too, and its next token starts right after it."""
+    head = _TOKEN_RE.findall(text[: start + 1])  # a slice reads faster than an end position
+    if head[-2] != "(":
+        return None
+    del head[-1]
+    return head
+
+
+def _forms_around(text: str, start: int, end: int, declared: _Declaration) -> list | None:
+    """The text's top-level forms with its kept synth-fun source, which spans
+    ``start`` to ``end``, taken as read; None when no token starts at ``start``."""
+    head = _tokens_through(text, start)
+    if head is None:
+        return None
+    return [
+        *_read(head[:-1], text),  # raises on a list still open before ``start``
+        declared,
+        *_read(_TOKEN_RE.findall(text, end), text),
+    ]
+
+
+def _read_and_remember(text: str, path: str | None, start: int, end: int) -> ProblemFile:
+    """Read the text in full and keep its synth-fun form, if it spans ``start``
+    to ``end``.
+
+    The text is tokenized up to ``end`` and after it, which makes the full
+    reader's tokens when a ``)`` token ends at ``end``. The form is kept
+    when it opens a top-level list at ``start`` that the reader closes with
+    that token: the text was accepted, so such a list is its declaration."""
+    tokens = _TOKEN_RE.findall(text[:end])
+    last = len(tokens) - 2  # the token that ends at ``end``, if one does
+    if last < 0 or tokens[last] != ")":
+        return _problem_file(list(_forms(text)), path)
+    tokens[-1:] = _TOKEN_RE.findall(text, end)
+    closes: list[int] = []
+    forms = list(_read(tokens, text, closes))
+    pf = _problem_file(forms, path)
+    k = bisect_left(closes, last)
+    if closes[k] == last and forms[k][0] == "synth-fun" and _opens_top_level_form(text, start):
+        _DECLARED.add(text[start:end], _Declaration(pf.fn_name, pf.problem.grammar))
+    return pf
+
+
+def _opens_top_level_form(text: str, start: int) -> bool:
+    """Whether the ``(`` at ``start`` of an accepted text opens a top-level list
+    (an accepted text never closes a list that is not open)."""
+    head = _tokens_through(text, start)
+    return head is not None and head.count("(") == head.count(")") + 1
 
 
 # --- Printing -------------------------------------------------------------------

@@ -55,6 +55,38 @@ def test_solve_prints_define_fun(problem_file, capsys):
     assert "str.++" in out
 
 
+# str.at of a string at 0 gives nothing new after one step, so the grammar
+# runs out of distinct programs long before any deadline
+EXHAUSTIBLE = """
+(set-logic SLIA)
+(synth-fun f ((x0 String)) String
+    ((Start String (x0 "" (str.at Start StartInt)))
+     (StartInt Int (0))))
+(declare-var x0 String)
+(constraint (= (f "ab") "zz"))
+(check-synth)
+"""
+
+
+def test_solve_reports_an_exhausted_grammar(tmp_path, capsys):
+    path = tmp_path / "tiny.sl"
+    path.write_text(EXHAUSTIBLE, encoding="utf-8")
+    assert main(["solve", str(path), "--timeout", "20"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "; grammar exhausted: no solution (explored 6)\n"
+
+
+def test_solve_reports_a_deadline_stop(tmp_path, capsys):
+    path = tmp_path / "far.sl"
+    path.write_text(PROBLEM.replace('"ab-ab"', '"' + "q" * 40 + '"'), encoding="utf-8")
+    assert main(["solve", str(path), "--timeout", "0.05"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("; no solution within 0.05s (explored ")
+    assert "exhausted" not in captured.err
+
+
 def test_stream_writes_programs(problem_file, tmp_path, capsys):
     out_file = tmp_path / "programs.txt"
     assert main(["stream", str(problem_file), "-n", "25", "-o", str(out_file)]) == 0

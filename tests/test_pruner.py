@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from grt.core import InputVar, IoConstraint, SygusProblem, default_grammar
+from grt.core import InputVar, IoConstraint, Sort, SygusProblem, default_grammar
 from grt.datagen import TimeSample, draw_crit_problems, gen_crit_dataset
 from grt.enumerator import SynthesisResult, solve
 from grt.neural import (
@@ -402,6 +403,16 @@ def scripted_solver(script, calls=None):
     return solver
 
 
+def recording_problems(solver, problems):
+    """Wrap a solver to append each problem it is given."""
+
+    def wrapped(problem):
+        problems.append(problem)
+        return solver(problem)
+
+    return wrapped
+
+
 def recording(solver, calls):
     """Wrap a solver to append each call's (grammar, max_explored, result)."""
 
@@ -411,6 +422,32 @@ def recording(solver, calls):
         return result
 
     return wrapped
+
+
+def reference_run_with_fallback(problem, reduced, x, solver):
+    """run_with_fallback as it was written with ``dataclasses.replace``."""
+    result = solver(replace(problem, timeout_s=x, max_explored=PROBE_EXPLORED))
+    elapsed, explored = result.elapsed_s, result.programs_explored
+    for grammar, budget in ((reduced, x), (problem.grammar, problem.timeout_s)):
+        remaining = problem.timeout_s - elapsed
+        if result.solved or remaining <= 0:
+            break
+        result = solver(replace(problem, grammar=grammar, timeout_s=min(budget, remaining)))
+        elapsed += result.elapsed_s
+        explored += result.programs_explored
+    return replace(result, elapsed_s=elapsed, programs_explored=explored)
+
+
+# (script, x) of the scripted-solver cases below
+SCRIPTED_CASES = [
+    ({13: (True, 0.5), 15: (True, 3.0)}, 2.0),
+    ({13: (False, 99.0), 15: (True, 3.0)}, 2.0),
+    ({13: (False, 99.0), 15: (False, 99.0)}, 2.0),
+    ({13: (False, 99.0), 15: (True, 1.0)}, 10.0),
+    ({13: (True, 0.5), 15: (True, 0.01, 500)}, 2.0),
+    ({13: (False, 0.5), 15: (False, 99.0)}, 2.0),
+    ({13: (True, 0.0, 0), 15: (False, 0.0)}, 2.0),
+]
 
 
 # the solution needs str.replace three times; the full grammar finds it after
@@ -484,6 +521,26 @@ class TestRunWithFallback:
         assert not result.solved
         assert calls[-1] == (15, pytest.approx(9.5), None)
         assert result.elapsed_s == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("script, x", SCRIPTED_CASES)
+    @pytest.mark.parametrize("max_explored", [None, 7])
+    def test_phases_and_sums_match_replace(self, script, x, max_explored):
+        problem = replace(self.problem, max_explored=max_explored)
+        mine, ref = [], []
+        result = run_with_fallback(problem, self.reduced, x, recording_problems(scripted_solver(script), mine))
+        expected = reference_run_with_fallback(
+            problem, self.reduced, x, recording_problems(scripted_solver(script), ref)
+        )
+        assert mine == ref
+        assert [type(p) for p in mine] == [SygusProblem] * len(ref)
+        assert result == expected
+
+    def test_phase_with_other_input_variables_is_checked(self):
+        two_vars = default_grammar(input_vars=(("x0", Sort.STRING), ("x1", Sort.STRING)))
+        with pytest.raises(ValueError, match="constraint has 1 inputs"):
+            self.problem.variant(two_vars, 1.0, None)
+        with pytest.raises(ValueError, match="max_explored"):
+            self.problem.variant(self.reduced, 1.0, 0)
 
     def test_real_solver_probe_solves_cheap_problem(self):
         # needs str.replace, which the reduced grammar lacks, but the full

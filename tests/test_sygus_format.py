@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -15,6 +16,7 @@ from grt.core import (
     default_grammar,
     evaluate,
 )
+from grt import sygus_format
 from grt.sygus_format import (
     MAX_DEPTH,
     ParseError,
@@ -311,3 +313,192 @@ class TestReaderMatchesReference:
         for data in SHIPPED_TEXTS:
             mine, ref = read_both(data.decode("utf-8"))
             assert mine == ref and mine[0] == "forms"
+
+
+# --- Declarations read before -------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import harness  # noqa: E402
+
+
+def outcome(text, cache):
+    """What parse_problem_file makes of the text with these declarations kept:
+    the ProblemFile, or the error's class, message, line and column."""
+    saved, sygus_format._DECLARED = sygus_format._DECLARED, cache
+    try:
+        return parse_problem_file(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+    finally:
+        sygus_format._DECLARED = saved
+
+
+def cold(text):
+    return outcome(text, sygus_format._Declarations())
+
+
+def full(text):
+    """What the full reader makes of the text, with nothing looked up or kept."""
+    try:
+        return sygus_format._problem_file(list(_forms(text)), None)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+
+
+def primed(*texts):
+    cache = sygus_format._Declarations()
+    for text in texts:
+        outcome(text, cache)
+    return cache
+
+
+def synth_fun_span(text):
+    """Where the text's kept synth-fun source starts and ends."""
+    (source,) = primed(text).by_source
+    start = text.index("(synth-fun")
+    assert text.startswith(source, start)
+    return start, start + len(source)
+
+
+MANY_SMALL_TEXTS = [req.text for req in harness.many_small_requests(1, k=20)]
+BASE_TEXTS = [data.decode("utf-8") for data in SHIPPED_TEXTS] + MANY_SMALL_TEXTS
+
+# Pieces that change how the text around them reads.
+MUTATIONS = [
+    "x", "1", '"', '"a', "(", ")", ";", "; (synth-fun", "\n; (synth-fun f\n", ")(", "((", "\n", " ",
+    "(check-synth)", '(constraint (= (f "a") "a"))',
+]
+
+
+@st.composite
+def mutated_around_declaration(draw):
+    """A base text with a piece put before, inside, at either end of or after
+    its synth-fun form; or the form itself repeated or turned into a comment."""
+    text = draw(st.sampled_from(BASE_TEXTS))
+    start, end = synth_fun_span(text)
+    source = text[start:end]
+    kind = draw(st.sampled_from(("before", "inside", "start", "end", "glued", "after", "repeat", "comment")))
+    if kind == "repeat":
+        at = draw(st.sampled_from((start, end, len(text))))
+        return text, text[:at] + draw(st.sampled_from(("", "\n", " "))) + source + text[at:]
+    if kind == "comment":
+        return text, text[:start] + ";" + text[start:]
+    at = {
+        "before": lambda: draw(st.integers(0, start)),
+        "inside": lambda: draw(st.integers(start + 1, end - 1)),
+        "start": lambda: start,
+        "end": lambda: end - 1,
+        "glued": lambda: end,
+        "after": lambda: draw(st.integers(end, len(text))),
+    }[kind]()
+    piece = draw(st.sampled_from(MUTATIONS))
+    return text, text[:at] + piece + text[at:]
+
+
+class TestDeclarationReuse:
+    def test_a_kept_declaration_is_not_walked_again(self, monkeypatch):
+        expected = [cold(text) for text in MANY_SMALL_TEXTS]
+        cache = primed(MANY_SMALL_TEXTS[0])
+        assert len(cache) == 1
+        walked = []
+        real = sygus_format._parse_synth_fun
+        monkeypatch.setattr(sygus_format, "_parse_synth_fun", lambda form: walked.append(form) or real(form))
+        assert [outcome(text, cache) for text in MANY_SMALL_TEXTS] == expected
+        assert walked == []
+        cold(MANY_SMALL_TEXTS[1])
+        assert len(walked) == 1
+
+    def test_problems_declaring_one_grammar_share_it(self):
+        cache = primed(MANY_SMALL_TEXTS[0])
+        first, second = (outcome(text, cache) for text in MANY_SMALL_TEXTS[:2])
+        assert first.problem.grammar is second.problem.grammar
+
+    @given(mutated_around_declaration())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_texts_read_as_with_nothing_kept(self, texts):
+        base, mutated = texts
+        assert outcome(mutated, primed(base)) == cold(mutated) == full(mutated)
+
+    @pytest.mark.parametrize("text", BASE_TEXTS[:3] + MANY_SMALL_TEXTS[:1])
+    def test_every_single_insertion_reads_as_with_nothing_kept(self, text, monkeypatch):
+        cache = primed(text)
+        start, end = synth_fun_span(text)
+        reused = []
+        real = sygus_format._forms_around
+        monkeypatch.setattr(sygus_format, "_forms_around", lambda *a: reused.append(a) or real(*a))
+        for at in (0, start, start + 1, end - 1, end, end + 1):
+            for piece in MUTATIONS:
+                mutated = text[:at] + piece + text[at:]
+                assert outcome(mutated, cache) == cold(mutated) == full(mutated), (at, piece)
+        # a piece before the form or after it leaves the form to be reused
+        assert len(reused) >= 3 * len(MUTATIONS)
+
+    def test_benchmark_texts_read_the_same_cold_and_warm(self, generated_paths):
+        texts = [req.text for seed in (1, 2) for req in harness.many_small_requests(seed)]
+        texts += [path.read_text(encoding="utf-8") for path in generated_paths]
+        assert len(texts) == 1437
+        warm = primed(*texts)
+        # every declaration here is kept: many-small's one and the suite's 26
+        assert len(warm) == len({text[slice(*synth_fun_span(text))] for text in texts}) == 27
+        for text in texts:
+            assert outcome(text, warm) == cold(text) == full(text)
+
+    def test_the_least_recently_used_declaration_goes(self):
+        base = MANY_SMALL_TEXTS[0]
+        texts = [base.replace('(x0 ""', f'(x0 "{i}" ""', 1) for i in range(5)]
+        cache = sygus_format._Declarations(maxsize=4)
+        for text in texts:
+            outcome(text, cache)
+        sources = [t[slice(*synth_fun_span(t))] for t in texts]
+        assert list(cache.by_source) == sources[1:]
+        outcome(texts[1], cache)  # now the most recently used
+        outcome(texts[0], cache)
+        assert list(cache.by_source) == [sources[3], sources[4], sources[1], sources[0]]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            " ".join(MANY_SMALL_TEXTS[0].split("\n")),  # no line after it opens a form
+            MANY_SMALL_TEXTS[0].replace("\n(synth-fun", "\n(check-synth (synth-fun f () String ((S String (\"\")))))\n(synth-fun", 1),
+            MANY_SMALL_TEXTS[0].replace("\n     (StartInt", "\n(StartInt", 1),
+        ],
+        ids=["one-line", "nested-first", "split-by-a-line"],
+    )
+    def test_declarations_that_are_not_kept(self, text):
+        cache = primed(text)
+        assert len(cache) == 0
+        assert not isinstance(cold(text), tuple)  # the text is accepted
+        assert outcome(text, cache) == cold(text) == full(text)
+
+    def test_a_nested_first_synth_fun_is_not_kept(self):
+        # The first "(synth-fun" opens a parameter of a declaration spelled
+        # "( synth-fun", which ends where a printed one would. Kept, its text
+        # would stand for a form in a text that the full reader rejects.
+        text = (
+            "(set-logic SLIA)\n( synth-fun f ((synth-fun String)) String\n"
+            '    ((Start String (synth-fun "" (str.++ Start Start)))))\n'
+            '(declare-var synth-fun String)\n(constraint (= (f "a") "aa"))\n(check-synth)\n'
+        )
+        start, end = text.index("(synth-fun"), text.index("\n(declare-var")
+        assert not isinstance(cold(text), tuple)
+        assert len(primed(text)) == 0
+        bare = "(set-logic SLIA)\n" + text[start:end] + text[end:]
+        assert outcome(bare, primed(text)) == full(bare)
+        assert full(bare)[1].startswith("unexpected ')'")
+
+    def test_a_parenthesis_in_a_comment_is_not_taken_for_the_end(self):
+        text = MANY_SMALL_TEXTS[0].replace("StartInt)))))\n", "StartInt))))) ; x)\n", 1)
+        assert "; x)" in text
+        assert outcome(text, primed(text)) == cold(text) == full(text)
+        assert not isinstance(full(text), tuple)
+
+    def test_a_declaration_with_a_comment_inside_is_reused(self):
+        text = MANY_SMALL_TEXTS[0].replace("String\n", "String ; a comment (with a paren\n", 1)
+        cache = primed(text)
+        (source,) = cache.by_source
+        assert "; a comment (with a paren" in source
+        other = MANY_SMALL_TEXTS[1].replace("String\n", "String ; a comment (with a paren\n", 1)
+        assert outcome(other, cache) == cold(other)
+        assert outcome(other, cache).problem.grammar is cold(text).problem.grammar
