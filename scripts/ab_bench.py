@@ -3,17 +3,19 @@
 
     python3 scripts/ab_bench.py A_DIR B_DIR --workload many-small --seed 1 --pairs 10
 
-Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T``
-once in each checkout, T being ``run_seconds`` of A's BENCHMARK.json. Pair i
-runs A first when i is even and B first when it is odd. A run that exits
-non-zero, or whose result is not correct or counts a failure, stops the
-comparison (exit status 1).
+Each pair runs ``COMMAND --workload W --seed S --seconds T`` once in each
+checkout, COMMAND being the ``command`` and T the ``run_seconds`` of A's
+BENCHMARK.json. Pair i runs A first when i is even and B first when it is
+odd. A run that exits non-zero, or whose result is not correct or counts a
+failure, stops the comparison (exit status 1).
 
 For every end-to-end metric A's BENCHMARK.json lists, it then prints each
 side's median and quartiles, how many pairs B won (ties count for neither
 side), A's interquartile range, and whether B's gain is resolved: B won at
 least nine pairs in ten, and its median beats A's by more than A's
-interquartile range.
+interquartile range. A row ends in ``WORSE beyond bound`` when B's median is
+worse than A's by more than the metric's relative ``bound``, the rule by which
+a change is rejected as a regression.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ class RunFailed(RuntimeError):
     """A benchmark run that exited non-zero or reported a failure."""
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, argv: list) -> dict:
     """The metric values (name -> value) of one benchmark run in the checkout."""
-    argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -47,13 +48,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def run_pairs(a: Path, b: Path, workload: str, seed: int, pairs: int, seconds: float, runner=run_once):
+def run_pairs(a: Path, b: Path, argv: list, pairs: int, runner=run_once):
     """Each side's metric values, one dict a run, in pair order."""
     a_runs, b_runs = [], []
     sides = ((a, a_runs), (b, b_runs))
     for i in range(pairs):
         for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
-            runs.append(runner(checkout, workload, seed, seconds))
+            runs.append(runner(checkout, argv))
             print(f"pair {i + 1}/{pairs}: {checkout} done", file=sys.stderr)
     return a_runs, b_runs
 
@@ -74,6 +75,7 @@ class Comparison:
     b_wins: int
     pairs: int
     resolved: bool
+    worse: bool  # B's median worse than A's by more than the metric's bound
 
     @property
     def a_iqr(self) -> float:
@@ -81,7 +83,8 @@ class Comparison:
 
 
 def compare(metric: dict, a_runs: list, b_runs: list) -> Comparison:
-    """One end-to-end metric of BENCHMARK.json over paired runs."""
+    """One end-to-end metric of BENCHMARK.json over paired runs; its
+    ``bound`` is the relative change of the median it may worsen by."""
     name, lower = metric["name"], metric["better"] == "lower"
     a_values = [run[name] for run in a_runs]
     b_values = [run[name] for run in b_runs]
@@ -90,7 +93,8 @@ def compare(metric: dict, a_runs: list, b_runs: list) -> Comparison:
     a, b = quartiles(a_values), quartiles(b_values)
     pairs = len(a_values)
     resolved = 10 * b_wins >= 9 * pairs and sign * (b[1] - a[1]) > a[2] - a[0]
-    return Comparison(name, metric["unit"], a, b, b_wins, pairs, resolved)
+    worse = sign * (a[1] - b[1]) > metric["bound"] * abs(a[1])
+    return Comparison(name, metric["unit"], a, b, b_wins, pairs, resolved, worse)
 
 
 def format_row(c: Comparison) -> str:
@@ -99,6 +103,7 @@ def format_row(c: Comparison) -> str:
         f"{c.name:20s} {c.unit:9s} A {c.a[1]:.6g} [{c.a[0]:.6g}-{c.a[2]:.6g}]  "
         f"B {c.b[1]:.6g} [{c.b[0]:.6g}-{c.b[2]:.6g}]  {change:+.1f}%  "
         f"B wins {c.b_wins}/{c.pairs}  A IQR {c.a_iqr:.4g}  {'resolved' if c.resolved else 'not resolved'}"
+        + ("  WORSE beyond bound" if c.worse else "")
     )
 
 
@@ -114,10 +119,10 @@ def main(argv=None, runner=run_once) -> int:
         parser.error("--pairs must be at least 1")
 
     spec = json.loads((args.a_dir / "BENCHMARK.json").read_text(encoding="utf-8"))
+    argv = [*spec["command"], "--workload", args.workload, "--seed", str(args.seed),
+            "--seconds", str(spec["run_seconds"])]
     try:
-        a_runs, b_runs = run_pairs(
-            args.a_dir, args.b_dir, args.workload, args.seed, args.pairs, spec["run_seconds"], runner
-        )
+        a_runs, b_runs = run_pairs(args.a_dir, args.b_dir, argv, args.pairs, runner)
     except RunFailed as exc:
         print(f"stopped: {exc}", file=sys.stderr)
         return 1

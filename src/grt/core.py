@@ -298,6 +298,7 @@ class Grammar:
     terminal_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by ``without``
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by ``enumerator._plan``
+    _printed: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by ``sygus_format.print_problem``
 
     def __post_init__(self) -> None:
         names = tuple(t.name for t in self.terminals)
@@ -342,6 +343,16 @@ class Grammar:
                 input_vars=self.input_vars,
             )
         return reduced
+
+
+def require_string_inputs(grammar: Grammar) -> None:
+    """Raise ValueError naming the first input variable that is not String-sorted.
+
+    Examples are fabricated, printed and read with String inputs only.
+    """
+    for name, sort in grammar.input_vars:
+        if sort is not Sort.STRING:
+            raise ValueError(f"input variable {name!r} has sort {sort.value}; only String inputs are supported")
 
 
 def default_grammar(

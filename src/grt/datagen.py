@@ -80,6 +80,8 @@ def gen_crit_dataset(
 
     Inputs are keyed to (seed, stream index), so shuffling with a different
     ``shuffle_seed`` permutes the dataset without changing its contents.
+    Inputs are fabricated strings, so ``stream`` raises ValueError for a
+    grammar with an input variable of another sort.
     """
     if n_programs < 1 or inputs_per_program < 1:
         raise ValueError("n_programs and inputs_per_program must be positive")

@@ -74,6 +74,7 @@ from .core import (
     StrLit,
     SygusProblem,
     product_values,
+    require_string_inputs,
     satisfies,
 )
 
@@ -857,10 +858,13 @@ def stream(grammar: Grammar, n: int = DEFAULT_STREAM_N) -> list[ProgramAst]:
     """Enumerate n observationally distinct start-sorted programs.
 
     Programs come out in nondecreasing size, deduplicated on the fixed probe
-    inputs. Raises GrammarExhausted when fewer than n distinct programs exist.
+    inputs. Raises GrammarExhausted when fewer than n distinct programs exist,
+    and ValueError when an input variable is not String-sorted: the probe
+    inputs are strings.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    require_string_inputs(grammar)
     space = _Space(grammar, probe_assignments(len(grammar.input_vars)))
     out: list[ProgramAst] = []
     size = 1

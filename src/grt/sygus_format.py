@@ -1,7 +1,7 @@
 """Parser and printer for a strict SyGuS-lite s-expression problem format.
 
 Supported surface: ``set-logic SLIA``, one ``synth-fun`` with an explicit
-grammar, ``declare-var``, ground PBE ``constraint`` forms, ``check-synth``.
+grammar, ``declare-var``, ground PBE ``constraint`` forms, ``(check-synth)``.
 Anything else is rejected loudly. String literals use SMT-LIB double-quote
 escaping ("" inside a literal denotes one quote character).
 
@@ -27,6 +27,16 @@ last, with every earlier list closed. Any ``ParseError`` on this path reads
 the whole text again with the full reader, so every error, with its message,
 line and column, is the full reader's. A declaration that does not end where
 the lookup looks is never kept; it is read in full each time.
+
+Printing renders each grammar's head once per function name. The head is
+everything before the constraints: ``(set-logic SLIA)``, the synth-fun
+declaration with its nonterminal lines, and the ``declare-var`` lines. It is
+kept in the grammar's ``_printed`` dict, so each ``print_problem`` call formats
+only its constraints and ``(check-synth)``. The text is unchanged: the head is
+a function of the grammar's fields and the name alone, which never change
+after construction, and a reduced grammar (``Grammar.without``) is a grammar
+of its own with its own head. Input variables must be String-sorted, which
+is checked when the head is rendered.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from .core import (
     StrLit,
     SygusProblem,
     UnknownTerminal,
+    require_string_inputs,
 )
 
 
@@ -239,6 +250,8 @@ def _problem_file(forms: list, path: str | None) -> ProblemFile:
                 raise ParseError("constraint before synth-fun")
             constraints.append(_parse_constraint(form, fn_name, len(params)))
         elif head == "check-synth":
+            if len(form) != 1:
+                raise ParseError("check-synth takes no arguments")
             saw_check = True
         else:
             raise ParseError(f"unsupported form ({head} ...)")
@@ -497,6 +510,22 @@ def _quote(s: str) -> str:
 def print_problem(pf: ProblemFile) -> str:
     """Emit the normalized problem text; a fixpoint of parse-then-print."""
     g = pf.problem.grammar
+    head = g._printed.get(pf.fn_name)
+    if head is None:
+        head = g._printed[pf.fn_name] = _print_head(g, pf.fn_name)
+    call = f"(constraint (= ({pf.fn_name}"
+    lines = [head]
+    for c in pf.problem.constraints:
+        args = "".join([" " + _quote(s) for s in c.inputs])
+        lines.append(f"{call}{args}) {_quote(c.output)}))\n")
+    lines.append("(check-synth)\n")
+    return "".join(lines)
+
+
+def _print_head(g: Grammar, fn_name: str) -> str:
+    """The problem text before its constraints: the logic, the synth-fun
+    declaration and the declare-var lines, each ended by a newline."""
+    require_string_inputs(g)
     used_sorts = {Sort.STRING}
     for t in g.terminals:
         used_sorts.add(t.ret_sort)
@@ -525,18 +554,13 @@ def print_problem(pf: ProblemFile) -> str:
 
     params = " ".join(f"({name} {sort.value})" for name, sort in g.input_vars)
     lines = ["(set-logic SLIA)"]
-    lines.append(f"(synth-fun {pf.fn_name} ({params}) String")
+    lines.append(f"(synth-fun {fn_name} ({params}) String")
     for i, nt in enumerate(nt_lines):
         prefix = "    (" if i == 0 else "     "
         suffix = "))" if i == len(nt_lines) - 1 else ""
         lines.append(f"{prefix}{nt}{suffix}")
     for name, sort in g.input_vars:
         lines.append(f"(declare-var {name} {sort.value})")
-    for c in pf.problem.constraints:
-        args = " ".join(_quote(s) for s in c.inputs)
-        call = f"({pf.fn_name} {args})" if args else f"({pf.fn_name})"
-        lines.append(f"(constraint (= {call} {_quote(c.output)}))")
-    lines.append("(check-synth)")
     return "\n".join(lines) + "\n"
 
 

@@ -325,3 +325,59 @@ def ref_forms(text: str) -> list:
     if stack:
         raise _ref_error_at("unbalanced parenthesis", text, stack[-1][0])
     return out
+
+
+# --- Reference problem printer ----------------------------------------------------
+
+# The printer as it was before each grammar's head was kept: every call renders
+# the whole text. The package's printer must give the same bytes.
+_REF_NT_NAME = {Sort.STRING: "Start", Sort.INT: "StartInt", Sort.BOOL: "StartBool"}
+
+
+def _ref_quote(s: str) -> str:
+    return '"' + s.replace('"', '""') + '"'
+
+
+def ref_print_problem(pf) -> str:
+    g = pf.problem.grammar
+    used_sorts = {Sort.STRING}
+    for t in g.terminals:
+        used_sorts.add(t.ret_sort)
+        used_sorts.update(t.arg_sorts)
+    if g.int_literals:
+        used_sorts.add(Sort.INT)
+
+    productions = {s: [] for s in (Sort.STRING, Sort.INT, Sort.BOOL)}
+    for name, sort in g.input_vars:
+        productions[sort].append(name)
+    for s in g.string_literals:
+        productions[Sort.STRING].append(_ref_quote(s))
+    for n in g.int_literals:
+        productions[Sort.INT].append(str(n))
+    for t in g.terminals:
+        if t.arity == 0:
+            continue  # variable occurrence, already listed
+        args = " ".join(_REF_NT_NAME[a] for a in t.arg_sorts)
+        productions[t.ret_sort].append(f"({t.name} {args})")
+
+    nt_lines = []
+    for sort in (Sort.STRING, Sort.INT, Sort.BOOL):
+        if sort in used_sorts and (productions[sort] or sort is Sort.STRING):
+            entries = " ".join(productions[sort])
+            nt_lines.append(f"({_REF_NT_NAME[sort]} {sort.value} ({entries}))")
+
+    params = " ".join(f"({name} {sort.value})" for name, sort in g.input_vars)
+    lines = ["(set-logic SLIA)"]
+    lines.append(f"(synth-fun {pf.fn_name} ({params}) String")
+    for i, nt in enumerate(nt_lines):
+        prefix = "    (" if i == 0 else "     "
+        suffix = "))" if i == len(nt_lines) - 1 else ""
+        lines.append(f"{prefix}{nt}{suffix}")
+    for name, sort in g.input_vars:
+        lines.append(f"(declare-var {name} {sort.value})")
+    for c in pf.problem.constraints:
+        args = " ".join(_ref_quote(s) for s in c.inputs)
+        call = f"({pf.fn_name} {args})" if args else f"({pf.fn_name})"
+        lines.append(f"(constraint (= {call} {_ref_quote(c.output)}))")
+    lines.append("(check-synth)")
+    return "\n".join(lines) + "\n"

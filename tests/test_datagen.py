@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -52,6 +54,20 @@ class TestRandomInput:
 
 
 class TestCritDataset:
+    def test_default_dataset_unchanged(self):
+        # inputs, outputs, labels and ids of every sample: perfbench's many-small
+        # workload draws from these calls, so a change here changes the workload
+        samples = gen_crit_dataset(default_grammar(), seed=0)
+        rows = [[list(s.constraint.inputs), s.constraint.output, list(s.label), s.program_id] for s in samples]
+        assert len(rows) == 20000
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "f127aa2c93d55af0669fcf40071e75d0eb748e92d892b20407abc9bf189d2fef"
+
+    def test_a_non_string_input_variable_is_rejected_by_name(self):
+        grammar = default_grammar(input_vars=(("x0", Sort.STRING), ("n", Sort.INT)))
+        with pytest.raises(ValueError, match="input variable 'n' has sort Int"):
+            gen_crit_dataset(grammar, n_programs=10, seed=0)
+
     def test_var_slot_grammar(self):
         # a grammar whose only member is the variable itself: every label
         # marks the x0 slot and every output equals its input

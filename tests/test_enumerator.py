@@ -802,6 +802,12 @@ class TestStream:
         rows = probe_assignments(2)
         assert any(a != b for a, b in rows)
 
+    def test_a_non_string_input_variable_is_rejected_by_name(self):
+        # the probe inputs are strings, so an Int variable would reach int.to.str as one
+        grammar = default_grammar(input_vars=(("x0", Sort.STRING), ("n", Sort.INT)))
+        with pytest.raises(ValueError, match="input variable 'n' has sort Int"):
+            stream(grammar, 50)
+
 
 IDENTITY_PROBLEM = SygusProblem(
     concat_grammar(), (IoConstraint(("a",), "a"),), timeout_s=5

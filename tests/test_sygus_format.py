@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -9,13 +11,18 @@ from hypothesis import given, settings
 from grt.core import (
     Apply,
     CATALOG,
+    DEFAULT_TERMINAL_ORDER,
+    Grammar,
     InputVar,
     IoConstraint,
     Sort,
+    SygusProblem,
+    TerminalSymbol,
     UnknownTerminal,
     default_grammar,
     evaluate,
 )
+from grt.datagen import draw_crit_problems, gen_crit_dataset
 from grt import sygus_format
 from grt.sygus_format import (
     MAX_DEPTH,
@@ -29,7 +36,7 @@ from grt.sygus_format import (
     print_solution,
     program_to_text,
 )
-from oracles import random_program, ref_forms
+from oracles import random_program, ref_forms, ref_print_problem
 
 MINIMAL = """
 (set-logic SLIA)
@@ -69,6 +76,13 @@ class TestParse:
     def test_missing_check_synth(self):
         with pytest.raises(ParseError):
             parse_problem(MINIMAL.replace("(check-synth)", ""))
+
+    @pytest.mark.parametrize(
+        "form", ["(check-synth 1 2)", "(check-synth x0)", '(check-synth (synth-fun f () String ((S String ("")))))']
+    )
+    def test_check_synth_takes_no_arguments(self, form):
+        with pytest.raises(ParseError, match="check-synth takes no arguments"):
+            parse_problem(MINIMAL.replace("(check-synth)", form))
 
     def test_non_literal_constraint(self):
         bad = MINIMAL.replace('(= (f "a") "aa")', '(= (f x0) "aa")')
@@ -122,6 +136,13 @@ class TestPrint:
         assert parsed.fn_name == "g"
         assert print_problem(parsed) == text
 
+    def test_a_non_string_input_variable_is_rejected_by_name(self):
+        grammar = default_grammar(input_vars=(("x0", Sort.STRING), ("n", Sort.INT)))
+        pf = ProblemFile(None, SygusProblem(grammar, (IoConstraint(("a", "3"), "a3"),)), "f")
+        with pytest.raises(ValueError, match="input variable 'n' has sort Int"):
+            print_problem(pf)
+        assert grammar._printed == {}
+
 
 class TestSolutionRoundTrip:
     def test_parse_solution(self):
@@ -157,7 +178,7 @@ def test_shipped_benchmarks_parse_and_round_trip(handwritten_paths, generated_pa
     for path in list(handwritten_paths) + list(generated_paths):
         pf = parse_problem_file(path.read_text(encoding="utf-8"), path=str(path))
         assert pf.problem.constraints, path
-        text = print_problem(pf)
+        text = printed_alike(pf)
         again = parse_problem_file(text)
         assert again.problem == pf.problem
         assert print_problem(again) == text
@@ -458,19 +479,27 @@ class TestDeclarationReuse:
         assert list(cache.by_source) == [sources[3], sources[4], sources[1], sources[0]]
 
     @pytest.mark.parametrize(
-        "text",
+        "text, error",
         [
-            " ".join(MANY_SMALL_TEXTS[0].split("\n")),  # no line after it opens a form
-            MANY_SMALL_TEXTS[0].replace("\n(synth-fun", "\n(check-synth (synth-fun f () String ((S String (\"\")))))\n(synth-fun", 1),
-            MANY_SMALL_TEXTS[0].replace("\n     (StartInt", "\n(StartInt", 1),
+            (" ".join(MANY_SMALL_TEXTS[0].split("\n")), None),  # no line after it opens a form
+            (
+                MANY_SMALL_TEXTS[0].replace("\n(synth-fun", "\n(check-synth (synth-fun f () String ((S String (\"\")))))\n(synth-fun", 1),
+                "check-synth takes no arguments",
+            ),
+            (MANY_SMALL_TEXTS[0].replace("\n     (StartInt", "\n(StartInt", 1), None),
         ],
         ids=["one-line", "nested-first", "split-by-a-line"],
     )
-    def test_declarations_that_are_not_kept(self, text):
+    def test_declarations_that_are_not_kept(self, text, error):
         cache = primed(text)
         assert len(cache) == 0
-        assert not isinstance(cold(text), tuple)  # the text is accepted
-        assert outcome(text, cache) == cold(text) == full(text)
+        if error is None:
+            assert not isinstance(cold(text), tuple)  # the text is accepted
+        else:
+            assert cold(text)[:2] == (ParseError, error)
+        warm = primed(MANY_SMALL_TEXTS[0], text)
+        assert len(warm) == 1  # the one kept is the unchanged text's
+        assert outcome(text, warm) == outcome(text, cache) == cold(text) == full(text)
 
     def test_a_nested_first_synth_fun_is_not_kept(self):
         # The first "(synth-fun" opens a parameter of a declaration spelled
@@ -502,3 +531,111 @@ class TestDeclarationReuse:
         other = MANY_SMALL_TEXTS[1].replace("String\n", "String ; a comment (with a paren\n", 1)
         assert outcome(other, cache) == cold(other)
         assert outcome(other, cache).problem.grammar is cold(text).problem.grammar
+
+
+# --- Printing -----------------------------------------------------------------------
+
+
+def printed_alike(pf):
+    """The package's printer gives the reference printer's bytes, cold and warm."""
+    expected = ref_print_problem(pf)
+    assert print_problem(pf) == expected
+    assert print_problem(pf) == expected
+    return expected
+
+
+def count_head_renders(monkeypatch):
+    """The function names the printer renders a head for, from now on."""
+    rendered = []
+    real = sygus_format._print_head
+    monkeypatch.setattr(sygus_format, "_print_head", lambda g, name: rendered.append(name) or real(g, name))
+    return rendered
+
+
+def text_digest(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode("utf-8") + b"\0")
+    return h.hexdigest()
+
+
+LITERAL_TEXT = st.text(alphabet='ab "\n;()-', max_size=6)
+
+
+@st.composite
+def printable_problems(draw):
+    """A problem over any subset of the catalog, in any order, with literal
+    pools and constraints that hold quotes, doubled quotes and blanks."""
+    n_vars = draw(st.integers(1, 3))
+    input_vars = tuple((f"x{i}", Sort.STRING) for i in range(n_vars))
+    names = draw(st.lists(st.sampled_from(DEFAULT_TERMINAL_ORDER), unique=True))
+    terminals = [CATALOG[n] for n in names]
+    if draw(st.booleans()):  # a named variable occurrence
+        terminals.insert(draw(st.integers(0, len(terminals))), TerminalSymbol("x0", 0, (), Sort.STRING))
+    literal = st.one_of(st.sampled_from(['"', '""', " ", "", 'a "b"']), LITERAL_TEXT)
+    grammar = Grammar(
+        terminals=tuple(terminals),
+        string_literals=tuple(draw(st.lists(literal, unique=True, max_size=5))),
+        int_literals=tuple(draw(st.lists(st.integers(-3, 20), unique=True, max_size=4))),
+        input_vars=input_vars,
+    )
+    value = st.one_of(literal, st.text(max_size=8))
+    constraints = draw(st.lists(
+        st.builds(IoConstraint, st.tuples(*[value] * n_vars), value), max_size=4
+    ))
+    fn_name = draw(st.sampled_from(("f", "g", "name_1")))
+    return ProblemFile(None, SygusProblem(grammar, tuple(constraints)), fn_name)
+
+
+class TestPrintMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_many_small_problems(self, seed, monkeypatch):
+        rendered = count_head_renders(monkeypatch)
+        grammar = default_grammar()
+        k = harness.MANY_SMALL_PROBLEMS
+        samples = gen_crit_dataset(grammar, n_programs=k, seed=seed)
+        problems = draw_crit_problems(samples, grammar, k, seed)
+        assert len(problems) == 700
+        for _, problem in problems:
+            printed_alike(ProblemFile(None, problem, "f"))
+        assert list(grammar._printed) == ["f"]
+        assert len(rendered) == 1  # one head for all 700
+
+    def test_every_reduction_by_up_to_two_terminals(self):
+        grammar = default_grammar()
+        constraints = (IoConstraint(("a b",), 'say "hi"'), IoConstraint(("",), ""))
+        reduced = [
+            grammar.without(names)
+            for k in range(3)
+            for names in itertools.combinations(grammar.terminal_names, k)
+        ]
+        assert len(reduced) == 1 + 15 + 105
+        for g in reduced:
+            printed_alike(ProblemFile(None, SygusProblem(g, constraints), "f"))
+        # each reduction keeps its own head; without(()) is a grammar of its own
+        assert all(list(g._printed) == ["f"] for g in reduced)
+        assert grammar._printed == {}
+
+    def test_one_grammar_under_two_names(self, monkeypatch):
+        rendered = count_head_renders(monkeypatch)
+        grammar = default_grammar()
+        problem = SygusProblem(grammar, (IoConstraint(("a",), "b"),))
+        first, second, again = (printed_alike(ProblemFile(None, problem, name)) for name in ("f", "g", "f"))
+        assert first == again != second
+        assert "(synth-fun g " in second and "(constraint (= (g " in second
+        assert list(grammar._printed) == ["f", "g"]
+        assert rendered == ["f", "g"]
+
+    @given(printable_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_any_problem(self, pf):
+        printed_alike(pf)
+
+    def test_many_small_request_texts_are_unchanged(self):
+        # sha256 of each seed's 700 request texts as the printer made them when
+        # it rendered every text whole: the benchmark's set-up sends the same requests
+        digests = {seed: text_digest(req.text for req in harness.many_small_requests(seed)) for seed in (1, 2)}
+        assert digests == {
+            1: "b4bb7d5b3ef71d09a63676a1bb9fd6d69438e664bf1d832aa785e1b1a5e360d2",
+            2: "62846ba305e4830cb2e169bf2e8af62378abea80a2691ad97108721d58e6310d",
+        }
