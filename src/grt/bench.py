@@ -60,6 +60,10 @@ class BenchConfig:
     fallback_x: float | None = None
     repeats: int = 1
 
+    def __post_init__(self) -> None:
+        if self.repeats < 1:
+            raise ValueError("repeats must be at least 1")
+
 
 @dataclass
 class BenchRecord:

@@ -284,14 +284,14 @@ DEFAULT_INT_LITERALS: tuple[int, ...] = (0, 1, 2, 3)
 class Grammar:
     """A set of component functions plus the literal pools and input variables.
 
-    ``terminals`` order is significant: it fixes the indexing of every label,
-    vote, and prediction vector derived from this grammar. Arity-0 terminals
-    are allowed as named variable occurrences (they must match an input
-    variable) so tiny grammars can still expose a label slot for a variable.
+    The start symbol is String-sorted. ``terminals`` order is significant: it
+    fixes the indexing of every label, vote, and prediction vector derived
+    from this grammar. Arity-0 terminals are allowed as named variable
+    occurrences (they must match an input variable) so tiny grammars can
+    still expose a label slot for a variable.
     """
 
     terminals: tuple[TerminalSymbol, ...]
-    start_sort: Sort = Sort.STRING
     string_literals: tuple[str, ...] = ()
     int_literals: tuple[int, ...] = ()
     input_vars: tuple[tuple[str, Sort], ...] = (("x0", Sort.STRING),)
@@ -337,7 +337,6 @@ class Grammar:
                 raise UnknownTerminal(f"terminal {missing[0]!r} not in grammar")
             reduced = self._reduced[names] = Grammar(
                 terminals=tuple(t for t in self.terminals if t.name not in names),
-                start_sort=self.start_sort,
                 string_literals=self.string_literals,
                 int_literals=self.int_literals,
                 input_vars=self.input_vars,
@@ -372,7 +371,6 @@ def default_grammar(
         chosen = tuple(n for n in DEFAULT_TERMINAL_ORDER if n in wanted)
     return Grammar(
         terminals=tuple(CATALOG[n] for n in chosen),
-        start_sort=Sort.STRING,
         string_literals=tuple(string_literals),
         int_literals=tuple(int_literals),
         input_vars=tuple(input_vars),

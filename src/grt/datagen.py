@@ -144,6 +144,8 @@ def gen_time_dataset(
         ids = [f"problem{i:03d}" for i in range(len(problems))]
     if len(ids) != len(problems):
         raise ValueError("ids and problems must have equal length")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     samples = []
     for pid, problem in zip(ids, problems):
         capped = replace(problem, timeout_s=budget_s)

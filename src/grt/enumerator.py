@@ -15,25 +15,24 @@ at ``str.++``, ``str.at``, ``str.substr``, ``int.to.str`` or ``ite`` top-down:
 the outputs fix what the children must evaluate to (a prefix and the rest, a
 string holding the output at some index, or branches that meet it on the
 examples the condition picks), and those values are looked up in the smaller
-pools. A ``str.++`` child whose pool is not complete is searched top-down in
-turn, with its required value as the target, so finding it does not complete
-that pool. Likewise a ``str.substr`` start or ``str.at`` index is an
-occurrence of the output in the host on every example, and those vectors are
-looked up by value among the Int programs of that size, found top-down by
-inverting ``+``, ``-``, ``str.len``, ``str.to.int`` and ``str.indexof``, so
-the Int pool of that size is not completed either. The outputs can also rule
-a root out at once: ``str.at`` makes at most one character and ``int.to.str``
-only decimals. A ``str.substr``, ``str.at`` or ``ite`` size split is first
-checked against those of its child pools that are already complete (a length
-pool must reach every output's length; an index, start or condition pool
-must not be empty), so a split ruled out there grows no other pool. These
-are the witness functions of FlashMeta (Polozov & Gulwani, OOPSLA 2015),
-applied recursively and combined with bottom-up enumeration as in Duet (Lee,
-POPL 2021). A witness search is made once per size and target. Only the other
-operators (``str.replace`` in the full grammar) are then enumerated at that
-size; the witnessed operators' entries of the start-sort pool are added when a
-larger size reads it (see ``_Space``). ``stream`` defers nothing and yields the
-programs eager growth would.
+pools. One table (``_INVERSES``) holds how each operator is inverted, the Int
+ones ``+``, ``-``, ``str.len``, ``str.to.int`` and ``str.indexof`` too, and one
+lookup serves both sorts: a child whose pool is not complete is searched
+top-down in turn, with its required value as the target. So neither a
+``str.++`` child nor a ``str.substr`` start or ``str.at`` index (an occurrence
+of the output in the host on every example) completes its pool. The outputs
+can also rule a root out at once: ``str.at`` makes at most one character and
+``int.to.str`` only decimals. A ``str.substr``, ``str.at`` or ``ite`` size
+split is first checked against those of its child pools that are already
+complete (a length pool must reach every output's length; an index, start or
+condition pool must not be empty), so a split ruled out there grows no other
+pool. These are the witness functions of FlashMeta (Polozov & Gulwani, OOPSLA
+2015), applied recursively and combined with bottom-up enumeration as in Duet
+(Lee, POPL 2021). A top-down search is made once per sort, size and target.
+Only the other operators (``str.replace`` in the full grammar) are then
+enumerated at that size; the inverted operators' entries of the String pool
+are added when a larger size reads it (see ``_Space``). ``stream`` defers
+nothing and yields the programs eager growth would.
 
 Growing a pool is the inner loop. Its candidates are counted and deduplicated
 in batches of up to 1024, and for most operators each is evaluated by a C
@@ -189,8 +188,8 @@ class _Plan:
     """What a search over a grammar works out from the grammar alone.
 
     ``ops`` holds the operators of each sort in catalog order. ``deferred``
-    and ``eager`` split the start sort's operators: with a target the
-    witnessed ones are deferred, without one (``stream``) none are. Each leaf
+    and ``eager`` split the String operators: with a target the inverted
+    ones (``_INVERSES``) are deferred, without one (``stream``) none are. Each leaf
     is (program, sort, column, value): an input variable's values are its
     column of the assignments, a literal's its value on every one.
     """
@@ -208,8 +207,7 @@ def _plan(grammar: Grammar, witnessed: bool) -> _Plan:
     if plan is None:
         ops = [t for t in grammar.terminals if t.arity > 0]
         by_sort = {s: tuple(t for t in ops if t.ret_sort is s) for s in _SORTS}
-        start = by_sort[grammar.start_sort]
-        names = _WITNESSES if witnessed else {}
+        names = _INVERSES if witnessed else {}
         leaves = [
             (InputVar(name, sort), sort, j, None)
             for j, (name, sort) in enumerate(grammar.input_vars)
@@ -220,8 +218,8 @@ def _plan(grammar: Grammar, witnessed: bool) -> _Plan:
         plan = grammar._plans[witnessed] = _Plan(
             ops=by_sort,
             max_arity=max((t.arity for t in ops), default=0),
-            deferred=tuple(t for t in start if t.name in names),
-            eager=tuple(t for t in start if t.name not in names),
+            deferred=tuple(t for t in by_sort[Sort.STRING] if t.name in names),
+            eager=tuple(t for t in by_sort[Sort.STRING] if t.name not in names),
             leaves=tuple(leaves),
         )
     return plan
@@ -236,36 +234,37 @@ class _Space:
     come out the same whichever reader asks first, and a search builds only the
     pools it reads.
 
-    With a target, ``level(L)`` first searches the start-sort programs of size L
-    rooted at a witnessed operator top-down (``witness``, one method per
-    operator in ``_WITNESSES``): what each child must evaluate to follows from
-    the target and is looked up in the smaller pools, and a root whose outputs
-    cannot have the target's shape costs no work at all. For each size split
-    ``str.++`` scans the child whose pool is complete and looks the other up
-    by value (``_find``); in a pool not yet complete that means the entries
-    ``level`` grew eagerly there and then the witnesses again, with the
-    child's value as their target. So at size L the String pool of size L-2
-    is not completed just to supply ``str.++`` children. The ``str.substr``,
-    ``str.at`` and ``ite`` witnesses check each size split against its
+    With a target, ``level(L)`` first searches the String programs of size L
+    top-down (``_top_down``), one method per inverted operator in
+    ``_INVERSES``: what each child must evaluate to follows from the target
+    and is looked up in the smaller pools, and a root whose outputs cannot
+    have the target's shape costs no work at all. A child is looked up by
+    value with one lookup for both sorts, ``_find(sort, size, vector)``: a
+    complete pool is read through its index, and in a pool not yet complete
+    the entries ``level`` grew eagerly there are read and then the same
+    top-down search runs with the child's value as its target (for Int,
+    over every Int operator). For each size split ``str.++``, ``+`` and
+    ``-`` scan the child whose pool is complete and look the other up
+    (``_invert_split``), so at size L the String pool of size L-2 is not
+    completed just to supply ``str.++`` children. The ``str.substr``,
+    ``str.at`` and ``ite`` inverses check each size split against its
     complete pools before reading the others, and ``str.substr`` grows its
     length pool only once a host and a start fit; so at size L neither the
     Int pool of size L-3 nor the String pool of size L-4 is completed for a
     split that cannot make the target. The ``str.substr`` starts and
     ``str.at`` indices are Int children found by value (``_placed``): where
-    every output is non-empty they are its occurrences in the host, and each
-    such vector is looked up with ``_find_int``, which inverts the Int
-    operators top-down where that pool is not complete. ``witness`` is
-    memoised by size and target, so a search that found nothing is not made
-    again. Then the other operators grow the start-sort pool of size L,
-    checking each new value against the target; a grammar without
-    ``str.replace`` grows nothing there.
-    The witnessed operators' own entries of that pool are deferred until a
+    every output is non-empty they are its occurrences in the host, each
+    looked up with ``_find``. ``_top_down`` is memoised by sort, size and
+    target, so a search that found nothing is not made again. Then the other
+    operators grow the String pool of size L, checking each new value against
+    the target; a grammar without ``str.replace`` grows nothing there.
+    The inverted operators' own entries of that pool are deferred until a
     later level reads it. A value they then produce that the other operators
     kept at a larger size moves down, so a completed pool holds the same values
     as without deferral (only the representative program may differ).
 
     Work is counted in ``explored``: every candidate evaluated and every
-    check a witness makes, in nested lookups too. A scan that makes a nested
+    check an inverse makes, in nested lookups too. A scan that makes a nested
     lookup per item counts through ``_counted``, one item at a time; ``_grow``
     and the other scans count through ``_batches``, a list of up to 1024 items
     at a time, with the same stops. Both raise ``_Stop`` rather than count one
@@ -294,7 +293,7 @@ class _Space:
         plan = _plan(grammar, target is not None)
         self.ops, self.max_arity, self.deferred, self.eager = plan.ops, plan.max_arity, plan.deferred, plan.eager
         self.grown = dict.fromkeys(_SORTS, 1)  # every pool up to this size is complete
-        self.deferred_to = 1  # start-sort pools above grown[start] up to here lack the deferred ops
+        self.deferred_to = 1  # String pools above grown[STRING] up to here lack the deferred ops
         self._seed_leaves(plan.leaves, assignments)
 
     def _seed_leaves(self, leaves: tuple, assignments: list[tuple[str, ...]]) -> None:
@@ -313,7 +312,7 @@ class _Space:
         """The programs kept at (sort, size) and their value vectors, grown on first read."""
         while self.grown[sort] < size:
             k = self.grown[sort] + 1
-            if sort is self.grammar.start_sort and k <= self.deferred_to:
+            if sort is Sort.STRING and k <= self.deferred_to:
                 self._grow(sort, k, self.deferred, moves=True)
             else:
                 self._grow(sort, k, self.ops[sort])
@@ -321,13 +320,13 @@ class _Space:
         return self.progs[(sort, size)], self.vals[(sort, size)]
 
     def level(self, size: int) -> ProgramAst | None:
-        """A start-sort program of this size that meets the target, or None.
+        """A String program of this size that meets the target, or None.
 
         Every smaller size must have been searched already.
         """
-        found = self.witness(size, self.target)
+        found = self._top_down(Sort.STRING, size, self.target)
         if found is None:
-            found = self._grow(self.grammar.start_sort, size, self.eager, target=self.target)
+            found = self._grow(Sort.STRING, size, self.eager, target=self.target)
         self.deferred_to = size
         return found
 
@@ -470,63 +469,43 @@ class _Space:
         return columns(*(self.pool(sort, sz)[1] for sort, sz in zip(CATALOG[name].arg_sorts[split:], sizes)))
 
     @_memo
-    def witness(self, size: int, target: tuple) -> ProgramAst | None:
-        """A program of this size rooted at a deferred operator with this value vector, or None.
-
-        Memoised, so the ``str.++`` witness looking up a level's own target
-        two sizes down reads that level's answer instead of searching again.
-        """
-        for term in self.deferred:
-            found = _WITNESSES[term.name](self, term, size, target)
-            if found is not None:
-                return found
-        return None
-
-    @_memo
     def _index(self, sort: Sort, size: int) -> dict[tuple, ProgramAst]:
         """The complete pool (sort, size) as {value vector: program}."""
         progs, vals = self.pool(sort, size)
         return dict(zip(vals, progs))
 
     @_memo
-    def _partial(self, size: int) -> dict[tuple, ProgramAst]:
-        """What ``level`` grew eagerly in the incomplete String pool of this size, by value."""
-        return dict(zip(self.vals[(Sort.STRING, size)], self.progs[(Sort.STRING, size)]))
+    def _partial(self, sort: Sort, size: int) -> dict[tuple, ProgramAst]:
+        """What ``level`` grew eagerly in the incomplete pool (sort, size), by value: empty but for String."""
+        return dict(zip(self.vals.get((sort, size), ()), self.progs.get((sort, size), ())))
 
-    def _find(self, size: int, vector: tuple) -> ProgramAst | None:
-        """A String program of this size with this value vector, or None.
+    def _find(self, sort: Sort, size: int, vector: tuple) -> ProgramAst | None:
+        """A program of this sort and at most this size with this value vector, or None.
 
-        Finds every vector whose smallest program has this size, without
-        completing the pool: an incomplete one (a size the search has passed)
-        holds what ``level`` grew eagerly there, and the deferred operators'
-        programs are searched top-down with the vector as their target.
+        Finds every vector whose smallest program has this size without
+        completing the pool: a complete pool is read through its index, else
+        what ``level`` grew eagerly there, else ``_top_down``. An Int vector
+        kept at a smaller size gives None, since a solution using it would have
+        been found at a smaller size; the String pools a search has passed lack
+        the deferred operators' values, so ``seen`` cannot tell that for String.
         """
-        if size <= self.grown[Sort.STRING]:
-            return self._index(Sort.STRING, size).get(vector)
-        found = self._partial(size).get(vector)
-        return found if found is not None else self.witness(size, vector)
-
-    def _find_int(self, size: int, vector: tuple) -> ProgramAst | None:
-        """An Int program of at most this size with this value vector, or None.
-
-        Finds every vector whose smallest program has this size, without
-        completing the pool: a complete pool is read through its index, and
-        otherwise the Int operators are inverted top-down (``_INT_INVERSES``).
-        A vector that a smaller program makes gives None or a program of at
-        most this size; a solution using it would have been found at a smaller
-        size.
-        """
-        if size <= self.grown[Sort.INT]:
-            return self._index(Sort.INT, size).get(vector)
-        if self.seen[Sort.INT].get(vector, size) < size:
+        if size <= self.grown[sort]:
+            return self._index(sort, size).get(vector)
+        if sort is Sort.INT and self.seen[sort].get(vector, size) < size:
             return None
-        return self._find_int_top_down(size, vector)
+        found = self._partial(sort, size).get(vector)
+        return found if found is not None else self._top_down(sort, size, vector)
 
     @_memo
-    def _find_int_top_down(self, size: int, vector: tuple) -> ProgramAst | None:
-        """``_find_int`` in a pool not yet complete: each Int operator in catalog order."""
-        for term in self.ops[Sort.INT]:
-            found = _INT_INVERSES[term.name](self, term, size, vector)
+    def _top_down(self, sort: Sort, size: int, target: tuple) -> ProgramAst | None:
+        """A program of this size rooted at an inverted operator with this value vector, or None.
+
+        Tries the deferred operators for String and every Int one. Memoised, so
+        ``str.++`` looking up a level's own target two sizes down reads that
+        level's answer instead of searching again.
+        """
+        for term in self.deferred if sort is Sort.STRING else self.ops[sort]:
+            found = _INVERSES[term.name](self, term, size, target)
             if found is not None:
                 return found
         return None
@@ -574,23 +553,23 @@ class _Space:
                         return Apply(term, (sp, tp, kp))
         return None
 
-    def _invert_arith(self, term, size: int, vector: tuple) -> ProgramAst | None:
-        # (+ x y) is v iff y is v - x, and (- x y) is v iff y is x - v. Per
-        # size split the side whose pool is complete (else the smaller) is
-        # scanned and the other child is looked up by value.
-        plus = term.name == "+"
+    def _invert_split(self, term, size: int, target: tuple) -> ProgramAst | None:
+        # (str.++ l r), (+ x y) and (- x y), whose children have the root's
+        # sort: one child's value and the target fix the other's (``_SPLITS``).
+        # Per size split the side whose pool is complete (else the smaller) is
+        # scanned, and the other child is looked up by value (``_find``), so
+        # the larger pool is not completed.
+        sort = term.ret_sort
         for a in range(1, size - 1):
             b = size - 1 - a
-            left = a <= max(self.grown[Sort.INT], b)
+            left = a <= max(self.grown[sort], b)
             scan, seek = (a, b) if left else (b, a)
-            for p, x in self._counted(zip(*self.pool(Sort.INT, scan))):
-                if left:
-                    other = tuple(map(operator.sub, vector, x) if plus else map(operator.sub, x, vector))
-                else:
-                    other = tuple(map(operator.sub if plus else operator.add, vector, x))
-                found = self._find_int(seek, other)
-                if found is not None:
-                    return Apply(term, (p, found) if left else (found, p))
+            fits, rest = _SPLITS[term.name][not left]
+            for p, x in self._counted(zip(*self.pool(sort, scan))):
+                if fits is None or all(map(fits, target, x)):
+                    found = self._find(sort, seek, tuple(map(rest, target, x)))
+                    if found is not None:
+                        return Apply(term, (p, found) if left else (found, p))
         return None
 
     @_memo
@@ -616,25 +595,6 @@ class _Space:
             if any(hit):
                 matches.setdefault(hit, p)
         return matches
-
-    def _witness_concat(self, term, size: int, target: tuple) -> ProgramAst | None:
-        # (str.++ l r) meets the target iff every value of l is a prefix of its
-        # output and r's values are the rest of the outputs. Per size split the
-        # side whose pool is complete (else the smaller) is scanned, and the
-        # other child is found top-down, so the larger pool is not completed.
-        for a in range(1, size - 1):
-            b = size - 1 - a
-            left = a <= max(self.grown[Sort.STRING], b)
-            if left:
-                scan, seek, fits, rest = a, b, str.startswith, lambda t, x: t[len(x):]
-            else:
-                scan, seek, fits, rest = b, a, str.endswith, lambda t, x: t[: len(t) - len(x)]
-            for p, v in self._counted(zip(*self.pool(Sort.STRING, scan))):
-                if all(map(fits, target, v)):
-                    other = self._find(seek, tuple(map(rest, target, v)))
-                    if other is not None:
-                        return Apply(term, (p, other) if left else (other, p))
-        return None
 
     def _complete_and_empty(self, sort: Sort, size: int) -> bool:
         """Whether pool (sort, size) is complete and holds nothing, so a split needing it fails."""
@@ -663,7 +623,7 @@ class _Space:
 
         The hosts are those of ``host_size`` (``_hosts``). When no output is
         empty the index vectors are the outputs' occurrences in each host,
-        looked up by value (``_find_int``), so the Int pool of this size is
+        looked up by value (``_find``), so the Int pool of this size is
         not completed; unless there are more of them than the scan over that
         pool would count candidates, and then it is scanned.
         """
@@ -673,7 +633,7 @@ class _Space:
             if vectors <= self._scan_cost(size, len(hosts)):
                 for host, occ in zip(hosts, occurrences):
                     for iv in self._counted(itertools.product(*occ)):
-                        ip = self._find_int(size, iv)
+                        ip = self._find(Sort.INT, size, iv)
                         if ip is not None:
                             yield host, (ip, iv)
                 return
@@ -695,7 +655,7 @@ class _Space:
             for parts in _compositions(size - 1, term.arity)
         )
 
-    def _witness_at(self, term, size: int, target: tuple) -> ProgramAst | None:
+    def _invert_at(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.at s i) is one character of s or "", so an output longer than
         # that rules the root out; otherwise every value of s contains its
         # output, a non-empty one at i (``_placed``), and i is checked by
@@ -714,7 +674,7 @@ class _Space:
                     return Apply(term, (sp, ip))
         return None
 
-    def _witness_substr(self, term, size: int, target: tuple) -> ProgramAst | None:
+    def _invert_substr(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (str.substr s i n) meets the target only if every value of s contains
         # its output and, where the output is non-empty, i is an occurrence of
         # it (``_placed``) and n reaches its length; n is then checked by
@@ -743,7 +703,7 @@ class _Space:
                             return Apply(term, (sp, ip, np_))
         return None
 
-    def _witness_int_to_str(self, term, size: int, target: tuple) -> ProgramAst | None:
+    def _invert_int_to_str(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (int.to.str n) is "" for a negative n and n's decimal otherwise, so
         # any other output rules the root out; otherwise the Int pool is
         # checked by evaluation.
@@ -755,7 +715,7 @@ class _Space:
                 return Apply(term, (np_,))
         return None
 
-    def _witness_ite(self, term, size: int, target: tuple) -> ProgramAst | None:
+    def _invert_ite(self, term, size: int, target: tuple) -> ProgramAst | None:
         # (ite c a b) meets the target iff a meets it wherever c is true and b
         # wherever c is false. A branch is reduced to the examples it meets
         # (``_matches``). A condition that is true, or false, everywhere would
@@ -784,25 +744,31 @@ class _Space:
         return None
 
 
-# Start-sort operators whose roots a search with a target inverts top-down, with
-# the witness that does it. str.replace stays eager: the reduced grammars the
-# grt lane runs on large problems drop it, so a witness for it would speed up
+# The operators a search with a target inverts top-down (``_Space._top_down``),
+# with the method that does it: every Int operator of the catalog and every
+# String one but str.replace. str.replace stays eager: the reduced grammars the
+# grt lane runs on large problems drop it, so an inverse for it would speed up
 # only the full-grammar searches.
-_WITNESSES = {
-    "str.++": _Space._witness_concat,
-    "str.at": _Space._witness_at,
-    "str.substr": _Space._witness_substr,
-    "int.to.str": _Space._witness_int_to_str,
-    "ite": _Space._witness_ite,
-}
-
-# How ``_find_int`` inverts each Int operator of the catalog top-down.
-_INT_INVERSES = {
+_INVERSES = {
+    "str.++": _Space._invert_split,
+    "str.at": _Space._invert_at,
+    "str.substr": _Space._invert_substr,
     "str.len": _Space._invert_unary,
     "str.indexof": _Space._invert_indexof,
     "str.to.int": _Space._invert_unary,
-    "+": _Space._invert_arith,
-    "-": _Space._invert_arith,
+    "int.to.str": _Space._invert_int_to_str,
+    "ite": _Space._invert_ite,
+    "+": _Space._invert_split,
+    "-": _Space._invert_split,
+}
+
+# ``_Space._invert_split``'s (fits, rest) per operator, for a scanned left and
+# then right child with value x where the output is t: whether x can be that
+# child (None: always), and the value the other child must then have.
+_SPLITS = {
+    "str.++": ((str.startswith, lambda t, x: t[len(x):]), (str.endswith, lambda t, x: t[: len(t) - len(x)])),
+    "+": ((None, operator.sub), (None, operator.sub)),
+    "-": ((None, lambda t, x: x - t), (None, operator.add)),
 }
 
 
@@ -817,8 +783,8 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     budget; so a budget of n solves every search that needs at most n.
     The budget is tested on every candidate and the deadline at every 1024th
     (``_Space._counted`` and ``_Space._batches``), and ``_Space._checkpoint``
-    tests both before each level. The checks a top-down witness makes count
-    as candidates; a witnessed root the outputs rule out costs none.
+    tests both before each level. The checks a top-down inverse makes count
+    as candidates; an inverted root the outputs rule out costs none.
     """
     if not problem.constraints:
         raise ValueError("cannot solve a problem with no constraints")
@@ -835,7 +801,7 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     def unsolved(**kw):
         return SynthesisResult(False, None, elapsed(), space.explored, **kw)
 
-    for prog, vals in zip(*space.pool(grammar.start_sort, 1)):
+    for prog, vals in zip(*space.pool(Sort.STRING, 1)):
         if vals == target:
             return SynthesisResult(True, prog, elapsed(), space.explored)
     size = 2
@@ -855,7 +821,7 @@ def solve(problem: SygusProblem) -> SynthesisResult:
 
 
 def stream(grammar: Grammar, n: int = DEFAULT_STREAM_N) -> list[ProgramAst]:
-    """Enumerate n observationally distinct start-sorted programs.
+    """Enumerate n observationally distinct String programs.
 
     Programs come out in nondecreasing size, deduplicated on the fixed probe
     inputs. Raises GrammarExhausted when fewer than n distinct programs exist,
@@ -869,7 +835,7 @@ def stream(grammar: Grammar, n: int = DEFAULT_STREAM_N) -> list[ProgramAst]:
     out: list[ProgramAst] = []
     size = 1
     while not space.exhausted_beyond(size):
-        for prog in space.pool(grammar.start_sort, size)[0]:
+        for prog in space.pool(Sort.STRING, size)[0]:
             out.append(prog)
             if len(out) == n:
                 return out

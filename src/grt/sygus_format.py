@@ -284,7 +284,6 @@ def _grammar(names: tuple, string_literals: tuple, int_literals: tuple, input_va
     (``Grammar.without``)."""
     return Grammar(
         terminals=tuple(CATALOG[n] for n in names),
-        start_sort=Sort.STRING,
         string_literals=string_literals,
         int_literals=int_literals,
         input_vars=input_vars,

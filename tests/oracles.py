@@ -260,7 +260,7 @@ def brute_force_min_size(grammar: Grammar, constraints, max_size: int):
     var_names = [name for name, _ in grammar.input_vars]
     cache = {}
     for size in range(1, max_size + 1):
-        for program in all_programs(grammar, grammar.start_sort, size, cache):
+        for program in all_programs(grammar, Sort.STRING, size, cache):
             ok = True
             for c in constraints:
                 env = dict(zip(var_names, c.inputs))

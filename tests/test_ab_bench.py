@@ -81,6 +81,35 @@ def test_a_metric_worse_beyond_its_bound_is_flagged(tmp_path, capsys):
     assert not any("WORSE" in row for name, row in table.items() if name != "baseline_total_s")
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys):
+    a, b = checkouts(tmp_path)
+    # baseline_total_s: A's IQR 1 against a bound of 0.24 x 1.5; score: A's
+    # IQR 5 is past 0.02 x 102.5 too, but every B run beats every A run
+    values = {
+        "a": [(1.0, 100.0), (2.0, 105.0), (1.0, 100.0), (2.0, 105.0)],
+        "b": [(1.1, 106.0), (1.9, 107.0), (1.1, 106.0), (1.9, 107.0)],
+    }
+    assert ab_bench.main([str(a), str(b), "--workload", "many-small", "--seed", "1", "--pairs", "4"],
+                         runner=stub(values, [])) == 0
+    table = rows(capsys.readouterr().out)
+    assert "A IQR 1 " in table["baseline_total_s"]
+    assert table["baseline_total_s"].endswith("unresolved (spread > bound)")
+    assert table["score"].endswith(" resolved")
+    assert not any("unresolved" in row for name, row in table.items() if name != "baseline_total_s")
+
+
+@pytest.mark.parametrize(
+    "better, a, b, spread",
+    [("lower", (1.0, 2.0), (0.5, 0.9), False), ("lower", (1.0, 2.0), (0.5, 1.5), True),
+     ("higher", (1.0, 2.0), (2.5, 3.0), False), ("higher", (1.0, 2.0), (2.5, 1.5), True),
+     ("lower", (1.0, 1.1), (1.2, 1.3), False)],
+)
+def test_spread_is_the_iqr_against_the_bound_unless_b_wins_outright(better, a, b, spread):
+    metric = {"name": "m", "unit": "s", "better": better, "bound": 0.24}
+    c = ab_bench.compare(metric, [{"m": v} for v in a * 2], [{"m": v} for v in b * 2])
+    assert c.spread is spread
+
+
 @pytest.mark.parametrize(
     "better, a, b, worse",
     [("lower", 1.0, 1.25, True), ("lower", 1.0, 1.2, False), ("lower", 1.0, 0.5, False),

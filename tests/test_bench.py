@@ -121,6 +121,11 @@ class TestBenchOne:
         rec = bench_one(pf, "baseline", config, solver=scripted([(True, 0.1), (False, 5.0)]))
         assert rec.error is None and rec.t_full_s == pytest.approx(2.55)
 
+    def test_repeats_below_one_rejected(self):
+        # the first run is always made, so zero repeats would silently run once
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            BenchConfig(repeats=0)
+
     def test_timeout_carries_budget_and_flag(self):
         grammar = default_grammar(string_literals=("",), int_literals=(0,))
         pf = self.problem_file((IoConstraint(("abcdef",), "fedcba"),), grammar, "rev")

@@ -221,7 +221,6 @@ def test_terminals_used():
 
 def test_default_grammar_shape(full_grammar):
     assert len(full_grammar.terminal_names) == 15
-    assert full_grammar.start_sort is Sort.STRING
     assert full_grammar.terminal("ite").arg_sorts == (Sort.BOOL, Sort.STRING, Sort.STRING)
 
 

@@ -163,6 +163,12 @@ class TestTimeDataset:
         assert sample.delta_s == pytest.approx(0.05 - 2.0)
         assert sample.delta_s < 0
 
+    def test_repeats_below_one_rejected(self):
+        # a median of no runs has no value
+        problems = [SygusProblem(default_grammar(terminals=["str.++"]), (IoConstraint(("a",), "a"),))]
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            gen_time_dataset(problems, constant_time_solver({1: 0.1}), budget_s=1.0, repeats=0)
+
     def test_unused_terminal_delta_near_zero(self, full_grammar):
         from grt.enumerator import solve
 

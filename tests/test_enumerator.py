@@ -322,7 +322,7 @@ class TestWitnessedRoots:
             return hosts(space, size, target)
 
         monkeypatch.setattr(enumerator._Space, "_hosts", recording_hosts)
-        found = enumerator._WITNESSES["str.substr"](space, grammar.terminal("str.substr"), 4, (output,))
+        found = enumerator._INVERSES["str.substr"](space, grammar.terminal("str.substr"), 4, (output,))
         assert (found is not None) == bool(read) == solvable
         if solvable:
             assert program_to_text(found) == "(str.substr x0 0 2)"
@@ -344,7 +344,7 @@ class TestWitnessedRoots:
             return matches(space, size, target)
 
         monkeypatch.setattr(enumerator._Space, "_matches", recording_matches)
-        found = enumerator._WITNESSES["ite"](space, grammar.terminal("ite"), size, target)
+        found = enumerator._INVERSES["ite"](space, grammar.terminal("ite"), size, target)
         assert (found is not None) == bool(read) == solvable
         if solvable:
             assert program_size(found) == 6
@@ -405,7 +405,7 @@ class TestWitnessedRoots:
     def test_guard_rejects_before_reading_a_pool(self, op, outputs):
         grammar = default_grammar()
         space = enumerator._Space(grammar, [("abc",), ("07",)], target=outputs)
-        found = enumerator._WITNESSES[op](space, grammar.terminal(op), 8, outputs)
+        found = enumerator._INVERSES[op](space, grammar.terminal(op), 8, outputs)
         assert found is None
         assert space.explored == 1 + len(grammar.string_literals) + len(grammar.int_literals)  # x0 and the literals
         assert set(space.grown.values()) == {1}
@@ -444,26 +444,26 @@ class TestWitnessedRoots:
         problem, _ = generated_problem(generated_paths, "gen-001")
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(enumerator, "time", SimpleNamespace(monotonic=lambda: clock.now))
-        witness = enumerator._Space.witness
+        top_down = enumerator._Space._top_down
         stops = []
         nested = []
 
-        def late_witness(space, size, target):
-            if nested:  # a str.++ child looked up top-down
-                return witness(space, size, target)
+        def late_top_down(space, sort, size, target):
+            if nested:  # a child looked up top-down
+                return top_down(space, sort, size, target)
             if size == 10:
                 clock.now = 2 * problem.timeout_s
             entered = space.explored
             nested.append(size)
             try:
-                return witness(space, size, target)
+                return top_down(space, sort, size, target)
             except enumerator._Stop as stop:
                 stops.append((stop.reason, entered, space.explored))
                 raise
             finally:
                 nested.pop()
 
-        monkeypatch.setattr(enumerator._Space, "witness", late_witness)
+        monkeypatch.setattr(enumerator._Space, "_top_down", late_top_down)
         result = solve(problem)
         assert not result.solved and not result.exhausted
         assert result.elapsed_s <= problem.timeout_s
@@ -548,40 +548,56 @@ class TestBatchedGrowth:
         assert space.explored == space.max_explored
 
 
-class TestIntLookup:
-    """Int children are found by value, top-down, and no witness search is made twice."""
+class TestLookup:
+    """Children are found by value, top-down, and no top-down search is made twice."""
 
-    def test_find_int_matches_brute_force_over_random_grammars(self):
-        # _find_int(size, v) must find every vector whose smallest program has
-        # that size, with a program of exactly that size, whether the Int pool
+    @pytest.mark.parametrize("sort", [Sort.INT, Sort.STRING], ids=["Int", "String"])
+    def test_find_matches_brute_force_over_random_grammars(self, sort):
+        # _find(sort, size, v) must find every vector whose smallest program
+        # has that size, with a program of exactly that size, whether the pool
         # is complete (read by value) or not (searched top-down); it must find
         # nothing for a vector no program of that size or smaller makes; and a
         # vector first made at a smaller size may give None or a program of at
-        # most that size.
+        # most that size. A String lookup is made after the search's levels up
+        # to that size, with a target no program makes, have run, as a
+        # search's own lookups are.
         rng = random.Random(808)
         int_ops = ["str.len", "str.indexof", "str.to.int", "+", "-"]
         string_ops = ["str.++", "str.substr", "str.at", "int.to.str"]
+        if sort is Sort.INT:
+            own, other = int_ops, string_ops
+        else:
+            own, other = string_ops + ["str.replace", "ite"], int_ops
         inputs = ["a-1", "10", "", "b-a-"]
+        unmade = ("#",) * len(inputs)
         counts = dict.fromkeys(["top_down", "indexed", "absent", "smaller"], 0)
         for _ in range(300):
-            ops = rng.sample(int_ops, rng.randint(1, 3)) + rng.sample(string_ops, rng.randint(0, 2))
+            ops = rng.sample(own, rng.randint(1, 3)) + rng.sample(other, rng.randint(0, 2))
+            if "ite" in ops:
+                ops.append(rng.choice(["str.prefixof", "str.contains", "="]))
             grammar = default_grammar(
                 terminals=ops, string_literals=tuple(rng.sample(["", "a", "-", "0"], 2)), int_literals=(0, 1)
             )
             smallest, cache = {}, {}
             for size in range(1, 6):
-                for p in all_programs(grammar, Sort.INT, size, cache):
+                for p in all_programs(grammar, sort, size, cache):
                     smallest.setdefault(tuple(ref_eval(p, {"x0": x}) for x in inputs), size)
             size = rng.randint(2, 5)
             exact = [v for v, s in smallest.items() if s == size]
             earlier = [v for v, s in smallest.items() if s < size]
-            absent = tuple(rng.randint(-2, 9) for _ in inputs)
+            if sort is Sort.INT:
+                absent = tuple(rng.randint(-2, 9) for _ in inputs)
+            else:
+                absent = tuple(rng.choice(["", "a", "-", "1", "a-", "0a"]) for _ in inputs)
             queries = rng.sample(exact, min(3, len(exact))) + rng.sample(earlier, min(2, len(earlier)))
             for vector in queries + ([absent] if absent not in smallest else []):
-                space = enumerator._Space(grammar, [(x,) for x in inputs])
-                space.pool(Sort.INT, rng.randint(1, size))
-                counts["indexed" if space.grown[Sort.INT] >= size else "top_down"] += 1
-                found = space._find_int(size, vector)
+                space = enumerator._Space(grammar, [(x,) for x in inputs], target=unmade)
+                if sort is Sort.STRING:
+                    for level in range(2, size + 1):
+                        assert space.level(level) is None
+                space.pool(sort, rng.randint(1, size))
+                counts["indexed" if space.grown[sort] >= size else "top_down"] += 1
+                found = space._find(sort, size, vector)
                 if vector not in smallest:
                     assert found is None, (ops, size, vector)
                     counts["absent"] += 1
@@ -613,14 +629,15 @@ class TestIntLookup:
         # counts, so the complete pool is scanned instead. Either way the
         # answer is (str.substr x0 <start> 1), a start found by value or not.
         grammar = default_grammar(terminals=["str.substr", "+"], string_literals=(), int_literals=(0, 1))
-        find_int = enumerator._Space._find_int
+        find = enumerator._Space._find
         calls = []
 
-        def recording_find_int(space, size, vector):
-            calls.append((size, vector))
-            return find_int(space, size, vector)
+        def recording_find(space, sort, size, vector):
+            if sort is Sort.INT:
+                calls.append((size, vector))
+            return find(space, sort, size, vector)
 
-        monkeypatch.setattr(enumerator._Space, "_find_int", recording_find_int)
+        monkeypatch.setattr(enumerator._Space, "_find", recording_find)
         constraints = tuple(IoConstraint((h,), "-") for h in hosts)
         result = solve(SygusProblem(grammar, constraints, timeout_s=10))
         assert all(ref_eval(result.program, {"x0": h}) == "-" for h in hosts)
@@ -645,8 +662,8 @@ class TestIntLookup:
                 return witness(space, term, size, target)
             return run
 
-        for op, witness in enumerator._WITNESSES.items():
-            monkeypatch.setitem(enumerator._WITNESSES, op, recording(witness))
+        for op, witness in enumerator._INVERSES.items():
+            monkeypatch.setitem(enumerator._INVERSES, op, recording(witness))
         result = solve(replace(problem, grammar=grammar))
         assert program_size(result.program) == entry["solved_size"]
         assert len(searches) == len(set(searches)) > 0
@@ -744,6 +761,25 @@ class TestWorkBudget:
         assert result.solved
         assert result.programs_explored == self.REDUCED_EXPLORED[name]
         assert program_size(result.program) == entry["solved_size"]
+
+    # The sha256 of one line per search, "id removed budget solved explored
+    # program", for every suite problem on the reduced grammar of each removed
+    # set the vote picks on the suite, at the probe's budget and at 400k
+    # candidates (148 searches, 1,668,286 candidates).
+    REDUCED_DIGEST = "82056010fffa344689cbbfb5f83f7cf968d3d393fb4c8e68e915c7509cd57249"
+
+    def test_every_reduced_search_unchanged(self, generated_paths):
+        rows = []
+        for path in generated_paths:
+            problem = replace(parse_problem_file(path.read_text(encoding="utf-8")).problem, timeout_s=60)
+            for removed in (("str.replace", "str.suffixof"), ("str.++", "str.suffixof")):
+                grammar = problem.grammar.without(removed)
+                for budget in (PROBE_EXPLORED, 400_000):
+                    result = solve(replace(problem, grammar=grammar, max_explored=budget))
+                    text = program_to_text(result.program) if result.solved else ""
+                    rows.append(f"{path.stem} {','.join(removed)} {budget} {result.solved} {result.programs_explored} {text}")
+        assert len(rows) == 148
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == self.REDUCED_DIGEST
 
     def test_spent_budget_stops_before_next_level(self):
         # the leaves alone use up a budget of one candidate
