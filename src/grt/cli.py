@@ -50,6 +50,20 @@ def _problem_paths(patterns):
     return paths
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _solver_for(args):
     if args.solver_cmd:
         return functools.partial(enumerator.solve_with_external, solver_cmd=args.solver_cmd)
@@ -145,7 +159,6 @@ def cmd_train(args) -> int:
         learning_rate=args.learning_rate,
         dropout_rate=args.dropout,
         seed=args.seed,
-        pooling=args.pooling,
     )
     weights = neural.train(samples, config, terminals)
     neural.save_weights(args.output, weights)
@@ -215,21 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="synthesize a program for a problem file")
     p.add_argument("problem")
-    p.add_argument("--timeout", type=float, default=60.0, help="per-problem budget in seconds")
+    p.add_argument("--timeout", type=_non_negative_float, default=60.0, help="per-problem budget in seconds")
     p.add_argument("--solver-cmd", help="external solver command template ({} = problem path)")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("stream", help="enumerate distinct programs from a grammar")
     p.add_argument("problem", nargs="?", help="problem file supplying the grammar")
-    p.add_argument("-n", type=int, default=enumerator.DEFAULT_STREAM_N)
+    p.add_argument("-n", type=_positive_int, default=enumerator.DEFAULT_STREAM_N)
     p.add_argument("-o", "--output")
     p.add_argument("--grammar-config", help="JSON grammar configuration file")
     p.set_defaults(fn=cmd_stream)
 
     p = sub.add_parser("datagen-crit", help="generate the criticality training set")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--n-programs", type=int, default=datagen.DEFAULT_N_PROGRAMS)
-    p.add_argument("--inputs-per-program", type=int, default=datagen.DEFAULT_INPUTS_PER_PROGRAM)
+    p.add_argument("--n-programs", type=_positive_int, default=datagen.DEFAULT_N_PROGRAMS)
+    p.add_argument("--inputs-per-program", type=_positive_int, default=datagen.DEFAULT_INPUTS_PER_PROGRAM)
     p.add_argument("--grammar-config", help="JSON grammar configuration file")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_datagen_crit)
@@ -239,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", nargs="+", required=True, help="problem files or globs")
     p.add_argument("--crit-data", help="criticality dataset to draw extra problems from")
     p.add_argument("--crit-problems", type=int, default=20)
-    p.add_argument("--budget", type=float, default=datagen.DEFAULT_TIME_BUDGET_S)
-    p.add_argument("--repeats", type=int, default=datagen.DEFAULT_TIMING_REPEATS)
+    p.add_argument("--budget", type=_non_negative_float, default=datagen.DEFAULT_TIME_BUDGET_S)
+    p.add_argument("--repeats", type=_positive_int, default=datagen.DEFAULT_TIMING_REPEATS)
     p.add_argument("--grammar-config", help="JSON grammar configuration file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--solver-cmd", help="external solver command template ({} = problem path)")
@@ -249,11 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the criticality model")
     p.add_argument("--data", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch-size", type=int, default=200)
+    p.add_argument("--epochs", type=_positive_int, default=15)
+    p.add_argument("--batch-size", type=_positive_int, default=200)
     p.add_argument("--learning-rate", type=float, default=3e-3)
     p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--pooling", choices=("mean", "flatten"), default="mean")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_train)
 
@@ -270,14 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=bench.MODES, default="grt")
     p.add_argument(
         "--fallback-x",
-        type=float,
+        type=_non_negative_float,
         help="reduced-grammar budget in s (default: what the probe leaves; required with --solver-cmd)",
     )
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--repeats", type=_positive_int, default=1)
     p.add_argument("-o", "--output")
     p.add_argument("--weights", help="model weights file")
     p.add_argument("--time-data", help="timing dataset (required by --mode grt)")
-    p.add_argument("--timeout", type=float, default=60.0, help="per-problem budget in seconds")
+    p.add_argument("--timeout", type=_non_negative_float, default=60.0, help="per-problem budget in seconds")
     p.add_argument("--solver-cmd", help="external solver command template ({} = problem path)")
     p.set_defaults(fn=cmd_bench)
 

@@ -397,7 +397,7 @@ class SygusProblem:
     max_explored: int | None = None
 
     def __post_init__(self) -> None:
-        _check_budget(self.max_explored)
+        _check_budget(self.timeout_s, self.max_explored)
         n_vars = len(self.grammar.input_vars)
         for c in self.constraints:
             if len(c.inputs) != n_vars:
@@ -414,7 +414,7 @@ class SygusProblem:
         """
         if len(grammar.input_vars) != len(self.grammar.input_vars):
             return replace(self, grammar=grammar, timeout_s=timeout_s, max_explored=max_explored)
-        _check_budget(max_explored)
+        _check_budget(timeout_s, max_explored)
         problem = object.__new__(SygusProblem)  # the fields set as __init__ sets them, less __post_init__
         problem.__dict__.update(
             grammar=grammar, constraints=self.constraints, timeout_s=timeout_s, max_explored=max_explored
@@ -422,7 +422,9 @@ class SygusProblem:
         return problem
 
 
-def _check_budget(max_explored: int | None) -> None:
+def _check_budget(timeout_s: float, max_explored: int | None) -> None:
+    if timeout_s < 0:
+        raise ValueError(f"timeout_s must be non-negative, got {timeout_s}")
     if max_explored is not None and max_explored < 1:
         raise ValueError("max_explored must be at least 1")
 

@@ -5,25 +5,23 @@ padded). Each code indexes a learned 128x100 embedding table; the 40 embedded
 vectors are mean-pooled into one 100-dimensional vector that feeds three
 sigmoid hidden layers and a sigmoid output layer, one unit per grammar
 terminal. Training is mini-batch Adam on mean binary cross-entropy with
-inverted dropout after each hidden layer. A "flatten" pooling variant
-(concatenating the 40 embeddings into 4000 inputs) is supported as a
-configuration alternative.
+inverted dropout after each hidden layer.
 
-Evaluation (``forward`` in eval mode, ``predict_bits`` and ``pruner.vote``)
-runs on an inference form of the model (``_Inference``), built from its
-arrays by the first evaluation and kept in ``ModelWeights.inference``. With
+Evaluation (``forward``, ``predict_bits`` and ``pruner.vote``) runs on an
+inference form of the model (``_Inference``), built from its arrays by the
+first evaluation and kept in ``ModelWeights.inference``. With
 sigma(z) = (1 + tanh(z/2))/2, a layer reading u = tanh(z/2) of the one before
 has z/2 = u @ (W/4) + colsum(W)/4 + b/2, so every layer after the first is one
 step ``s <- tanh(s) @ A`` with A worked out in advance: the bias is A's last
 row, read by a unit of the layer before whose half-logit is fixed at 30, where
-tanh is exactly 1.0. Under mean pooling the embedding, the 1/40 and the first
-layer's weights and bias fold into one table, a row per code: every example
-holds exactly 40 codes, so the sum of its codes' rows is its first half-logit.
-A vote compares the output half-logits with atanh(2t - 1) instead of the
-probabilities with t. The weight shapes are checked once, when the form is
-built. Building it makes the model's arrays read-only, so an in-place edit
-raises instead of leaving the form stale; a model whose arrays are replaced
-gets a new form. Training keeps the plain sigmoid layers that
+tanh is exactly 1.0. The embedding, the 1/40 of the mean and the first layer's
+weights and bias fold into one table, a row per code: every example holds
+exactly 40 codes, so the sum of its codes' rows is its first half-logit. A
+terminal gets a vote where its probability reaches 0.5, that is where its
+output half-logit reaches 0. The weight shapes are checked once, when the
+form is built. Building it makes the model's arrays read-only, so an in-place
+edit raises instead of leaving the form stale; a model whose arrays are
+replaced gets a new form. Training keeps the plain sigmoid layers that
 backpropagation reads.
 
 Everything is deterministic per seed and implemented directly on numpy.
@@ -46,6 +44,10 @@ EMBED_VOCAB = 128
 EMBED_DIM = 100
 SIDE_WIDTH = 20
 NUM_HIDDEN = 3
+# Adam's moment decay rates and denominator offset
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 VAR_SEPARATOR = "\x1f"  # joins multi-variable inputs before encoding
 
 WEIGHTS_SCHEMA = "grt.weights"
@@ -133,7 +135,6 @@ class ModelWeights:
     output: tuple[np.ndarray, np.ndarray]
     layer_dims: tuple[int, ...]
     terminal_names: tuple[str, ...]
-    pooling: str = "mean"
     epoch_losses: list[float] | None = None  # set by train(); not serialized
     # built by the first evaluation (``_inference``); not serialized
     inference: "_Inference | None" = field(default=None, init=False, repr=False, compare=False)
@@ -148,11 +149,7 @@ class TrainConfig:
     # input-dependent predictions in the same budget.
     learning_rate: float = 3e-3
     dropout_rate: float = 0.2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    pooling: str = "mean"
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
@@ -161,26 +158,12 @@ class TrainConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
 
 
-def _input_dim(pooling: str) -> int:
-    if pooling == "mean":
-        return EMBED_DIM
-    if pooling == "flatten":
-        return EMBED_DIM * 2 * SIDE_WIDTH
-    raise ValueError(f"unknown pooling mode {pooling!r}")
-
-
-def init_weights(
-    terminal_names: Sequence[str],
-    seed: int = 0,
-    num_hidden: int = NUM_HIDDEN,
-    pooling: str = "mean",
-) -> ModelWeights:
+def init_weights(terminal_names: Sequence[str], seed: int = 0) -> ModelWeights:
     """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)); zero biases."""
     n_out = len(terminal_names)
     if n_out < 1:
         raise DegenerateShape("need at least one terminal")
-    in_dim = _input_dim(pooling)
-    dims = [in_dim, *hidden_layer_sizes(in_dim, n_out, num_hidden), n_out]
+    dims = [EMBED_DIM, *hidden_layer_sizes(EMBED_DIM, n_out), n_out]
     rng = np.random.default_rng([seed, 0])
 
     def glorot(fan_in, fan_out, shape):
@@ -190,13 +173,13 @@ def init_weights(
     embedding = glorot(EMBED_VOCAB, EMBED_DIM, (EMBED_VOCAB, EMBED_DIM))
     hidden = [
         (glorot(dims[i], dims[i + 1], (dims[i], dims[i + 1])), np.zeros(dims[i + 1]))
-        for i in range(num_hidden)
+        for i in range(NUM_HIDDEN)
     ]
     output = (
         glorot(dims[-2], dims[-1], (dims[-2], dims[-1])),
         np.zeros(dims[-1]),
     )
-    return ModelWeights(embedding, hidden, output, tuple(dims), tuple(terminal_names), pooling)
+    return ModelWeights(embedding, hidden, output, tuple(dims), tuple(terminal_names))
 
 
 def _params(weights: ModelWeights):
@@ -223,8 +206,8 @@ def _check_weights(weights: ModelWeights) -> None:
     if weights.embedding.shape != (EMBED_VOCAB, EMBED_DIM):
         raise ShapeMismatch(f"embedding must be {(EMBED_VOCAB, EMBED_DIM)}")
     dims = weights.layer_dims
-    if dims[0] != _input_dim(weights.pooling):
-        raise ShapeMismatch("first layer width does not match pooling mode")
+    if dims[0] != EMBED_DIM:
+        raise ShapeMismatch(f"first layer width must be {EMBED_DIM}")
     mats = [W.shape for W, _ in weights.hidden] + [weights.output[0].shape]
     expected = [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
     if mats != expected:
@@ -233,7 +216,7 @@ def _check_weights(weights: ModelWeights) -> None:
 
 def _sources(weights: ModelWeights) -> tuple:
     """What an inference form is derived from, compared by identity."""
-    return (weights.embedding, weights.output, weights.pooling, weights.layer_dims, *weights.hidden)
+    return (weights.embedding, weights.output, weights.layer_dims, *weights.hidden)
 
 
 # A unit whose half-logit is this has a tanh of exactly 1.0 in float64, so the
@@ -249,10 +232,9 @@ def _one_unit(A: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Inference:
     """The model in tanh form, for evaluation (see the module docstring).
 
-    The first layer's half-logits come from ``table`` (mean pooling) or from
-    the embedding, ``A1`` and ``c1`` (flatten). Every later layer is one
-    matrix in ``layers``, its bias in the last row, read by the constant
-    unit that each layer but the output one carries.
+    The first layer's half-logits are sums of rows of ``table``. Every later
+    layer is one matrix in ``layers``, its bias in the last row, read by the
+    constant unit that each layer but the output one carries.
     """
 
     def __init__(self, weights: ModelWeights):
@@ -266,21 +248,14 @@ class _Inference:
         steps = [(W / 2, b / 2)] + [(W / 4, W.sum(axis=0) / 4 + b / 2) for W, b in rest]
         steps[:-1] = [_one_unit(A, c) for A, c in steps[:-1]]
         A1, c1 = steps[0]
-        if weights.pooling == "mean":
-            # an example's first half-logits are the sum of its 2 * SIDE_WIDTH
-            # codes' rows: the 1/width and c1 split evenly over them
-            self.table = (weights.embedding @ A1 + c1) / (2 * SIDE_WIDTH)
-        else:
-            self.table = None
-            self.embedding, self.A1, self.c1 = weights.embedding, A1, c1
+        # an example's first half-logits are the sum of its 2 * SIDE_WIDTH
+        # codes' rows: the 1/width and c1 split evenly over them
+        self.table = (weights.embedding @ A1 + c1) / (2 * SIDE_WIDTH)
         self.layers = [np.vstack([A, c]) for A, c in steps[1:]]
 
     def half_logits(self, codes: np.ndarray) -> np.ndarray:
         """Half the output layer's logits, one row per row of codes."""
-        if self.table is not None:
-            s = self.table.take(codes, axis=0).sum(axis=1)
-        else:
-            s = self.embedding[codes].reshape(len(codes), -1) @ self.A1 + self.c1
+        s = self.table.take(codes, axis=0).sum(axis=1)
         for A in self.layers:
             s = np.tanh(s) @ A
         return s
@@ -296,13 +271,11 @@ def _inference(weights: ModelWeights) -> _Inference:
 
 
 def _pool(weights: ModelWeights, codes: np.ndarray) -> np.ndarray:
-    if weights.pooling == "mean":
-        # the mean of a row's embedded codes: its code counts times the table, over the width
-        batch, width = codes.shape
-        rows = codes + EMBED_VOCAB * np.arange(batch)[:, None]
-        counts = np.bincount(rows.ravel(), minlength=batch * EMBED_VOCAB)
-        return counts.reshape(batch, EMBED_VOCAB) @ weights.embedding / width
-    return weights.embedding[codes].reshape(codes.shape[0], -1)
+    # the mean of a row's embedded codes: its code counts times the table, over the width
+    batch, width = codes.shape
+    rows = codes + EMBED_VOCAB * np.arange(batch)[:, None]
+    counts = np.bincount(rows.ravel(), minlength=batch * EMBED_VOCAB)
+    return counts.reshape(batch, EMBED_VOCAB) @ weights.embedding / width
 
 
 def _forward_all(weights, codes, dropout_rate=0.0, rng=None):
@@ -325,29 +298,16 @@ def _forward_all(weights, codes, dropout_rate=0.0, rng=None):
     return hs, pre, masks, logits, _sigmoid(logits)
 
 
-def forward(
-    weights: ModelWeights,
-    codes: np.ndarray,
-    train_mode: bool = False,
-    dropout_rate: float = 0.2,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-terminal criticality probabilities, in (0, 1).
+def forward(weights: ModelWeights, codes: np.ndarray) -> np.ndarray:
+    """Per-terminal criticality probabilities, in (0, 1), without dropout.
 
-    Dropout fires only in train mode (supply an rng for reproducibility);
-    evaluation mode is deterministic and runs on the inference form.
+    Runs on the inference form; training's dropout passes are ``_forward_all``.
     """
     codes = np.asarray(codes)
     single = codes.ndim == 1
     batch = codes[None, :] if single else codes
     _check_codes(batch)
-    if train_mode:
-        _check_weights(weights)
-        if rng is None:
-            rng = np.random.default_rng(0)
-        _, _, _, _, probs = _forward_all(weights, batch, dropout_rate, rng)
-    else:
-        probs = 0.5 * (1.0 + np.tanh(_inference(weights).half_logits(batch)))
+    probs = 0.5 * (1.0 + np.tanh(_inference(weights).half_logits(batch)))
     return probs[0] if single else probs
 
 
@@ -390,11 +350,7 @@ def loss_and_grads(
 
     demb = np.zeros_like(weights.embedding)
     n_pos = 2 * SIDE_WIDTH
-    if weights.pooling == "mean":
-        contrib = np.repeat(dh / n_pos, n_pos, axis=0)
-    else:
-        contrib = dh.reshape(-1, EMBED_DIM)
-    np.add.at(demb, codes.reshape(-1), contrib)
+    np.add.at(demb, codes.reshape(-1), np.repeat(dh / n_pos, n_pos, axis=0))
     grads["embedding"] = demb
     return loss, grads
 
@@ -423,7 +379,7 @@ def train(dataset, config: TrainConfig, terminal_names: Sequence[str]) -> ModelW
             f"labels have {labels.shape[1]} bits for {len(terminal_names)} terminals"
         )
 
-    weights = init_weights(terminal_names, seed=config.seed, pooling=config.pooling)
+    weights = init_weights(terminal_names, seed=config.seed)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     dropout_rng = np.random.default_rng([config.seed, 2])
 
@@ -443,13 +399,13 @@ def train(dataset, config: TrainConfig, terminal_names: Sequence[str]) -> ModelW
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"loss became {loss} at step {step}")
             step += 1
-            bc1 = 1.0 - config.beta1 ** step
-            bc2 = 1.0 - config.beta2 ** step
+            bc1 = 1.0 - BETA1 ** step
+            bc2 = 1.0 - BETA2 ** step
             for name, p in _params(weights):
                 g = grads[name]
-                m[name] = config.beta1 * m[name] + (1.0 - config.beta1) * g
-                v[name] = config.beta2 * v[name] + (1.0 - config.beta2) * g * g
-                p -= config.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + config.eps)
+                m[name] = BETA1 * m[name] + (1.0 - BETA1) * g
+                v[name] = BETA2 * v[name] + (1.0 - BETA2) * g * g
+                p -= config.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
             total += loss * len(idx)
             seen += len(idx)
         epoch_losses.append(total / seen)
@@ -457,21 +413,19 @@ def train(dataset, config: TrainConfig, terminal_names: Sequence[str]) -> ModelW
     return weights
 
 
-def hits(weights: ModelWeights, constraints: Sequence[IoConstraint], threshold: float = 0.5) -> np.ndarray:
-    """Per constraint and terminal, whether the probability reaches the threshold.
+def hits(weights: ModelWeights, constraints: Sequence[IoConstraint]) -> np.ndarray:
+    """Per constraint and terminal, whether the probability reaches 0.5.
 
-    p >= t exactly where the half-logit reaches atanh(2t - 1).
+    p >= 0.5 exactly where the half-logit reaches 0.
     """
     if not constraints:
         raise ValueError("no constraints")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    return _inference(weights).half_logits(_codes(constraints)) >= math.atanh(2.0 * threshold - 1.0)
+    return _inference(weights).half_logits(_codes(constraints)) >= 0.0
 
 
-def predict_bits(weights: ModelWeights, constraint: IoConstraint, threshold: float = 0.5) -> np.ndarray:
-    """Binary criticality vector: 1 where the probability reaches the threshold."""
-    return hits(weights, [constraint], threshold)[0].astype(np.int64)
+def predict_bits(weights: ModelWeights, constraint: IoConstraint) -> np.ndarray:
+    """Binary criticality vector: 1 where the probability reaches 0.5."""
+    return hits(weights, [constraint])[0].astype(np.int64)
 
 
 # --- Weights file ------------------------------------------------------------------
@@ -489,7 +443,7 @@ def save_weights(path, weights: ModelWeights) -> None:
         "n_terminals": len(weights.terminal_names),
         "terminal_hash": terminal_order_hash(weights.terminal_names),
         "layer_dims": list(weights.layer_dims),
-        "pooling": weights.pooling,
+        "pooling": "mean",  # the one pooling; kept so the format stays version 1
         "embedding_shape": [EMBED_VOCAB, EMBED_DIM],
     }
     with open(path, "wb") as fh:
@@ -515,9 +469,10 @@ def load_weights(path, terminal_names: Sequence[str]) -> ModelWeights:
         )
     if header.get("n_terminals") != len(terminal_names):
         raise WeightsFormatError(f"{path}: terminal count mismatch")
+    if header.get("pooling", "mean") != "mean":
+        raise WeightsFormatError(f"{path}: unsupported pooling {header['pooling']!r}")
     dims = tuple(header["layer_dims"])
-    pooling = header.get("pooling", "mean")
-    if dims[0] != _input_dim(pooling) or dims[-1] != len(terminal_names):
+    if dims[0] != EMBED_DIM or dims[-1] != len(terminal_names):
         raise WeightsFormatError(f"{path}: inconsistent layer dims {dims}")
 
     shapes = [("embedding", (EMBED_VOCAB, EMBED_DIM))]
@@ -547,5 +502,4 @@ def load_weights(path, terminal_names: Sequence[str]) -> ModelWeights:
         output=(arrays["output.W"], arrays["output.b"]),
         layer_dims=dims,
         terminal_names=tuple(terminal_names),
-        pooling=pooling,
     )

@@ -86,13 +86,9 @@ def savings(time_dataset) -> SavingsTable:
     return SavingsTable(means, counts)
 
 
-def vote(
-    weights: ModelWeights,
-    constraints: Sequence[IoConstraint],
-    threshold: float = 0.5,
-) -> np.ndarray:
+def vote(weights: ModelWeights, constraints: Sequence[IoConstraint]) -> np.ndarray:
     """Sum of per-constraint binary criticality predictions, in one forward pass."""
-    return hits(weights, constraints, threshold).sum(axis=0, dtype=np.int64)
+    return hits(weights, constraints).sum(axis=0, dtype=np.int64)
 
 
 @dataclass

@@ -168,3 +168,26 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stream", "missing.sl", "-n", "0"], "must be at least 1"),
+    (["datagen-crit", "-o", "crit.jsonl", "--n-programs", "0"], "must be at least 1"),
+    (["datagen-crit", "-o", "crit.jsonl", "--inputs-per-program", "0"], "must be at least 1"),
+    (["datagen-time", "-o", "time.jsonl", "--problems", "missing.sl", "--repeats", "0"], "must be at least 1"),
+    (["datagen-time", "-o", "time.jsonl", "--problems", "missing.sl", "--budget", "-1"], "must be non-negative"),
+    (["bench", "--problems", "missing.sl", "--repeats", "0"], "must be at least 1"),
+    (["train", "--data", "missing.jsonl", "-o", "w.bin", "--epochs", "0"], "must be at least 1"),
+    (["train", "--data", "missing.jsonl", "-o", "w.bin", "--batch-size", "0"], "must be at least 1"),
+    (["solve", "missing.sl", "--timeout", "-1"], "must be non-negative"),
+    (["bench", "--problems", "missing.sl", "--timeout", "-1"], "must be non-negative"),
+    (["bench", "--problems", "missing.sl", "--fallback-x", "-1"], "must be non-negative"),
+])
+def test_rejected_value_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    # every path is missing, so only the argument check can stop the command
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -196,6 +196,13 @@ class TestGrammar:
         with pytest.raises(ValueError):
             SygusProblem(full_grammar, (IoConstraint(("a", "b"), "ab"),))
 
+    def test_negative_timeout_rejected(self, full_grammar):
+        with pytest.raises(ValueError, match="timeout_s"):
+            SygusProblem(full_grammar, (IoConstraint(("a",), "a"),), timeout_s=-1.0)
+        problem = SygusProblem(full_grammar, (IoConstraint(("a",), "a"),), timeout_s=0.0)
+        with pytest.raises(ValueError, match="timeout_s"):
+            problem.variant(full_grammar.drop("ite"), -0.5, None)
+
 
 class TestProgramSize:
     def test_leaf(self):

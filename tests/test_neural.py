@@ -1,5 +1,6 @@
 import random
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from grt.core import IoConstraint, default_grammar
 from grt.datagen import gen_crit_dataset
 from grt.neural import (
     DegenerateShape,
-    EMBED_DIM,
     EMBED_VOCAB,
     ShapeMismatch,
-    SIDE_WIDTH,
     TrainConfig,
     WeightsFormatError,
     bce_loss,
@@ -29,7 +28,9 @@ from grt.neural import (
     terminal_order_hash,
     train,
 )
-from grt.neural import _params
+from grt.neural import _forward_all, _params
+
+FIXTURE_WEIGHTS = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "weights.bin"
 
 
 class TestEncode:
@@ -108,9 +109,9 @@ class TestForward:
 
     def test_train_mode_dropout_varies(self):
         w = init_weights(TERMS, seed=1)
-        codes = encode(IoConstraint(("ab",), "c"))
-        a = forward(w, codes, train_mode=True, rng=np.random.default_rng(1))
-        b = forward(w, codes, train_mode=True, rng=np.random.default_rng(2))
+        codes = encode_batch([IoConstraint(("ab",), "c")])
+        *_, a = _forward_all(w, codes, 0.2, np.random.default_rng(1))
+        *_, b = _forward_all(w, codes, 0.2, np.random.default_rng(2))
         assert not np.array_equal(a, b)
 
     def test_shape_mismatch(self):
@@ -133,10 +134,9 @@ class TestForward:
     def test_dropout_expectation_matches_eval(self):
         # inverted scaling: mean train-mode output over many masks ~ eval output
         w = init_weights(TERMS, seed=3)
-        codes = encode(IoConstraint(("ab 12",), "ab"))
-        eval_h1 = None
+        codes = encode_batch([IoConstraint(("ab 12",), "ab")])
         rng = np.random.default_rng(0)
-        reps = [forward(w, codes, train_mode=True, dropout_rate=0.2, rng=rng) for _ in range(4000)]
+        reps = [_forward_all(w, codes, 0.2, rng)[-1] for _ in range(4000)]
         # compare pre-sigmoid-nonlinearity effects loosely at the output level
         assert np.abs(np.mean(reps, axis=0) - forward(w, codes)).max() < 1e-2
 
@@ -166,28 +166,6 @@ class TestGradients:
                     numeric = (lp - lm) / (2 * h)
                     denom = max(abs(numeric), abs(gflat[i]), 1e-8)
                     assert abs(numeric - gflat[i]) / denom < 1e-4, name
-
-
-def test_flatten_pooling_gradients_match_finite_differences(full_grammar):
-    samples = gen_crit_dataset(full_grammar, 20, 1, seed=12)[:3]
-    w = init_weights(TERMS, seed=6, pooling="flatten")
-    codes = encode_batch([s.constraint for s in samples])
-    labels = np.array([s.label for s in samples], float)
-    _, grads = loss_and_grads(w, codes, labels)
-    rng = np.random.default_rng(0)
-    for name, p in _params(w):
-        flat, gflat = p.reshape(-1), grads[name].reshape(-1)
-        for i in rng.choice(flat.size, size=4, replace=False):
-            h = 1e-5
-            old = flat[i]
-            flat[i] = old + h
-            lp, _ = loss_and_grads(w, codes, labels)
-            flat[i] = old - h
-            lm, _ = loss_and_grads(w, codes, labels)
-            flat[i] = old
-            numeric = (lp - lm) / (2 * h)
-            denom = max(abs(numeric), abs(gflat[i]), 1e-8)
-            assert abs(numeric - gflat[i]) / denom < 1e-4, name
 
 
 class TestTrain:
@@ -227,32 +205,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(dropout_rate=1.0)
 
-    def test_flatten_pooling_variant(self, full_grammar):
-        samples = gen_crit_dataset(full_grammar, 40, 1, seed=7)
-        w = train(samples, TrainConfig(epochs=1, seed=0, pooling="flatten"), TERMS)
-        assert w.layer_dims[0] == EMBED_DIM * 2 * SIDE_WIDTH
-        probs = forward(w, encode(samples[0].constraint))
-        assert probs.shape == (len(TERMS),)
-
 
 class TestPredictBits:
     def test_half_probabilities_threshold_half(self):
         w = init_weights(TERMS, seed=0)
         for name, p in _params(w):
             p *= 0.0
-        bits = predict_bits(w, IoConstraint(("a",), "b"), threshold=0.5)
+        bits = predict_bits(w, IoConstraint(("a",), "b"))
         assert bits.tolist() == [1] * len(TERMS)
-
-    def test_bit_count_monotone_in_threshold(self):
-        w = init_weights(TERMS, seed=5)
-        c = IoConstraint(("ab",), "ba")
-        counts = [predict_bits(w, c, t).sum() for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_threshold_validated(self):
-        w = init_weights(TERMS, seed=5)
-        with pytest.raises(ValueError):
-            predict_bits(w, IoConstraint(("a",), "b"), threshold=0.0)
 
 
 class TestWeightsFile:
@@ -283,6 +243,19 @@ class TestWeightsFile:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(WeightsFormatError):
+            load_weights(path, TERMS)
+
+    def test_fixture_file_round_trips_byte_for_byte(self, tmp_path):
+        path = tmp_path / "w.bin"
+        save_weights(path, load_weights(FIXTURE_WEIGHTS, TERMS))
+        assert path.read_bytes() == FIXTURE_WEIGHTS.read_bytes()
+
+    @pytest.mark.parametrize("pooling", ["flatten", "max"])
+    def test_pooling_other_than_mean_refused(self, tmp_path, pooling):
+        header, payload = FIXTURE_WEIGHTS.read_bytes().split(b"\n", 1)
+        path = tmp_path / "w.bin"
+        path.write_bytes(header.replace(b'"pooling":"mean"', f'"pooling":"{pooling}"'.encode()) + b"\n" + payload)
+        with pytest.raises(WeightsFormatError, match="unsupported pooling"):
             load_weights(path, TERMS)
 
     def test_hash_is_order_sensitive(self):
