@@ -20,19 +20,22 @@ ones ``+``, ``-``, ``str.len``, ``str.to.int`` and ``str.indexof`` too, and one
 lookup serves both sorts: a child whose pool is not complete is searched
 top-down in turn, with its required value as the target. So neither a
 ``str.++`` child nor a ``str.substr`` start or ``str.at`` index (an occurrence
-of the output in the host on every example) completes its pool. The outputs
-can also rule a root out at once: ``str.at`` makes at most one character and
-``int.to.str`` only decimals. A ``str.substr``, ``str.at`` or ``ite`` size
-split is first checked against those of its child pools that are already
-complete (a length pool must reach every output's length; an index, start or
-condition pool must not be empty), so a split ruled out there grows no other
-pool. These are the witness functions of FlashMeta (Polozov & Gulwani, OOPSLA
-2015), applied recursively and combined with bottom-up enumeration as in Duet
-(Lee, POPL 2021). A top-down search is made once per sort, size and target.
-Only the other operators (``str.replace`` in the full grammar) are then
-enumerated at that size; the inverted operators' entries of the String pool
-are added when a larger size reads it (see ``_Space``). ``stream`` defers
-nothing and yields the programs eager growth would.
+of the output in the host on every example) completes its pool. Nor do the
+hosts, the String programs of a size whose every value contains the output:
+where their pool is not complete they are built alone, a ``str.substr`` or
+``str.at`` host from a smaller host. The outputs can also rule a root out at
+once: ``str.at`` makes at most one character and ``int.to.str`` only
+decimals. A ``str.substr``, ``str.at`` or ``ite`` size split is first checked
+against those of its child pools that are already complete (a length pool
+must reach every output's length; an index, start or condition pool must not
+be empty; a branch pool must meet some output), so a split ruled out there
+grows no other pool. These are the witness functions of FlashMeta (Polozov &
+Gulwani, OOPSLA 2015), applied recursively and combined with bottom-up
+enumeration as in Duet (Lee, POPL 2021). A top-down search is made once per
+sort, size and target. Only the other operators (``str.replace`` in the full
+grammar) are then enumerated at that size; the inverted operators' entries of
+the String pool are added when a larger size reads it (see ``_Space``).
+``stream`` defers nothing and yields the programs eager growth would.
 
 Growing a pool is the inner loop. Its candidates are counted and deduplicated
 in batches of up to 1024, and for most operators each is evaluated by a C
@@ -251,13 +254,21 @@ class _Space:
     complete pools before reading the others, and ``str.substr`` grows its
     length pool only once a host and a start fit; so at size L neither the
     Int pool of size L-3 nor the String pool of size L-4 is completed for a
-    split that cannot make the target. The ``str.substr`` starts and
-    ``str.at`` indices are Int children found by value (``_placed``): where
-    every output is non-empty they are its occurrences in the host, each
-    looked up with ``_find``. ``_top_down`` is memoised by sort, size and
-    target, so a search that found nothing is not made again. Then the other
-    operators grow the String pool of size L, checking each new value against
-    the target; a grammar without ``str.replace`` grows nothing there.
+    split that cannot make the target; nor is an ``ite`` branch pool beside
+    a complete one that meets the target on no example. The ``str.substr``
+    starts and ``str.at`` indices are Int children found by value
+    (``_placed``): where every output is non-empty they are its occurrences
+    in the host, each looked up with ``_find``. Their hosts (``_hosts``) are
+    the filtered pool if it is complete. Otherwise they are built without
+    completing it, and none is written to a pool or to ``seen``: a
+    ``str.substr`` or ``str.at`` value is contained in its first child's, so
+    those hosts come from smaller hosts; the outputs' shape rules ``str.at``
+    and ``int.to.str`` hosts in or out; the other operators' candidates are
+    evaluated and filtered; and a value a smaller size already makes is
+    dropped. ``_top_down`` is memoised by sort, size and target, so a search
+    that found nothing is not made again. Then the other operators grow the
+    String pool of size L, checking each new value against the target; a
+    grammar without ``str.replace`` grows nothing there.
     The inverted operators' own entries of that pool are deferred until a
     later level reads it. A value they then produce that the other operators
     kept at a larger size moves down, so a completed pool holds the same values
@@ -426,9 +437,6 @@ class _Space:
 
         Returns the first new program whose value vector equals ``target``, if
         any. With ``moves``, a value kept at a larger size moves down to this one.
-        Candidates are evaluated (``product_values``) and counted
-        (``_batches``) in batches, so for an operator with a kernel no Python
-        frame runs per candidate.
         """
         progs = self.progs.setdefault((sort, size), [])
         vals = self.vals.setdefault((sort, size), [])
@@ -439,10 +447,8 @@ class _Space:
                 args = self._args(term.arg_sorts, parts)
                 if args is None:
                     continue
-                _, split, make = KERNELS.get(term.name, (None, None, None))
-                columns = None if make is None else self._columns(term.name, parts[split:])
-                children = itertools.product(*args[0])  # advanced in step with the values
-                for batch in self._batches(product_values(term.name, args[1], columns)):
+                batches, children = self._candidates(term, parts, *args)
+                for batch in batches:
                     for v, kids in zip(batch, children):
                         if v in seen:
                             if not moves or seen[v] <= size:
@@ -460,6 +466,18 @@ class _Space:
             self.progs[(sort, larger)][:] = [p for p, _ in kept]
             self.vals[(sort, larger)][:] = [v for _, v in kept]
         return None
+
+    def _candidates(self, term, parts: tuple[int, ...], progs: list, vals: list):
+        """One operator's candidates for one size split, over the children's program and value lists.
+
+        Returns the lists of value vectors (``_batches``) and an iterator of
+        the children's programs, which the caller advances in step with the
+        values. The values are evaluated by ``product_values``, so for an
+        operator with a kernel no Python frame runs per candidate.
+        """
+        _, split, make = KERNELS.get(term.name, (None, None, None))
+        columns = None if make is None else self._columns(term.name, parts[split:])
+        return self._batches(product_values(term.name, vals, columns)), itertools.product(*progs)
 
     @_memo
     def _columns(self, name: str, sizes: tuple[int, ...]) -> list:
@@ -574,12 +592,50 @@ class _Space:
 
     @_memo
     def _hosts(self, size: int, target: tuple) -> list[tuple[ProgramAst, tuple]]:
-        """The String programs of this size whose every value contains its output."""
-        return [
-            (p, v)
-            for p, v in self._count_all(zip(*self.pool(Sort.STRING, size)))
-            if all(map(str.__contains__, v, target))
-        ]
+        """The String programs of this size whose every value contains its output, one per value.
+
+        A complete pool is filtered. Otherwise only the hosts are built, from
+        the smaller pools, and none is written to a pool or to ``seen``: a
+        ``str.substr`` or ``str.at`` value is contained in its first child's,
+        so that child is a smaller host; ``str.at`` hosts need outputs of at
+        most one character and ``int.to.str`` hosts outputs of digits; every
+        other operator is evaluated and its values filtered. A value kept at a
+        smaller size, or held by a smaller host list, is dropped: being a host
+        depends on the value alone, so the values are those of the filtered pool.
+        """
+        if size <= self.grown[Sort.STRING]:
+            return [
+                (p, v)
+                for p, v in self._count_all(zip(*self.pool(Sort.STRING, size)))
+                if all(map(str.__contains__, v, target))
+            ]
+        kept: dict[tuple, ProgramAst] = {}
+        for term in self.ops[Sort.STRING]:
+            shape = _HOST_SHAPES.get(term.name)
+            if shape is not None and not all(map(shape, target)):
+                continue
+            for parts in _compositions(size - 1, term.arity):
+                if term.name in _SUBSTRINGS:
+                    hosts = self._hosts(parts[0], target)
+                    args = self._args(term.arg_sorts[1:], parts[1:]) if hosts else None
+                    if args is None:
+                        continue
+                    firsts, values = zip(*hosts)
+                    args = ([firsts, *args[0]], [values, *args[1]])
+                else:
+                    args = self._args(term.arg_sorts, parts)
+                    if args is None:
+                        continue
+                batches, children = self._candidates(term, parts, *args)
+                for batch in batches:
+                    for v, kids in zip(batch, children):
+                        if v not in kept and all(map(str.__contains__, v, target)):
+                            kept[v] = Apply(term, kids)
+        smaller = set()  # the hosts of the smaller pools not complete; seen holds the others
+        for k in range(size - 1, self.grown[Sort.STRING], -1):
+            smaller.update(v for _, v in self._hosts(k, target))
+        seen = self.seen[Sort.STRING]
+        return [(p, v) for v, p in kept.items() if seen.get(v, size) >= size and v not in smaller]
 
     @_memo
     def _matches(self, size: int, target: tuple) -> dict[tuple, ProgramAst]:
@@ -721,9 +777,14 @@ class _Space:
         # (``_matches``). A condition that is true, or false, everywhere would
         # need a branch that meets every example, and that branch alone would
         # have been found at a smaller size. A split whose condition pool is
-        # complete and empty is skipped before the branches are read.
+        # complete and empty is skipped before the branches are read, and so
+        # is one whose complete branch pool meets no example before the
+        # other branch pool is grown.
         for c, a, b in _compositions(size - 1, 3):
             if self._complete_and_empty(Sort.BOOL, c):
+                continue
+            grown = self.grown[Sort.STRING]
+            if (a <= grown < b and not self._matches(a, target)) or (b <= grown < a and not self._matches(b, target)):
                 continue
             thens, elses = self._matches(a, target), self._matches(b, target)
             if not thens or not elses:
@@ -769,6 +830,15 @@ _SPLITS = {
     "str.++": ((str.startswith, lambda t, x: t[len(x):]), (str.endswith, lambda t, x: t[: len(t) - len(x)])),
     "+": ((None, operator.sub), (None, operator.sub)),
     "-": ((None, lambda t, x: x - t), (None, operator.add)),
+}
+
+# ``_Space._hosts``' rules for a pool it has not completed: the operators whose
+# value is a substring of their first child's, so that child is a smaller host,
+# and per operator what every output must be for one of its values to contain it.
+_SUBSTRINGS = frozenset({"str.at", "str.substr"})
+_HOST_SHAPES = {
+    "str.at": lambda t: len(t) <= 1,
+    "int.to.str": lambda t: t.isascii() and (t == "" or t.isdigit()),
 }
 
 

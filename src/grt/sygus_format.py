@@ -594,18 +594,24 @@ def parse_solution(text: str) -> ParsedSolution:
     if len(form) != 5 or str(form[0]) != "define-fun":
         raise ParseError("malformed define-fun")
     _, name_sym, params_form, ret_form, body = form
-    params = []
+    if not isinstance(name_sym, Symbol):
+        raise ParseError("define-fun name must be a symbol")
+    if not isinstance(params_form, list):
+        raise ParseError("define-fun parameter list must be a list")
+    params: dict[str, Sort] = {}
     for p in params_form:
         if not (isinstance(p, list) and len(p) == 2 and isinstance(p[0], Symbol)):
             raise ParseError(f"malformed parameter: {p!r}")
-        params.append((str(p[0]), _sort_of(p[1], "define-fun parameters")))
+        if p[0] in params:
+            raise ParseError(f"duplicate parameter {str(p[0])!r}")
+        params[str(p[0])] = _sort_of(p[1], "define-fun parameters")
     ret_sort = _sort_of(ret_form, "define-fun return sort")
-    program = _typed_body(body, dict(params))
+    program = _typed_body(body, params)
     if program.sort is not ret_sort:
         raise ParseError(
             f"define-fun body has sort {program.sort.value}, declared {ret_sort.value}"
         )
-    return ParsedSolution(str(name_sym), tuple(params), ret_sort, program)
+    return ParsedSolution(str(name_sym), tuple(params.items()), ret_sort, program)
 
 
 def _typed_body(entry, param_sorts: dict[str, Sort]) -> ProgramAst:

@@ -306,6 +306,35 @@ class TestWitnessedRoots:
         assert max(size for sort, size in spent if sort is Sort.INT) < 6
         assert spent.get((Sort.STRING, 6), 0) == 0
 
+    def test_reduced_search_builds_hosts_without_completing_pools(self, generated_paths, monkeypatch):
+        # On the grammar the grt lane searches, gen-037's answer is a
+        # str.substr of size 14 whose host has size 5; before it, the
+        # str.substr witness reads the hosts of every size up to 9. Those not
+        # in a complete pool are built top-down, so String pool 9 is never
+        # completed, and neither is Int pool 8, which only its int.to.str
+        # entries would read. Nor is String pool 8: the ite witness reads it
+        # only as a branch beside a complete pool that meets no example.
+        problem, entry = generated_problem(generated_paths, "gen-037")
+        grammar = problem.grammar.drop("str.replace").drop("str.suffixof")
+        grow, hosts = enumerator._Space._grow, enumerator._Space._hosts
+        completed, read = [], []
+
+        def recording_grow(space, sort, size, ops, *args, **kwargs):
+            if ops is not space.eager:  # not the eager growth of a level
+                completed.append((sort, size))
+            return grow(space, sort, size, ops, *args, **kwargs)
+
+        def recording_hosts(space, size, target):
+            read.append(size)
+            return hosts(space, size, target)
+
+        monkeypatch.setattr(enumerator._Space, "_grow", recording_grow)
+        monkeypatch.setattr(enumerator._Space, "_hosts", recording_hosts)
+        result = solve(replace(problem, grammar=grammar))
+        assert program_size(result.program) == entry["solved_size"] == 14
+        assert max(read) == 9
+        assert not {(Sort.STRING, 8), (Sort.STRING, 9), (Sort.INT, 8)} & set(completed)
+
     @pytest.mark.parametrize("output, solvable", [("abcdef", False), ("ab", True)])
     def test_substr_split_with_too_short_lengths_reads_no_hosts(self, monkeypatch, output, solvable):
         # Without Int operators the only lengths are the literals 0, 1 and 2,
@@ -349,6 +378,21 @@ class TestWitnessedRoots:
         if solvable:
             assert program_size(found) == 6
             assert [ref_eval(found, {"x0": x}) for x in ("ab", "ba")] == list(target)
+
+    @pytest.mark.parametrize("target, grown", [(("ba", "ab"), False), (("ab", "zz"), True)])
+    def test_ite_split_with_unmet_complete_branch_pool_grows_no_other(self, target, grown):
+        # At size 7 the splits are (3, 1, 2) and (3, 2, 1), with the size-3
+        # conditions complete. When no program of size 1 meets the target on
+        # any example, String pool 2 is not grown for the other branch; when
+        # x0 meets it on the first, pool 2 is read.
+        grammar = default_grammar(
+            terminals=["ite", "str.prefixof", "str.++"], string_literals=("a", "b"), int_literals=()
+        )
+        space = enumerator._Space(grammar, [("ab",), ("ba",)], target=target)
+        space.pool(Sort.BOOL, 3)
+        assert space.grown[Sort.STRING] == 1
+        assert enumerator._INVERSES["ite"](space, grammar.terminal("ite"), 7, target) is None
+        assert (space.grown[Sort.STRING] >= 2) == grown
 
     def test_minimality_over_random_grammars_with_nested_concat(self):
         # Targets are rooted at str.++ with a str.++ child or with a left
@@ -613,6 +657,65 @@ class TestLookup:
                 assert tuple(ref_eval(found, {"x0": x}) for x in inputs) == vector
         assert min(counts.values()) >= 100, counts
 
+    def test_hosts_match_brute_force_over_random_grammars(self):
+        # _hosts(size, t) on a String pool not yet complete is searched
+        # top-down; it must give, one program of that size each, exactly the
+        # value vectors whose smallest program has that size and contains t
+        # on every example, as filtering the completed pool does. It writes
+        # nothing to the pools or to seen, so the pool completed afterwards
+        # is the one a second search, which never read the hosts, completes.
+        # The outputs are drawn as pieces of made values, mostly of values
+        # first made at that size and often of at most one character, so
+        # str.at, str.substr and int.to.str hosts occur; "105" gives digit
+        # outputs such as "05", which are not decimals but are in one.
+        rng = random.Random(914)
+        string_ops = ["str.++", "str.substr", "str.at", "int.to.str", "str.replace", "ite"]
+        int_ops = ["str.len", "str.indexof", "str.to.int", "+", "-"]
+        inputs = ["a-1", "105", "", "b-a-"]
+        unmade = ("#",) * len(inputs)
+        counts = dict.fromkeys(["top_down", "str.at", "str.substr", "int.to.str", "none"], 0)
+        for _ in range(300):
+            ops = rng.sample(string_ops, rng.randint(1, 3)) + rng.sample(int_ops, rng.randint(0, 2))
+            if "ite" in ops:
+                ops.append(rng.choice(["str.prefixof", "str.contains", "="]))
+            grammar = default_grammar(
+                terminals=ops, string_literals=tuple(rng.sample(["", "a", "-", "0"], 2)), int_literals=(0, 1)
+            )
+            smallest, cache = {}, {}
+            for size in range(1, 6):
+                for p in all_programs(grammar, Sort.STRING, size, cache):
+                    smallest.setdefault(tuple(ref_eval(p, {"x0": x}) for x in inputs), size)
+            size = rng.choice([2, 3, 4, 5, 5, 5])
+            exact = [v for v, s in smallest.items() if s == size]
+            made = rng.choice(exact if exact and rng.random() < 0.8 else list(smallest))
+            target = []
+            for v in made:
+                start = rng.randint(0, len(v))
+                target.append(v[start:start + rng.choice([0, 1, 1, 1, 2, len(v)])])
+            target = tuple(target)
+            expected = {v for v, s in smallest.items() if s == size and all(map(str.__contains__, v, target))}
+            spaces = []
+            for _ in range(2):
+                space = enumerator._Space(grammar, [(x,) for x in inputs], target=unmade)
+                for level in range(2, size + 1):
+                    assert space.level(level) is None
+                spaces.append(space)
+            space, other = spaces
+            space.pool(Sort.STRING, rng.randint(1, size))
+            counts["top_down"] += space.grown[Sort.STRING] < size
+            hosts = space._hosts(size, target)
+            assert {v for _, v in hosts} == expected, (ops, size, target)
+            assert len(hosts) == len(expected)
+            for p, v in hosts:
+                assert program_size(p) == size
+                assert tuple(ref_eval(p, {"x0": x}) for x in inputs) == v
+                counts[p.terminal.name] = counts.get(p.terminal.name, 0) + 1
+            counts["none"] += not hosts
+            assert space.pool(Sort.STRING, size + 1) == other.pool(Sort.STRING, size + 1)
+            assert space.seen == other.seen
+        assert min(counts.values()) >= 30, counts
+        assert counts["top_down"] >= 200, counts
+
     def test_substr_start_at_an_overlapping_occurrence(self):
         # "aa" occurs in "aaa" at 0 and at 1, overlapping; only 1 also fits
         # "baa", so the start vector looked up must be (1, 1).
@@ -687,16 +790,18 @@ class TestWorkBudget:
             pytest.param(4096, (), id="4096"),
             pytest.param(5000, (), id="5000"),
             pytest.param(16 * 1024, (), id="16384"),
-            # The grt lane's grammar for gen-001 solves it after 2,581
-            # candidates. These cuts land inside nested lookups: the str.++
-            # scan, the str.substr witness inverting a + and a str.indexof to
-            # look a start up by value, a _hosts scan growing a pool that grows
-            # another, the ite witness's branch scan, and the length scan one
-            # candidate before the answer; and each side of the batch ends
-            # at 1,024 and 2,048.
+            # The grt lane's grammar for gen-001 solves it after 2,592
+            # candidates. These cuts land inside nested lookups: the ite
+            # witness's branch scan (87), the str.++ scan (100), the
+            # str.substr witness inverting a + (191) and a str.indexof (345,
+            # 2580) to look a start up by value, a pool growth the str.++
+            # scan starts (576) and one that grows another (685), a host
+            # search building hosts top-down (1023 to 1025, each side of a
+            # batch end), the growth of the pool str.len reads (2047 to
+            # 2049), and the length scan one candidate before the answer.
             *(
                 pytest.param(budget, ("str.replace", "str.suffixof"), id=f"reduced-{budget}")
-                for budget in (100, 191, 345, 576, 1023, 1024, 1025, 2047, 2048, 2049, 2580)
+                for budget in (87, 100, 191, 345, 576, 685, 1023, 1024, 1025, 2047, 2048, 2049, 2580, 2591)
             ),
         ],
     )
@@ -748,8 +853,8 @@ class TestWorkBudget:
     # does not solve, on the reduced grammar it then searches (without
     # str.replace and str.suffixof), and the work each needs there.
     REDUCED_EXPLORED = {
-        "gen-001": 2581, "gen-002": 2573, "gen-003": 2596, "gen-004": 2751, "gen-005": 2592,
-        "gen-006": 2621, "gen-007": 1914, "gen-008": 1906, "gen-037": 13268,
+        "gen-001": 2592, "gen-002": 2590, "gen-003": 2597, "gen-004": 2764, "gen-005": 2595,
+        "gen-006": 2620, "gen-007": 1913, "gen-008": 1909, "gen-037": 5930,
     }
 
     @pytest.mark.parametrize("name", sorted(REDUCED_EXPLORED))
@@ -765,8 +870,8 @@ class TestWorkBudget:
     # The sha256 of one line per search, "id removed budget solved explored
     # program", for every suite problem on the reduced grammar of each removed
     # set the vote picks on the suite, at the probe's budget and at 400k
-    # candidates (148 searches, 1,668,286 candidates).
-    REDUCED_DIGEST = "82056010fffa344689cbbfb5f83f7cf968d3d393fb4c8e68e915c7509cd57249"
+    # candidates (148 searches, 1,660,973 candidates).
+    REDUCED_DIGEST = "14fd7dbfd19786253640e09937c0c3c8ea5ab804610cac865b9a1e40a844f7bd"
 
     def test_every_reduced_search_unchanged(self, generated_paths):
         rows = []
@@ -864,6 +969,12 @@ class TestExternalSolver:
     def test_garbage_output(self):
         cmd = fake_solver("print('hunting season')")
         with pytest.raises(UnparseableOutput):
+            solve_with_external(IDENTITY_PROBLEM, cmd)
+
+    def test_malformed_define_fun_is_unparseable(self):
+        # a parameter list that is not a list is a ParseError, not a TypeError
+        cmd = fake_solver("print('(define-fun f 0 String x0)')")
+        with pytest.raises(UnparseableOutput, match="parameter list must be a list"):
             solve_with_external(IDENTITY_PROBLEM, cmd)
 
     def test_wrong_answer(self):

@@ -163,6 +163,16 @@ class TestSolutionRoundTrip:
         with pytest.raises(ParseError):
             parse_solution('(define-fun f ((x0 String)) String (str.++ x0 1))')
 
+    @pytest.mark.parametrize("text, message", [
+        ("(define-fun f 0 String x0)", "parameter list must be a list"),
+        ('(define-fun f "" String "a")', "parameter list must be a list"),
+        ('(define-fun "f" ((x0 String)) String x0)', "name must be a symbol"),
+        ("(define-fun f ((x0 String) (x0 Int)) String x0)", "duplicate parameter 'x0'"),
+    ], ids=["int-params", "literal-params", "literal-name", "repeated-param"])
+    def test_malformed_define_fun_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_solution(text)
+
     def test_random_round_trip_evaluates_equal(self):
         rng = random.Random(99)
         for _ in range(40):
