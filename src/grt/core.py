@@ -462,6 +462,37 @@ def _eval(node: ProgramAst, env: dict[str, object]):
     return node.value
 
 
+def evaluate_rows(program: ProgramAst, rows: Sequence[Sequence[str]], var_names: Sequence[str]) -> tuple:
+    """``tuple(evaluate(program, row, var_names) for row in rows)``, walking the tree once.
+
+    Each node is evaluated over every row at once through ``COLUMN_SEMANTICS``,
+    so a program run on k rows costs one walk, not k. Raises the errors
+    ``evaluate`` raises: TypeError for a row whose input count does not fit
+    ``var_names`` (checked for every row first) or a variable with no input,
+    and UnknownTerminal for a terminal with no semantics.
+    """
+    for row in rows:
+        if len(row) != len(var_names):
+            raise TypeError(f"{len(row)} inputs supplied for {len(var_names)} variables")
+    if not rows:
+        return ()
+    return _eval_rows(program, dict(zip(var_names, zip(*rows))), len(rows))
+
+
+def _eval_rows(node: ProgramAst, columns: dict[str, tuple], m: int) -> tuple:
+    if isinstance(node, Apply):
+        fn = COLUMN_SEMANTICS.get(node.terminal.name)
+        if fn is None:
+            raise UnknownTerminal(f"no semantics for terminal {node.terminal.name!r}")
+        return fn(*[_eval_rows(c, columns, m) for c in node.children])
+    if isinstance(node, InputVar):
+        try:
+            return columns[node.name]
+        except KeyError:
+            raise TypeError(f"no input bound for variable {node.name!r}") from None
+    return (node.value,) * m
+
+
 def satisfies(program: ProgramAst, constraint: IoConstraint, var_names: Sequence[str] | None = None) -> bool:
     """True iff the program maps the constraint's inputs to its exact output."""
     return evaluate(program, constraint.inputs, var_names) == constraint.output

@@ -1,9 +1,15 @@
 """Training-set construction: criticality labels and per-terminal time deltas.
 
 Criticality samples pair a fabricated input-output example with the terminal
-occurrence bit vector of the program that generated it. Timing samples record,
-for every (problem, terminal) pair, the synthesis-time difference between the
-full grammar and the grammar with that terminal dropped.
+occurrence bit vector of the program that generated it. Each streamed program
+has its own generator, seeded by the dataset seed and the program's stream
+index, which draws the program's inputs example by example and, within an
+example, variable by variable (``random_inputs``: the draws of
+``Random.randint`` and ``Random.choice``). The program then runs once over
+all its examples, a column of values per node (``core.evaluate_rows``), not
+once per example. Timing samples record, for every (problem, terminal) pair,
+the synthesis-time difference between the full grammar and the grammar with
+that terminal dropped.
 
 Dataset files are newline-delimited JSON with a schema-version header line
 that pins the terminal ordering; saving a loaded file reproduces it byte for
@@ -23,7 +29,7 @@ from .core import (
     IoConstraint,
     ProgramAst,
     SygusProblem,
-    evaluate,
+    evaluate_rows,
     terminals_used,
 )
 from .enumerator import SynthesisResult, stream
@@ -57,16 +63,54 @@ def random_input(
     length_range: tuple[int, int] = DEFAULT_LENGTH_RANGE,
     alphabet: str = ALPHABET,
 ) -> str:
+    """A string whose length is drawn from ``length_range`` (both ends included)
+    and whose characters are drawn from ``alphabet``."""
+    return random_inputs(rng, 1, length_range, alphabet)[0]
+
+
+def random_inputs(
+    rng: random.Random,
+    count: int,
+    length_range: tuple[int, int] = DEFAULT_LENGTH_RANGE,
+    alphabet: str = ALPHABET,
+) -> list[str]:
+    """``count`` strings drawn one after the other as ``random_input`` draws one.
+
+    A string's draws are those of ``rng.randint(lo, hi)`` for its length and
+    then one ``rng.choice(alphabet)`` per character: ``random.Random`` makes
+    each by rejection on ``getrandbits(k)``, k the bit length of the number
+    of choices. Here that loop runs inline, with no Python frame per draw.
+    """
     lo, hi = length_range
+    if lo < 0:
+        raise ValueError(f"negative length bound in {length_range}")
     if lo > hi:
         raise ValueError(f"empty length range {length_range}")
-    n = rng.randint(lo, hi)
-    return "".join(rng.choice(alphabet) for _ in range(n))
+    if not alphabet:
+        raise ValueError("empty alphabet")
+    getrandbits = rng.getrandbits
+    width = hi - lo + 1
+    width_bits = width.bit_length()
+    size = len(alphabet)
+    size_bits = size.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(width_bits)
+        while r >= width:
+            r = getrandbits(width_bits)
+        chars = []
+        for _ in range(lo + r):
+            r = getrandbits(size_bits)
+            while r >= size:
+                r = getrandbits(size_bits)
+            chars.append(alphabet[r])
+        out.append("".join(chars))
+    return out
 
 
 def occurrence_label(program: ProgramAst, grammar: Grammar) -> tuple[int, ...]:
     used = terminals_used(program)
-    return tuple(1 if name in used else 0 for name in grammar.terminal_names)
+    return tuple([1 if name in used else 0 for name in grammar.terminal_names])
 
 
 def gen_crit_dataset(
@@ -78,10 +122,13 @@ def gen_crit_dataset(
 ) -> list[CritSample]:
     """Stream programs, fabricate examples for each, label by occurrence.
 
-    Inputs are keyed to (seed, stream index), so shuffling with a different
-    ``shuffle_seed`` permutes the dataset without changing its contents.
-    Inputs are fabricated strings, so ``stream`` raises ValueError for a
-    grammar with an input variable of another sort.
+    Inputs are keyed to (seed, stream index): program ``idx`` draws from
+    ``random.Random(f"crit-inputs:{seed}:{idx}")``, example by example and
+    within an example variable by variable, so shuffling with a different
+    ``shuffle_seed`` permutes the dataset without changing its contents. Once
+    a program's inputs are drawn it is run once over all of them
+    (``core.evaluate_rows``). Inputs are fabricated strings, so ``stream``
+    raises ValueError for a grammar with an input variable of another sort.
     """
     if n_programs < 1 or inputs_per_program < 1:
         raise ValueError("n_programs and inputs_per_program must be positive")
@@ -90,16 +137,21 @@ def gen_crit_dataset(
     eff_shuffle = seed if shuffle_seed is None else shuffle_seed
     random.Random(f"crit-shuffle:{eff_shuffle}").shuffle(order)
     var_names = grammar.var_names
+    n_vars = len(var_names)
+    examples = range(inputs_per_program)
+    rng = random.Random()  # seeded again for each program
     samples = []
     for idx in order:
         program = programs[idx]
-        rng = random.Random(f"crit-inputs:{seed}:{idx}")
+        rng.seed(f"crit-inputs:{seed}:{idx}")
+        drawn = random_inputs(rng, n_vars * inputs_per_program)
+        rows = [tuple(drawn[j * n_vars : (j + 1) * n_vars]) for j in examples]
         label = occurrence_label(program, grammar)
         pid = f"p{idx:05d}"
-        for _ in range(inputs_per_program):
-            inputs = tuple(random_input(rng) for _ in var_names)
-            output = evaluate(program, inputs, var_names)
-            samples.append(CritSample(IoConstraint(inputs, output), label, pid))
+        samples += [
+            CritSample(IoConstraint(inputs, output), label, pid)
+            for inputs, output in zip(rows, evaluate_rows(program, rows, var_names))
+        ]
     return samples
 
 
@@ -189,18 +241,30 @@ def save_crit_dataset(path, samples: Sequence[CritSample], terminal_names: Seque
 
 
 def load_crit_dataset(path) -> tuple[list[CritSample], tuple[str, ...]]:
+    """The samples and terminal order of a file ``save_crit_dataset`` wrote.
+
+    Raises ValueError, naming the line, for a row whose label has another
+    length than the header's terminal list or holds a bit other than 0 or 1.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         if header.get("schema") != "grt.crit" or header.get("version") != 1:
             raise ValueError(f"{path}: not a criticality dataset file")
         terminals = tuple(header["terminals"])
         samples = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             row = json.loads(line)
+            label = tuple(row["label"])
+            if len(label) != len(terminals):
+                raise ValueError(
+                    f"{path}:{lineno}: label has {len(label)} bits, the header lists {len(terminals)} terminals"
+                )
+            if not all(type(bit) is int and bit in (0, 1) for bit in label):
+                raise ValueError(f"{path}:{lineno}: label bits must be 0 or 1, got {list(label)}")
             samples.append(
                 CritSample(
                     IoConstraint(tuple(row["inputs"]), row["output"]),
-                    tuple(row["label"]),
+                    label,
                     row["program_id"],
                 )
             )
@@ -228,16 +292,9 @@ def load_time_dataset(path) -> tuple[list[TimeSample], tuple[str, ...]]:
         if header.get("schema") != "grt.time" or header.get("version") != 1:
             raise ValueError(f"{path}: not a timing dataset file")
         terminals = tuple(header["terminals"])
-        samples = []
-        for line in fh:
-            row = json.loads(line)
-            samples.append(
-                TimeSample(
-                    row["terminal"],
-                    row["problem_id"],
-                    row["t_full_s"],
-                    row["t_dropped_s"],
-                    row["delta_s"],
-                )
-            )
+        rows = json.loads("[" + ",".join(fh) + "]")  # one parse for every row
+    samples = [
+        TimeSample(row["terminal"], row["problem_id"], row["t_full_s"], row["t_dropped_s"], row["delta_s"])
+        for row in rows
+    ]
     return samples, terminals

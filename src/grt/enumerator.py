@@ -432,11 +432,27 @@ class _Space:
             vals.append(v)
         return progs, vals
 
-    def _grow(self, sort: Sort, size: int, ops, target=None, moves: bool = False):
+    def head(self, size: int, n: int) -> list[ProgramAst]:
+        """The String programs of this size, or only their first n or more.
+
+        Growth stops at the end of the batch in which the pool reaches n
+        programs. The pool always grows in the same order, so those are its
+        first programs, but a pool stopped short is not complete and must not
+        be read again.
+        """
+        if self.grown[Sort.STRING] < size:
+            self.pool(Sort.STRING, size - 1)
+            self._grow(Sort.STRING, size, self.ops[Sort.STRING], keep=n)
+            if len(self.progs[(Sort.STRING, size)]) < n:
+                self.grown[Sort.STRING] = size
+        return self.progs[(Sort.STRING, size)]
+
+    def _grow(self, sort: Sort, size: int, ops, target=None, moves: bool = False, keep: int = sys.maxsize):
         """Add what ``ops`` make from the smaller pools to pool (sort, size).
 
         Returns the first new program whose value vector equals ``target``, if
         any. With ``moves``, a value kept at a larger size moves down to this one.
+        Once the pool holds ``keep`` programs it stops at the end of the batch.
         """
         progs = self.progs.setdefault((sort, size), [])
         vals = self.vals.setdefault((sort, size), [])
@@ -461,6 +477,8 @@ class _Space:
                         if v == target:
                             self._spend(batch.index(v) + 1)  # no copy of a new value comes before it
                             return prog
+                    if len(vals) >= keep:
+                        return None
         for larger, gone in moved.items():
             kept = [(p, v) for p, v in zip(self.progs[(sort, larger)], self.vals[(sort, larger)]) if v not in gone]
             self.progs[(sort, larger)][:] = [p for p, _ in kept]
@@ -894,9 +912,10 @@ def stream(grammar: Grammar, n: int = DEFAULT_STREAM_N) -> list[ProgramAst]:
     """Enumerate n observationally distinct String programs.
 
     Programs come out in nondecreasing size, deduplicated on the fixed probe
-    inputs. Raises GrammarExhausted when fewer than n distinct programs exist,
-    and ValueError when an input variable is not String-sorted: the probe
-    inputs are strings.
+    inputs. The pool of the last size read grows only until n programs are
+    out (``_Space.head``). Raises GrammarExhausted when fewer than n distinct
+    programs exist, and ValueError when an input variable is not
+    String-sorted: the probe inputs are strings.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -905,10 +924,9 @@ def stream(grammar: Grammar, n: int = DEFAULT_STREAM_N) -> list[ProgramAst]:
     out: list[ProgramAst] = []
     size = 1
     while not space.exhausted_beyond(size):
-        for prog in space.pool(Sort.STRING, size)[0]:
-            out.append(prog)
-            if len(out) == n:
-                return out
+        out += space.head(size, n - len(out))
+        if len(out) >= n:
+            return out[:n]
         size += 1
     raise GrammarExhausted(f"grammar yields only {len(out)} distinct programs, {n} requested")
 

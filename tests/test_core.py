@@ -19,7 +19,9 @@ from grt.core import (
     SygusProblem,
     TerminalSymbol,
     UnknownTerminal,
+    default_grammar,
     evaluate,
+    evaluate_rows,
     product_values,
     program_size,
     satisfies,
@@ -107,6 +109,45 @@ class TestEvaluate:
         value = evaluate(program, inputs)
         assert isinstance(value, str)
         assert value == ref_eval(program, {"x0": inputs[0]})
+
+
+class TestEvaluateRows:
+    @pytest.mark.parametrize("n_vars", [1, 2])
+    def test_matches_evaluate_row_by_row_on_streamed_programs(self, n_vars):
+        from grt.datagen import random_inputs
+        from grt.enumerator import stream
+
+        var_names = tuple(f"x{i}" for i in range(n_vars))
+        grammar = default_grammar(input_vars=tuple((v, Sort.STRING) for v in var_names))
+        rng = random.Random(f"rows:{n_vars}")
+        for program in stream(grammar, 4000):
+            n_rows = rng.randint(1, 6)
+            drawn = random_inputs(rng, n_rows * n_vars, (0, 8), "ab 0123-.")
+            rows = [tuple(drawn[j * n_vars : (j + 1) * n_vars]) for j in range(n_rows)]
+            want = tuple(evaluate(program, row, var_names) for row in rows)
+            assert evaluate_rows(program, rows, var_names) == want, program
+
+    def test_no_rows(self):
+        assert evaluate_rows(apply_("str.++", InputVar("x0"), StrLit("a")), [], ("x0",)) == ()
+
+    def test_literal_repeated_per_row(self):
+        assert evaluate_rows(IntLit(3), [("a",), ("b",)], ("x0",)) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "program, rows, error",
+        [
+            (Apply(TerminalSymbol("str.rev", 1, (Sort.STRING,), Sort.STRING), (InputVar("x0"),)), [("ab",)], UnknownTerminal),
+            (InputVar("x0"), [("a", "b")], TypeError),
+            (InputVar("x0"), [()], TypeError),
+            (apply_("str.++", InputVar("x0"), InputVar("y")), [("a",)], TypeError),
+        ],
+    )
+    def test_raises_what_evaluate_raises(self, program, rows, error):
+        with pytest.raises(error) as want:
+            evaluate(program, rows[0], ("x0",))
+        with pytest.raises(error) as got:
+            evaluate_rows(program, rows, ("x0",))
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

@@ -27,6 +27,7 @@ from grt.datagen import (
     load_time_dataset,
     occurrence_label,
     random_input,
+    random_inputs,
     save_crit_dataset,
     save_time_dataset,
 )
@@ -51,6 +52,43 @@ class TestRandomInput:
         counts = Counter(random_input(rng, (1, 1), "ab") for _ in range(10000))
         sigma = math.sqrt(10000 * 0.25)
         assert abs(counts["a"] - 5000) < 3 * sigma
+
+    def test_negative_lower_bound_rejected(self):
+        with pytest.raises(ValueError, match="negative length bound"):
+            random_input(random.Random(0), (-5, -1))
+
+    def test_empty_alphabet_rejected(self):
+        # with no choices, the rejection loop would draw getrandbits(0) = 0 forever
+        with pytest.raises(ValueError, match="empty alphabet"):
+            random_input(random.Random(0), (0, 3), "")
+
+
+def reference_random_input(rng, length_range, alphabet):
+    """The reference: random_input's draws, made through random.Random's own randint and choice."""
+    lo, hi = length_range
+    n = rng.randint(lo, hi)
+    return "".join(rng.choice(alphabet) for _ in range(n))
+
+
+ALPHABETS = {n: "".join(map(chr, range(0x41, 0x41 + n))) for n in (1, 2, 3, 64, 65, 256)} | {39: ALPHABET}
+
+
+@pytest.mark.parametrize("n_letters", sorted(ALPHABETS))
+def test_random_input_draws_what_randint_and_choice_draw(n_letters):
+    # Same strings and the same generator state afterwards, so the same
+    # number of draws, over many seeds and length ranges; an interpreter
+    # whose randint or choice draws otherwise fails here instead of
+    # changing every dataset without notice.
+    alphabet = ALPHABETS[n_letters]
+    ranges = [(0, 0), (1, 1), (0, 1), (0, 12), (3, 7), (0, 31), (5, 64), (100, 140)]
+    for seed in range(40):
+        for length_range in ranges:
+            ours, theirs = random.Random(f"{seed}"), random.Random(f"{seed}")
+            got = random_inputs(ours, 3, length_range, alphabet)
+            want = [reference_random_input(theirs, length_range, alphabet) for _ in range(3)]
+            assert got == want, (seed, length_range)
+            assert ours.getstate() == theirs.getstate(), (seed, length_range)
+            assert random_input(ours, length_range, alphabet) == reference_random_input(theirs, length_range, alphabet)
 
 
 class TestCritDataset:
@@ -202,6 +240,25 @@ class TestDatasetFiles:
         path2 = tmp_path / "time2.jsonl"
         save_time_dataset(path2, loaded, terms)
         assert path2.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ([1, 0], r"bad\.jsonl:3: label has 2 bits, the header lists 15 terminals"),
+            ([0] * 14 + [2], r"bad\.jsonl:3: label bits must be 0 or 1"),
+            ([0] * 14 + [True], r"bad\.jsonl:3: label bits must be 0 or 1"),
+        ],
+    )
+    def test_malformed_label_rejected_by_line(self, tmp_path, full_grammar, label, message):
+        samples = gen_crit_dataset(full_grammar, 2, 1, seed=13)
+        path = tmp_path / "bad.jsonl"
+        save_crit_dataset(path, samples, full_grammar.terminal_names)
+        header, first, second = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(second)
+        row["label"] = label
+        path.write_text("\n".join([header, first, json.dumps(row)]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_crit_dataset(path)
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

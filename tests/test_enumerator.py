@@ -931,6 +931,37 @@ class TestStream:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == "1f89fb6808f55daeec0885fe104a4ca0a4c1525f8b39afd62ec3380720187a80"
 
+    @pytest.mark.parametrize("n_vars", [1, 2])
+    def test_every_prefix_is_the_head_of_a_longer_stream(self, n_vars):
+        # stream(g, n) stops growing its last String pool once n programs
+        # are out; the pool always grows in the same order, so the programs
+        # are the first n of a longer stream. Checked at, just before and just
+        # after every size boundary up to 4,000 programs.
+        grammar = default_grammar(input_vars=tuple((f"x{i}", Sort.STRING) for i in range(n_vars)))
+        longest = stream(grammar, 4000)
+        sizes = [program_size(p) for p in longest]
+        bounds = [b for b in range(1, len(sizes)) if sizes[b - 1] != sizes[b]] + [len(sizes)]
+        assert len(bounds) >= 5
+        ns = sorted({n for b in bounds for n in (b - 1, b, b + 1) if 1 <= n <= len(longest)})
+        for n in ns:
+            assert stream(grammar, n) == longest[:n], n
+
+    def test_the_last_pool_stops_growing_once_n_are_out(self, full_grammar):
+        space = enumerator._Space(full_grammar, probe_assignments(1))
+        complete = enumerator._Space(full_grammar, probe_assignments(1)).pool(Sort.STRING, 6)[0]
+        part = space.head(6, 10)
+        assert 10 <= len(part) < len(complete)
+        assert part == complete[: len(part)]
+        assert space.grown[Sort.STRING] == 5
+
+    def test_exhaustion_past_a_partly_read_size(self):
+        # x0 and (str.at x0 0) are all there is: str.at of a one-character
+        # string at 0 gives it back, and of "" gives ""
+        grammar = default_grammar(terminals=["str.at"], string_literals=(), int_literals=(0,))
+        assert [program_to_text(p) for p in stream(grammar, 2)] == ["x0", "(str.at x0 0)"]
+        with pytest.raises(GrammarExhausted, match="only 2 distinct programs, 3 requested"):
+            stream(grammar, 3)
+
     def test_probe_strings_cover_spec_shapes(self):
         assert "" in PROBE_STRINGS
         assert any(len(s) == 1 for s in PROBE_STRINGS)

@@ -3,6 +3,7 @@ few requests of each workload so a library API change that would break it
 fails here first. Nothing is written."""
 
 import hashlib
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +30,25 @@ def test_both_lanes_pass_their_checks(workload, n_requests):
         for lane in ("baseline", "grt"):
             res = harness.run_lane(lane, req, st, tracer)
             assert harness.check(req, res) is None, (workload, req.key, lane)
+
+
+# Per seed, the sha256 of the many-small requests as JSON, one
+# [key, text, sorted target terminals] list per request in request order.
+MANY_SMALL_REQUESTS = {
+    1: "ea3c31b04621f6f5bad3c44af966fb39c42955d0f7115e55f44e3b8e9dad60c9",
+    2: "3861576f9291a2bf563a52b7be4ca843343b753ebed9892c809a97a459bb4915",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_many_small_requests_are_pinned(seed):
+    # The workload is built by datagen (stream, input draws, evaluation,
+    # labels, the draw and the printer); a change there that alters one
+    # request text or target set fails here, not only in the benchmark.
+    requests = harness.many_small_requests(seed)
+    rows = [[req.key, req.text, sorted(req.target)] for req in requests]
+    assert len(rows) == harness.MANY_SMALL_PROBLEMS
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MANY_SMALL_REQUESTS[seed]
 
 
 # Per seed, the full-grammar searches' total explored count and the sha256 of
