@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from grt.bench import BenchConfig, report, run_suite, save_records, score
+from grt.bench import report, run_suite, save_records, score
+from grt.cli import _non_negative_float, _positive_int
 from grt.core import default_grammar
 from grt.datagen import (
     draw_crit_problems,
@@ -29,34 +30,41 @@ from grt.datagen import (
 )
 from grt.enumerator import solve
 from grt.neural import TrainConfig, encode_batch, forward, save_weights, train
-from grt.pruner import fallback_point, fallback_runs, savings
+from grt.pruner import MODES, Synthesizer, fallback_point, fallback_runs, savings
 from grt.sygus_format import parse_problem_file
 
 ROOT = Path(__file__).resolve().parent.parent
+# The defaults --quick puts in place for a smoke run; explicit flags still win.
+QUICK = {"n_programs": 400, "inputs_per_program": 2, "timing_repeats": 1, "bench_repeats": 1}
 
 
 def log(msg):
     print(f"[pipeline] {msg}", file=sys.stderr, flush=True)
 
 
-def main() -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=Path, default=ROOT / "artifacts")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n-programs", type=int, default=4000)
-    parser.add_argument("--inputs-per-program", type=int, default=5)
-    parser.add_argument("--budget", type=float, default=1.5)
-    parser.add_argument("--timing-repeats", type=int, default=3)
-    parser.add_argument("--bench-timeout", type=float, default=30.0)
-    parser.add_argument("--bench-repeats", type=int, default=3)
-    parser.add_argument("--quick", action="store_true", help="small, fast settings for a smoke run")
-    args = parser.parse_args()
-    if args.quick:
-        args.n_programs = 400
-        args.inputs_per_program = 2
-        args.timing_repeats = 1
-        args.bench_repeats = 1
+    parser.add_argument("--n-programs", type=_positive_int, default=4000)
+    parser.add_argument("--inputs-per-program", type=_positive_int, default=5)
+    parser.add_argument("--budget", type=_non_negative_float, default=1.5)
+    parser.add_argument("--timing-repeats", type=_positive_int, default=3)
+    parser.add_argument("--bench-timeout", type=_non_negative_float, default=30.0)
+    parser.add_argument("--bench-repeats", type=_positive_int, default=3)
+    parser.add_argument("--quick", action="store_true", help="small, fast defaults for a smoke run")
+    return parser
 
+
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = build_parser()
+    if parser.parse_args(argv).quick:
+        parser.set_defaults(**QUICK)
+    return parser.parse_args(argv)
+
+
+def main() -> int:
+    args = parse_args()
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     grammar = default_grammar()
@@ -100,7 +108,7 @@ def main() -> int:
     log(f"timing set: {len(time_samples)} rows ({time.monotonic()-t0:.1f}s)")
     log("top savers: " + ", ".join(f"{g}={a:+.3f}" for g, a in table.positive()[:3]))
 
-    runs = fallback_runs(timing_problems, weights, table, time_samples, solve)
+    runs = fallback_runs(timing_problems, Synthesizer("grt", args.bench_timeout, None, weights, table), time_samples)
     x = fallback_point(runs, timeout_s=args.bench_timeout)
     log(f"fallback switch point: {x}s")
 
@@ -108,14 +116,12 @@ def main() -> int:
         parse_problem_file(p.read_text(encoding="utf-8"), path=str(p))
         for p in sorted((ROOT / "benchmarks" / "generated").glob("*.sl"))
     ]
-    config = BenchConfig(
-        timeout_s=args.bench_timeout, fallback_x=x, repeats=args.bench_repeats
-    )
     summary = {"fallback_x": x, "held_out_accuracy": acc, "modes": {}}
     baseline = None
-    for mode in ("baseline", "grt", "grtc"):
+    for mode in MODES:
         t0 = time.monotonic()
-        records = run_suite(suite, mode, config, weights, table, baseline=baseline)
+        synth = Synthesizer(mode, args.bench_timeout, x, weights, table)
+        records = run_suite(suite, synth, args.bench_repeats, baseline)
         if mode == "baseline":
             baseline = records
         save_records(out / f"results-{mode}.jsonl", records)

@@ -4,7 +4,9 @@ The pipeline: stream programs from the grammar to fabricate labeled examples,
 train a multi-label criticality model, measure per-terminal time savings,
 combine both into a reduced grammar per problem, and schedule the search: a
 short full-grammar probe, then the reduced grammar, then a fallback to the
-full grammar.
+full grammar. ``pruner.Synthesizer`` runs vote -> decide -> schedule -> verify
+for one problem; the CLI, the benchmark harness and the experiment script all
+go through it.
 """
 
 from .core import (

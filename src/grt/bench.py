@@ -1,12 +1,11 @@
 """Benchmark harness: baseline vs. reduced-grammar runs, scoring, reports.
 
-A treated mode (grt, grtc) votes, decides the reduction and runs it through
-``pruner.run_with_fallback``, the one probe -> reduced -> full schedule.
-
-Every mode re-verifies solved programs with the interpreter before accepting
-them; solver trust is never assumed. Per-benchmark failures are recorded in
-the results, never raised out of a suite run. Timeout entries carry the
-timeout value itself plus a flag.
+Each record times one benchmark through a ``pruner.Synthesizer``: its
+full-grammar lane, and in a treated mode (grt, grtc) its vote, decision and
+fallback schedule. The synthesizer re-verifies solved programs with the
+interpreter before accepting them; solver trust is never assumed.
+Per-benchmark failures are recorded in the results, never raised out of a
+suite run. Timeout entries carry the timeout value itself plus a flag.
 
 The competition-style score is 5N + 3F + S with stand-in pseudo-logarithmic
 speed and size scales (documented below); they are applied identically to
@@ -19,17 +18,14 @@ import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import program_size, satisfies
-from .enumerator import SynthesisResult, solve, solve_with_external
-from .neural import ModelWeights
-from .pruner import SavingsTable, decide, run_with_fallback, vote
+from .core import program_size
+from .enumerator import SynthesisResult
+from .pruner import Synthesizer
 from .sygus_format import ProblemFile
-
-MODES = ("baseline", "grt", "grtc")
 
 RESULTS_SCHEMA = "grt.results"
 RESULTS_VERSION = 1
@@ -45,24 +41,6 @@ def speed_points(t_s: float) -> int:
 
 def size_points(size: int) -> int:
     return max(0, 5 - math.floor(math.log10(max(size, 1))))
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Per-benchmark budget, fallback point and timing repeats.
-
-    ``fallback_x`` is the reduced grammar's budget in treated modes, capped at
-    ``timeout_s``; None gives the reduced grammar whatever the probe leaves,
-    and is refused for an external solver, whose probe is not bounded in work.
-    """
-
-    timeout_s: float = 60.0
-    fallback_x: float | None = None
-    repeats: int = 1
-
-    def __post_init__(self) -> None:
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
 
 
 @dataclass
@@ -98,133 +76,74 @@ class Score:
 
 
 def _timed_lane(
-    run_once: Callable[[], SynthesisResult], problem, config: BenchConfig, lane: str
+    run_once: Callable[[], SynthesisResult], timeout_s: float, repeats: int
 ) -> tuple[bool, float, int | None]:
     """The (solved, time, size) columns of one lane.
 
-    The time is the median over ``config.repeats`` runs; repeats stop after a
+    The time is the median over ``repeats`` runs; repeats stop after a
     timeout since the solver is deterministic, and an unsolved lane carries
-    the budget as its time. A returned program that fails the constraints
-    raises.
+    the budget as its time.
     """
     result = first = run_once()
     times = [first.elapsed_s]
-    while result.solved and len(times) < config.repeats:
+    while result.solved and len(times) < repeats:
         result = run_once()
         times.append(result.elapsed_s)
     if not first.solved:
-        return False, config.timeout_s, None
-    var_names = problem.grammar.var_names
-    if not all(satisfies(first.program, c, var_names) for c in problem.constraints):
-        raise RuntimeError(f"{lane} solution failed verification")
+        return False, timeout_s, None
     return True, statistics.median(times), program_size(first.program)
 
 
-def _ignores_work_budget(solver: Callable) -> bool:
-    return getattr(solver, "func", solver) is solve_with_external
-
-
 def bench_one(
-    pf: ProblemFile,
-    mode: str,
-    config: BenchConfig,
-    weights: ModelWeights | None = None,
-    savings_table: SavingsTable | None = None,
-    solver: Callable = solve,
-    baseline: BenchRecord | None = None,
+    pf: ProblemFile, synth: Synthesizer, repeats: int = 1, baseline: BenchRecord | None = None
 ) -> BenchRecord:
-    """Time one benchmark in the given mode.
+    """Time one benchmark through ``synth``.
 
     The pruned columns of a treated mode time the vote and the decision
     (once) and the whole fallback schedule; an unsolved lane carries the
-    budget.
-    Without ``config.fallback_x`` the schedule relies on the probe stopping at
-    PROBE_EXPLORED candidates, so a solver that ignores ``max_explored``
-    (``solve_with_external``) is rejected there: its probe would take the
-    whole budget and the reduced grammar would never run.
-    ``baseline``, a record of the same benchmark from an earlier run, supplies
-    the full-grammar columns instead of timing the full grammar again.
+    budget. ``baseline``, a record of the same benchmark from an earlier run,
+    supplies the full-grammar columns instead of timing the full grammar again.
     """
+    if repeats < 1:  # the first run is always made, so zero would silently run once
+        raise ValueError("repeats must be at least 1")
     bid = Path(pf.path).stem if pf.path else pf.fn_name
-    if mode != "baseline" and config.fallback_x is None and _ignores_work_budget(solver):
-        raise ValueError("an external solver needs a fallback point (--fallback-x with --solver-cmd)")
-    problem = replace(pf.problem, timeout_s=config.timeout_s)
     try:
         if baseline is None:
-            full = _timed_lane(lambda: solver(problem), problem, config, "full-grammar")
+            full = _timed_lane(lambda: synth.solve(pf.problem), synth.timeout_s, repeats)
         elif baseline.benchmark_id != bid:
             raise ValueError(f"baseline record is for {baseline.benchmark_id}, not {bid}")
         else:
             full = baseline.solved_full, baseline.t_full_s, baseline.size_full
-        solved_full, t_full_s, size_full = full
-        record = BenchRecord(
-            benchmark_id=bid,
-            mode=mode,
-            solved_full=solved_full,
-            t_full_s=t_full_s,
-            size_full=size_full,
-            solved_pruned=None,
-            t_pruned_s=None,
-            size_pruned=None,
-            removed=(),
-        )
-        if mode == "baseline":
-            return record
-
-        t0 = time.perf_counter()
-        votes = vote(weights, problem.constraints)
-        decision = decide(problem.grammar, savings_table if mode == "grt" else None, votes)
-        decide_s = time.perf_counter() - t0
-        x = config.timeout_s if config.fallback_x is None else min(config.fallback_x, config.timeout_s)
-        run_once = lambda: run_with_fallback(problem, decision.reduced, x, solver)
-        solved, t_s, record.size_pruned = _timed_lane(run_once, problem, config, "pruned-lane")
-        record.solved_pruned, record.t_pruned_s = solved, t_s + decide_s if solved else t_s
-        record.removed = decision.removed
-        return record
+        pruned, removed = (None, None, None), ()
+        if synth.mode != "baseline":
+            t0 = time.perf_counter()
+            decision = synth.decide(pf.problem)
+            decide_s = time.perf_counter() - t0
+            solved, t_s, size = _timed_lane(lambda: synth.solve(pf.problem, decision), synth.timeout_s, repeats)
+            pruned, removed = (solved, t_s + decide_s if solved else t_s, size), decision.removed
+        return BenchRecord(bid, synth.mode, *full, *pruned, removed)
     except Exception as exc:  # per-benchmark errors never abort the suite
-        return BenchRecord(
-            benchmark_id=bid,
-            mode=mode,
-            solved_full=False,
-            t_full_s=None,
-            size_full=None,
-            solved_pruned=None,
-            t_pruned_s=None,
-            size_pruned=None,
-            removed=(),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        error = f"{type(exc).__name__}: {exc}"
+        return BenchRecord(bid, synth.mode, False, None, None, None, None, None, (), error)
 
 
 def run_suite(
     problem_files: Sequence[ProblemFile],
-    mode: str,
-    config: BenchConfig,
-    weights: ModelWeights | None = None,
-    savings_table: SavingsTable | None = None,
-    solver: Callable = solve,
+    synth: Synthesizer,
+    repeats: int = 1,
     baseline: Sequence[BenchRecord] | None = None,
 ) -> list[BenchRecord]:
-    """Run every benchmark in the given mode.
+    """Run every benchmark through ``synth``.
 
     Treated modes (grt, grtc) also time the full grammar per benchmark so each
     record carries its own baseline columns, unless ``baseline`` holds the
     records of an earlier run over the same files to take them from.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if baseline is None:
         baseline = [None] * len(problem_files)
     elif len(baseline) != len(problem_files):
         raise ValueError(f"{len(baseline)} baseline records for {len(problem_files)} benchmarks")
-    if mode != "baseline" and weights is None:
-        raise ValueError(f"mode {mode!r} requires model weights")
-    if mode == "grt" and savings_table is None:
-        raise ValueError("grt mode requires a savings table")
-    return [
-        bench_one(pf, mode, config, weights, savings_table, solver, base)
-        for pf, base in zip(problem_files, baseline)
-    ]
+    return [bench_one(pf, synth, repeats, base) for pf, base in zip(problem_files, baseline)]
 
 
 def _result_lane(record: BenchRecord) -> tuple[bool, float | None, int | None]:

@@ -8,7 +8,6 @@ import functools
 import glob
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bench, datagen, enumerator, neural, pruner
@@ -50,24 +49,48 @@ def _problem_paths(patterns):
     return paths
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(kind, ok, rule: str):
+    """An argparse type: ``kind(text)``, refused as a usage error unless ``ok``."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):  # a nan fails every rule
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid <type> value"
+    return parse
 
 
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0:  # also refuses nan
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
+_positive_float = _checked(float, lambda v: v > 0, "positive")
+_non_negative_float = _checked(float, lambda v: v >= 0, "non-negative")
+_probability = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 def _solver_for(args):
     if args.solver_cmd:
         return functools.partial(enumerator.solve_with_external, solver_cmd=args.solver_cmd)
     return enumerator.solve
+
+
+def _synthesizer(args, grammar) -> pruner.Synthesizer:
+    """The pipeline the flags ask for: model weights and, for --mode grt, the
+    savings table are read only in a treated mode."""
+    weights = table = None
+    if args.mode != "baseline":
+        if not args.weights:
+            raise SystemExit(f"{args.command}: --mode {args.mode} requires --weights")
+        if args.mode == "grt" and not args.time_data:
+            raise SystemExit(f"{args.command}: --mode grt requires --time-data")
+        weights = neural.load_weights(args.weights, grammar.terminal_names)
+        if args.mode == "grt":
+            table = pruner.savings(datagen.load_time_dataset(args.time_data)[0])
+    try:
+        return pruner.Synthesizer(args.mode, args.timeout, args.fallback_x, weights, table, _solver_for(args))
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}")
 
 
 def cmd_parse(args) -> int:
@@ -78,17 +101,16 @@ def cmd_parse(args) -> int:
 
 def cmd_solve(args) -> int:
     pf = _read_problem(args.problem)
-    problem = replace(pf.problem, timeout_s=args.timeout)
-    result = _solver_for(args)(problem)
+    result = _synthesizer(args, pf.problem.grammar).solve(pf.problem)
     if result.solved:
-        params = problem.grammar.input_vars
+        params = pf.problem.grammar.input_vars
         print(print_solution(result.program, pf.fn_name, params))
         print(f"; elapsed {result.elapsed_s:.3f}s, explored {result.programs_explored}", file=sys.stderr)
         return 0
     if result.exhausted:
         print(f"; grammar exhausted: no solution (explored {result.programs_explored})", file=sys.stderr)
     else:
-        print(f"; no solution within {problem.timeout_s}s (explored {result.programs_explored})", file=sys.stderr)
+        print(f"; no solution within {args.timeout}s (explored {result.programs_explored})", file=sys.stderr)
     return 0
 
 
@@ -168,25 +190,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _pruning_inputs(args, grammar):
-    """Model weights and, for --mode grt, the savings table (None for grtc)."""
-    if not args.weights:
-        raise SystemExit(f"{args.command}: --mode {args.mode} requires --weights")
-    if args.mode == "grt" and not args.time_data:
-        raise SystemExit(f"{args.command}: --mode grt requires --time-data")
-    weights = neural.load_weights(args.weights, grammar.terminal_names)
-    if args.mode != "grt":
-        return weights, None
-    time_samples, _ = datagen.load_time_dataset(args.time_data)
-    return weights, pruner.savings(time_samples)
-
-
 def cmd_prune(args) -> int:
     pf = _read_problem(args.problem)
-    grammar = pf.problem.grammar
-    weights, table = _pruning_inputs(args, grammar)
-    decision = pruner.decide(grammar, table, pruner.vote(weights, pf.problem.constraints))
-    payload = decision.to_dict()
+    payload = _synthesizer(args, pf.problem.grammar).decide(pf.problem).to_dict()
     payload["benchmark"] = Path(args.problem).stem
     text = json.dumps(payload, indent=2) + "\n"
     if args.output:
@@ -198,13 +204,7 @@ def cmd_prune(args) -> int:
 
 def cmd_bench(args) -> int:
     files = [_read_problem(p) for p in _problem_paths(args.problems)]
-    config = bench.BenchConfig(timeout_s=args.timeout, fallback_x=args.fallback_x, repeats=args.repeats)
-    weights = savings_table = None
-    if args.mode != "baseline":
-        if args.solver_cmd and args.fallback_x is None:
-            raise SystemExit(f"bench: --mode {args.mode} with --solver-cmd requires --fallback-x")
-        weights, savings_table = _pruning_inputs(args, files[0].problem.grammar)
-    records = bench.run_suite(files, args.mode, config, weights, savings_table, _solver_for(args))
+    records = bench.run_suite(files, _synthesizer(args, files[0].problem.grammar), args.repeats)
     suite_score = bench.score(records)
     if args.output:
         bench.save_records(args.output, records)
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--timeout", type=_non_negative_float, default=60.0, help="per-problem budget in seconds")
     p.add_argument("--solver-cmd", help="external solver command template ({} = problem path)")
-    p.set_defaults(fn=cmd_solve)
+    p.set_defaults(fn=cmd_solve, mode="baseline", fallback_x=None)
 
     p = sub.add_parser("stream", help="enumerate distinct programs from a grammar")
     p.add_argument("problem", nargs="?", help="problem file supplying the grammar")
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--problems", nargs="+", required=True, help="problem files or globs")
     p.add_argument("--crit-data", help="criticality dataset to draw extra problems from")
-    p.add_argument("--crit-problems", type=int, default=20)
+    p.add_argument("--crit-problems", type=_non_negative_int, default=20)
     p.add_argument("--budget", type=_non_negative_float, default=datagen.DEFAULT_TIME_BUDGET_S)
     p.add_argument("--repeats", type=_positive_int, default=datagen.DEFAULT_TIMING_REPEATS)
     p.add_argument("--grammar-config", help="JSON grammar configuration file")
@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--epochs", type=_positive_int, default=15)
     p.add_argument("--batch-size", type=_positive_int, default=200)
-    p.add_argument("--learning-rate", type=float, default=3e-3)
-    p.add_argument("--dropout", type=float, default=0.2)
+    p.add_argument("--learning-rate", type=_positive_float, default=3e-3)
+    p.add_argument("--dropout", type=_probability, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_train)
 
@@ -275,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--weights", help="model weights file")
     p.add_argument("--time-data", help="timing dataset (required by --mode grt)")
-    p.set_defaults(fn=cmd_prune)
+    p.set_defaults(fn=cmd_prune, timeout=60.0, fallback_x=None, solver_cmd=None)
 
     p = sub.add_parser("bench", help="run a benchmark suite in one mode")
     p.add_argument("--problems", nargs="+", required=True)
-    p.add_argument("--mode", choices=bench.MODES, default="grt")
+    p.add_argument("--mode", choices=pruner.MODES, default="grt")
     p.add_argument(
         "--fallback-x",
         type=_non_negative_float,

@@ -13,6 +13,10 @@ whatever time is left. ``fallback_point`` picks x from timing data, fed by
 ``fallback_runs``. The probe lets problems the full grammar solves cheaply skip
 the reduced search, so they no longer wait out x when the reduction removed a
 terminal they need.
+
+``Synthesizer`` is the one pipeline built on these: vote -> decide ->
+schedule -> verify, in one of the MODES. The CLI, ``bench`` and
+``fallback_runs`` run problems through it.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Grammar, IoConstraint, SygusProblem
-from .enumerator import SynthesisResult
+from .core import Grammar, IoConstraint, SygusProblem, satisfies
+from .enumerator import SynthesisResult, solve, solve_with_external
 from .neural import ModelWeights, hits
 
+MODES = ("baseline", "grt", "grtc")
 DEFAULT_FALLBACK_GRID: tuple[float, ...] = (1, 2, 5, 10, 20, 30, 60, 120, 300, 600)
 MAX_REMOVALS = 2
 CANDIDATE_POOL = 3
@@ -137,22 +142,19 @@ def fallback_cost(x: float, runs: Sequence[tuple[float, float]], timeout_s: floa
 
 
 def fallback_runs(
-    timing_problems: Sequence[tuple[str, SygusProblem]],
-    weights: ModelWeights,
-    table: SavingsTable,
-    time_dataset,
-    solver: Callable[[SygusProblem], SynthesisResult],
+    timing_problems: Sequence[tuple[str, SygusProblem]], synth: Synthesizer, time_dataset
 ) -> list[tuple[float, float]]:
     """The (reduced time or inf, full time) pairs that ``fallback_point`` takes.
 
-    Each (id, problem) is reduced as a grt run reduces it and solved on the
-    reduced grammar for FALLBACK_RUN_S; the full time is the timing set's.
+    Each (id, problem) is reduced as the treated ``synth`` reduces it and
+    solved by its solver on the reduced grammar for FALLBACK_RUN_S; the full
+    time is the timing set's.
     """
     t_full_of = {s.problem_id: s.t_full_s for s in time_dataset}
     runs = []
     for pid, problem in timing_problems:
-        decision = decide(problem.grammar, table, vote(weights, problem.constraints))
-        result = solver(replace(problem, grammar=decision.reduced, timeout_s=FALLBACK_RUN_S))
+        reduced = synth.decide(problem).reduced
+        result = synth.solver(replace(problem, grammar=reduced, timeout_s=FALLBACK_RUN_S))
         runs.append((result.elapsed_s if result.solved else float("inf"), t_full_of[pid]))
     return runs
 
@@ -202,3 +204,59 @@ def run_with_fallback(
         elapsed += result.elapsed_s
         explored += result.programs_explored
     return SynthesisResult(result.solved, result.program, elapsed, explored, result.exhausted)
+
+
+@dataclass(frozen=True)
+class Synthesizer:
+    """One synthesis pipeline: vote -> decide -> schedule -> verify.
+
+    ``baseline`` runs ``solver`` on the full grammar. ``grt`` and ``grtc``
+    vote with ``weights`` and decide the reduction (``grtc`` without the
+    savings ``table``), then run ``run_with_fallback``. ``fallback_x`` is the
+    reduced grammar's budget, capped at ``timeout_s``; None gives the reduced
+    grammar whatever the probe leaves, and is refused for an external solver,
+    whose probe is not bounded in work. Every check is made when it is built.
+    """
+
+    mode: str
+    timeout_s: float = 60.0
+    fallback_x: float | None = None
+    weights: ModelWeights | None = None
+    table: SavingsTable | None = None
+    solver: Callable[[SygusProblem], SynthesisResult] = solve
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not (self.timeout_s >= 0 and (self.fallback_x is None or self.fallback_x >= 0)):  # refuses nan too
+            raise ValueError(f"budgets must be non-negative, got {self.timeout_s} and {self.fallback_x}")
+        if self.mode == "baseline":
+            return
+        if self.weights is None:
+            raise ValueError(f"mode {self.mode!r} requires model weights")
+        if self.mode == "grt" and self.table is None:
+            raise ValueError("grt mode requires a savings table")
+        if self.fallback_x is None and getattr(self.solver, "func", self.solver) is solve_with_external:
+            raise ValueError("an external solver needs a fallback point (--fallback-x with --solver-cmd)")
+
+    def decide(self, problem: SygusProblem) -> PruneDecision | None:
+        """The reduction of a treated mode; None for baseline."""
+        if self.mode == "baseline":
+            return None
+        votes = vote(self.weights, problem.constraints)
+        return decide(problem.grammar, self.table if self.mode == "grt" else None, votes)
+
+    def solve(self, problem: SygusProblem, decision: PruneDecision | None = None) -> SynthesisResult:
+        """Solve within ``timeout_s``: the full grammar without a decision, else
+        the fallback schedule over its reduced grammar. A returned program that
+        fails the constraints raises."""
+        problem = replace(problem, timeout_s=self.timeout_s)
+        if decision is None:
+            result = self.solver(problem)
+        else:
+            x = self.timeout_s if self.fallback_x is None else min(self.fallback_x, self.timeout_s)
+            result = run_with_fallback(problem, decision.reduced, x, self.solver)
+        var_names = problem.grammar.var_names
+        if result.solved and not all(satisfies(result.program, c, var_names) for c in problem.constraints):
+            raise RuntimeError("solution failed verification")
+        return result

@@ -16,7 +16,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from grt.bench import BenchConfig, run_suite
+from grt.bench import run_suite
 from grt.core import Sort, SygusProblem, IoConstraint, default_grammar, evaluate, program_size, satisfies
 from grt.datagen import (
     draw_crit_problems,
@@ -40,7 +40,7 @@ from grt.neural import (
     train,
 )
 from grt.neural import _params
-from grt.pruner import fallback_point, fallback_runs, savings
+from grt.pruner import Synthesizer, fallback_point, fallback_runs, savings
 from grt.sygus_format import parse_problem_file, print_problem
 from oracles import all_programs, brute_force_min_size, random_program_with_root, ref_eval
 
@@ -127,7 +127,7 @@ def savings_table(time_dataset):
 
 @pytest.fixture(scope="module")
 def fallback_x(model, savings_table, time_dataset, timing_problems):
-    runs = fallback_runs(timing_problems, model, savings_table, time_dataset, solve)
+    runs = fallback_runs(timing_problems, Synthesizer("grt", SUITE_TIMEOUT_S, None, model, savings_table), time_dataset)
     return fallback_point(runs, timeout_s=SUITE_TIMEOUT_S)
 
 
@@ -141,18 +141,18 @@ def suite_files(generated_paths):
 
 @pytest.fixture(scope="module")
 def grt_records(suite_files, model, savings_table, fallback_x):
-    config = BenchConfig(timeout_s=SUITE_TIMEOUT_S, fallback_x=fallback_x, repeats=SUITE_REPEATS)
+    synth = Synthesizer("grt", SUITE_TIMEOUT_S, fallback_x, model, savings_table)
     with timed("grt_suite"):
-        return run_suite(suite_files, "grt", config, model, savings_table)
+        return run_suite(suite_files, synth, SUITE_REPEATS)
 
 
 @pytest.fixture(scope="module")
 def grtc_records(suite_files, model, fallback_x, grt_records):
     # C8 compares this lane with grt_records' full-grammar times, so it takes
     # them from there rather than timing the full grammar a second time.
-    config = BenchConfig(timeout_s=SUITE_TIMEOUT_S, fallback_x=fallback_x, repeats=SUITE_REPEATS)
+    synth = Synthesizer("grtc", SUITE_TIMEOUT_S, fallback_x, model)
     with timed("grtc_suite"):
-        return run_suite(suite_files, "grtc", config, model, baseline=grt_records)
+        return run_suite(suite_files, synth, SUITE_REPEATS, grt_records)
 
 
 def test_c01_interpreter_matches_reference(grammar):

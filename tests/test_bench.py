@@ -1,12 +1,10 @@
-import functools
 import time
 
 import pytest
 
-from grt import bench
+from grt import pruner
 
 from grt.bench import (
-    BenchConfig,
     BenchRecord,
     Score,
     bench_one,
@@ -20,10 +18,10 @@ from grt.bench import (
 )
 from grt.core import InputVar, IoConstraint, StrLit, SygusProblem, default_grammar
 from grt.datagen import TimeSample
-from grt.enumerator import SynthesisResult, solve, solve_with_external
+from grt.enumerator import SynthesisResult, solve
 from grt.neural import TrainConfig, train
 from grt.datagen import gen_crit_dataset
-from grt.pruner import PROBE_EXPLORED, savings, vote
+from grt.pruner import PROBE_EXPLORED, Synthesizer, savings, vote
 from grt.sygus_format import ProblemFile
 
 GRAMMAR = default_grammar()
@@ -89,7 +87,7 @@ class TestBenchOne:
 
     def test_baseline_identity(self):
         pf = self.problem_file((IoConstraint(("a",), "a"),))
-        rec = bench_one(pf, "baseline", BenchConfig(timeout_s=5))
+        rec = bench_one(pf, Synthesizer("baseline", 5))
         assert rec.solved_full
         assert rec.size_full == 1
         assert rec.solved_pruned is None
@@ -100,7 +98,7 @@ class TestBenchOne:
             return SynthesisResult(True, StrLit("wrong"), 0.01, 1)
 
         pf = self.problem_file((IoConstraint(("a",), "a"),))
-        rec = bench_one(pf, "baseline", BenchConfig(timeout_s=5), solver=lying_solver)
+        rec = bench_one(pf, Synthesizer("baseline", 5, solver=lying_solver))
         assert rec.error is not None
         assert "verification" in rec.error
 
@@ -115,21 +113,22 @@ class TestBenchOne:
             return solver
 
         pf = self.problem_file((IoConstraint(("a",), "a"),))
-        config = BenchConfig(timeout_s=5, repeats=3)
-        rec = bench_one(pf, "baseline", config, solver=scripted([(True, 0.3), (True, 0.1), (True, 0.2)]))
+        synth = Synthesizer("baseline", 5, solver=scripted([(True, 0.3), (True, 0.1), (True, 0.2)]))
+        rec = bench_one(pf, synth, repeats=3)
         assert rec.error is None and rec.t_full_s == pytest.approx(0.2)
-        rec = bench_one(pf, "baseline", config, solver=scripted([(True, 0.1), (False, 5.0)]))
+        rec = bench_one(pf, Synthesizer("baseline", 5, solver=scripted([(True, 0.1), (False, 5.0)])), repeats=3)
         assert rec.error is None and rec.t_full_s == pytest.approx(2.55)
 
     def test_repeats_below_one_rejected(self):
         # the first run is always made, so zero repeats would silently run once
+        pf = self.problem_file((IoConstraint(("a",), "a"),))
         with pytest.raises(ValueError, match="repeats must be at least 1"):
-            BenchConfig(repeats=0)
+            bench_one(pf, Synthesizer("baseline"), repeats=0)
 
     def test_timeout_carries_budget_and_flag(self):
         grammar = default_grammar(string_literals=("",), int_literals=(0,))
         pf = self.problem_file((IoConstraint(("abcdef",), "fedcba"),), grammar, "rev")
-        rec = bench_one(pf, "baseline", BenchConfig(timeout_s=0.2))
+        rec = bench_one(pf, Synthesizer("baseline", 0.2))
         assert not rec.solved_full
         assert rec.t_full_s == pytest.approx(0.2)
         assert rec.size_full is None
@@ -164,14 +163,11 @@ class TestRunSuite:
         ]
 
     def test_baseline_mode(self):
-        records = run_suite(self.files(), "baseline", BenchConfig(timeout_s=10))
+        records = run_suite(self.files(), Synthesizer("baseline", 10))
         assert all(r.solved_full for r in records)
 
     def test_grt_mode_records_removals(self, tiny_weights, tiny_savings):
-        records = run_suite(
-            self.files(), "grt", BenchConfig(timeout_s=10, fallback_x=2.0),
-            tiny_weights, tiny_savings,
-        )
+        records = run_suite(self.files(), Synthesizer("grt", 10, 2.0, tiny_weights, tiny_savings))
         for r in records:
             assert r.error is None
             assert r.solved_pruned
@@ -179,15 +175,14 @@ class TestRunSuite:
             assert set(r.removed) <= {"str.replace", "str.at", "ite"}
 
     def test_grtc_mode(self, tiny_weights):
-        records = run_suite(self.files(), "grtc", BenchConfig(timeout_s=10), tiny_weights)
+        records = run_suite(self.files(), Synthesizer("grtc", 10, None, tiny_weights))
         for r in records:
             assert r.solved_pruned
             assert len(r.removed) == 2
 
     def test_baseline_records_replace_full_grammar_runs(self, tiny_weights):
         files = self.files()
-        config = BenchConfig(timeout_s=10, fallback_x=None)
-        base = run_suite(files, "baseline", config)
+        base = run_suite(files, Synthesizer("baseline", 10))
         full_grammar_budgets = []
 
         def counting_solver(problem):
@@ -195,7 +190,7 @@ class TestRunSuite:
                 full_grammar_budgets.append(problem.max_explored)
             return solve(problem)
 
-        records = run_suite(files, "grtc", config, tiny_weights, solver=counting_solver, baseline=base)
+        records = run_suite(files, Synthesizer("grtc", 10, None, tiny_weights, solver=counting_solver), baseline=base)
         # every full-grammar search is a probe of the fallback schedule, none a timing run
         assert set(full_grammar_budgets) == {PROBE_EXPLORED}
         for r, b in zip(records, base):
@@ -204,20 +199,12 @@ class TestRunSuite:
 
     def test_baseline_must_match_benchmarks(self, tiny_weights):
         files = self.files()
-        base = run_suite(files, "baseline", BenchConfig(timeout_s=10))
+        base = run_suite(files, Synthesizer("baseline", 10))
+        grtc = Synthesizer("grtc", 10, None, tiny_weights)
         with pytest.raises(ValueError):
-            run_suite(files, "grtc", BenchConfig(timeout_s=10), tiny_weights, baseline=base[:1])
-        swapped = run_suite(files, "grtc", BenchConfig(timeout_s=10), tiny_weights, baseline=base[::-1])
+            run_suite(files, grtc, baseline=base[:1])
+        swapped = run_suite(files, grtc, baseline=base[::-1])
         assert all(r.error and "baseline record" in r.error for r in swapped)
-
-    def test_mode_validation(self, tiny_weights):
-        with pytest.raises(ValueError):
-            run_suite(self.files(), "fancy", BenchConfig())
-        with pytest.raises(ValueError):
-            run_suite(self.files(), "grt", BenchConfig())  # missing weights/savings
-        external = functools.partial(solve_with_external, solver_cmd="true")
-        with pytest.raises(ValueError, match="fallback"):
-            run_suite(self.files(), "grtc", BenchConfig(), tiny_weights, solver=external)
 
     @pytest.mark.parametrize("solved", [True, False])
     def test_pruned_time_counts_the_vote_and_decision(self, tiny_weights, tiny_savings, monkeypatch, solved):
@@ -233,9 +220,9 @@ class TestRunSuite:
         def solver(problem):
             return SynthesisResult(solved, InputVar("x0") if solved else None, 0.01, 1)
 
-        monkeypatch.setattr(bench, "vote", slow_vote)
-        config = BenchConfig(timeout_s=10, fallback_x=2.0, repeats=3)
-        rec = bench_one(self.files()[0], "grt", config, tiny_weights, tiny_savings, solver=solver)
+        monkeypatch.setattr(pruner, "vote", slow_vote)
+        synth = Synthesizer("grt", 10, 2.0, tiny_weights, tiny_savings, solver)
+        rec = bench_one(self.files()[0], synth, repeats=3)
         assert rec.error is None and calls == [1]
         if solved:
             assert 0.06 <= rec.t_pruned_s < 1.0
@@ -244,12 +231,7 @@ class TestRunSuite:
 
     def test_identity_solved_equally_in_all_modes(self, tiny_weights, tiny_savings):
         files = self.files()[:1]
-        config = BenchConfig(timeout_s=10, fallback_x=2.0)
-        outs = {
-            "baseline": run_suite(files, "baseline", config),
-            "grt": run_suite(files, "grt", config, tiny_weights, tiny_savings),
-            "grtc": run_suite(files, "grtc", config, tiny_weights),
-        }
+        outs = {mode: run_suite(files, Synthesizer(mode, 10, 2.0, tiny_weights, tiny_savings)) for mode in pruner.MODES}
         assert outs["baseline"][0].size_full == 1
         assert outs["grt"][0].size_pruned == 1
         assert outs["grtc"][0].size_pruned == 1

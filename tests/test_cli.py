@@ -1,4 +1,7 @@
+import ast
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +182,9 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
     (["bench", "--problems", "missing.sl", "--repeats", "0"], "must be at least 1"),
     (["train", "--data", "missing.jsonl", "-o", "w.bin", "--epochs", "0"], "must be at least 1"),
     (["train", "--data", "missing.jsonl", "-o", "w.bin", "--batch-size", "0"], "must be at least 1"),
+    (["train", "--data", "missing.jsonl", "-o", "w.bin", "--learning-rate", "0"], "must be positive"),
+    (["train", "--data", "missing.jsonl", "-o", "w.bin", "--dropout", "1.0"], "must be in [0, 1)"),
+    (["datagen-time", "-o", "time.jsonl", "--problems", "missing.sl", "--crit-problems", "-1"], "must be non-negative"),
     (["solve", "missing.sl", "--timeout", "-1"], "must be non-negative"),
     (["bench", "--problems", "missing.sl", "--timeout", "-1"], "must be non-negative"),
     (["bench", "--problems", "missing.sl", "--fallback-x", "-1"], "must be non-negative"),
@@ -191,3 +197,42 @@ def test_rejected_value_is_a_usage_error(argv, message, tmp_path, monkeypatch, c
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_run_pipeline():
+    spec = importlib.util.spec_from_file_location("run_pipeline", ROOT / "scripts" / "run_pipeline.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_pipeline_quick_changes_only_the_defaults():
+    run_pipeline = load_run_pipeline()
+    args = run_pipeline.parse_args(["--quick", "--n-programs", "1000"])
+    assert args.n_programs == 1000
+    assert args.inputs_per_program == run_pipeline.QUICK["inputs_per_program"]
+    assert run_pipeline.parse_args([]).n_programs == run_pipeline.build_parser().get_default("n_programs")
+    with pytest.raises(SystemExit) as exc:
+        run_pipeline.parse_args(["--bench-repeats", "0"])
+    assert exc.value.code == 2
+
+
+PIPELINE_STEPS = {"vote", "decide", "run_with_fallback"}
+
+
+@pytest.mark.parametrize("path", ["src/grt/bench.py", "src/grt/cli.py", "scripts/run_pipeline.py"])
+def test_only_the_synthesizer_wires_the_pipeline(path):
+    # vote -> decide -> schedule has one home, pruner.Synthesizer; these
+    # callers go through it and never name the steps themselves
+    named = set()
+    for node in ast.walk(ast.parse((ROOT / path).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "pruner":
+            named.add(node.attr)
+    assert not named & PIPELINE_STEPS

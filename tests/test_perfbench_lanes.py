@@ -12,7 +12,7 @@ import pytest
 
 from grt.core import program_size
 from grt.enumerator import solve
-from grt.pruner import decide, run_with_fallback, vote
+from grt.pruner import Synthesizer, decide, run_with_fallback, vote
 from grt.sygus_format import parse_problem_file, program_to_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,28 +88,62 @@ def test_suite_decisions_are_pinned(seed):
 SUITE_GRT_WORK = {"probe": 37_388, "reduced": 25_510}
 
 
+def grt_answer(problem, st, through_library):
+    """The grt lane's (result, removed set, phase calls, phase results) for
+    one request: vote -> decide -> run_with_fallback called directly, as the
+    harness calls them, or through the library's ``Synthesizer``. A phase
+    call is the searched grammar, its time budget and its work budget."""
+    calls, phases = [], []
+
+    def recording(phase_problem):
+        calls.append((phase_problem.grammar, phase_problem.timeout_s, phase_problem.max_explored))
+        phases.append(solve(phase_problem))
+        return phases[-1]
+
+    if through_library:
+        synth = Synthesizer("grt", st.timeout_s, st.fallback_x, st.weights, st.table, recording)
+        decision = synth.decide(problem)
+        result = synth.solve(problem, decision)
+    else:
+        decision = decide(problem.grammar, st.table, vote(st.weights, problem.constraints))
+        result = run_with_fallback(problem, decision.reduced, st.fallback_x, recording)
+    return result, decision.removed, calls, phases
+
+
+def assert_library_gives_the_lane_answer(problem, st, key):
+    """The Synthesizer makes the harness lane's phase calls and returns its
+    program, explored count and removed set; the lane's result and phase
+    results are returned."""
+    result, removed, calls, phases = grt_answer(problem, st, through_library=False)
+    again, removed_again, calls_again, _ = grt_answer(problem, st, through_library=True)
+    assert (calls_again, removed_again) == (calls, removed), key
+    assert (again.program, again.programs_explored) == (result.program, result.programs_explored), key
+    return result, phases
+
+
 def test_suite_grt_answers_have_the_baseline_sizes():
     # Every suite request through parse, vote, decide and the fallback
     # schedule with the frozen fixture: the grt lane's answer has the
     # manifest's minimal size, no request needs the last full-grammar phase,
-    # and the work of the probes and of the reduced phases is pinned.
+    # and the work of the probes and of the reduced phases is pinned. The
+    # library's Synthesizer gives each request the same answer.
     st = harness.set_up("suite", ROOT, 1)
     work = dict.fromkeys(SUITE_GRT_WORK, 0)
     for req in st.requests:
         problem = replace(parse_problem_file(req.text).problem, timeout_s=st.timeout_s)
-        decision = decide(problem.grammar, st.table, vote(st.weights, problem.constraints))
-        phases = []
-
-        def recording(phase_problem):
-            phases.append(solve(phase_problem))
-            return phases[-1]
-
-        result = run_with_fallback(problem, decision.reduced, st.fallback_x, recording)
+        result, phases = assert_library_gives_the_lane_answer(problem, st, req.key)
         assert result.solved and program_size(result.program) == req.solved_size, req.key
         assert len(phases) <= 2, req.key
         for phase, searched in zip(SUITE_GRT_WORK, phases):
             work[phase] += searched.programs_explored
     assert work == SUITE_GRT_WORK
+
+
+def test_many_small_library_answers_are_the_lane_answers():
+    st = harness.set_up("many-small", ROOT, 1)
+    for req in st.requests[:200]:
+        problem = replace(parse_problem_file(req.text).problem, timeout_s=st.timeout_s)
+        assert_library_gives_the_lane_answer(problem, st, req.key)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 import random
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from grt.core import InputVar, IoConstraint, Sort, SygusProblem, default_grammar
+from grt.core import InputVar, IoConstraint, Sort, StrLit, SygusProblem, default_grammar
 from grt.datagen import TimeSample, draw_crit_problems, gen_crit_dataset
-from grt.enumerator import SynthesisResult, solve
+from grt.enumerator import SynthesisResult, solve, solve_with_external
 from grt.neural import (
     EMBED_VOCAB,
     SIDE_WIDTH,
@@ -27,6 +28,8 @@ from grt.pruner import (
     DEFAULT_FALLBACK_GRID,
     FALLBACK_RUN_S,
     PROBE_EXPLORED,
+    PruneDecision,
+    Synthesizer,
     decide,
     fallback_cost,
     fallback_point,
@@ -594,7 +597,8 @@ class TestFallbackRuns:
                 return SynthesisResult(True, InputVar("x0"), 0.25, 3)
             return SynthesisResult(False, None, FALLBACK_RUN_S, 1000)
 
-        runs = fallback_runs([("quick", quick), ("hard", hard)], weights, table, time_set, solver)
+        synth = Synthesizer("grt", weights=weights, table=table, solver=solver)
+        runs = fallback_runs([("quick", quick), ("hard", hard)], synth, time_set)
         assert runs == [(0.25, 0.7), (math.inf, 1.5)]
         # each problem is solved once, on its reduced grammar, for FALLBACK_RUN_S
         assert calls == [
@@ -602,6 +606,59 @@ class TestFallbackRuns:
             for p in (quick, hard)
         ]
         assert all(len(g.terminal_names) == len(NAMES) - 2 for g, _ in calls)
+
+
+EXTERNAL = functools.partial(solve_with_external, solver_cmd="true")
+
+
+class TestSynthesizer:
+    @pytest.mark.parametrize("build, message", [
+        (lambda w: Synthesizer("fancy"), "mode must be one of"),
+        (lambda w: Synthesizer("grt"), "requires model weights"),
+        (lambda w: Synthesizer("grtc", 10), "requires model weights"),
+        (lambda w: Synthesizer("grt", 10, 2.0, w), "requires a savings table"),
+        (lambda w: Synthesizer("grtc", 10, None, w, solver=EXTERNAL), "--fallback-x"),
+        (lambda w: Synthesizer("baseline", -1.0), "must be non-negative"),
+        (lambda w: Synthesizer("baseline", math.nan), "must be non-negative"),
+        (lambda w: Synthesizer("grtc", 10, -1.0, w), "must be non-negative"),
+    ], ids=["unknown-mode", "grt-no-weights", "grtc-no-weights", "grt-no-table", "external-no-fallback-point",
+            "negative-budget", "nan-budget", "negative-fallback-point"])
+    def test_rejected_when_built(self, build, message, weights):
+        with pytest.raises(ValueError, match=message):
+            build(weights)
+
+    def test_a_wrong_program_fails_verification(self):
+        def lying_solver(problem):
+            return SynthesisResult(True, StrLit("wrong"), 0.01, 1)
+
+        problem = SygusProblem(GRAMMAR, (IoConstraint(("a",), "a"),))
+        with pytest.raises(RuntimeError, match="verification"):
+            Synthesizer("baseline", solver=lying_solver).solve(problem)
+
+    def test_decide_follows_the_mode(self, weights):
+        table = savings([ts("str.replace", "p", 0.3), ts("ite", "p", 0.2), ts("str.at", "p", 0.1)])
+        problem = SygusProblem(GRAMMAR, (IoConstraint(("ab",), "b"), IoConstraint(("x-1",), "1")))
+        votes = vote(weights, problem.constraints)
+        assert Synthesizer("baseline").decide(problem) is None
+        assert Synthesizer("grt", weights=weights, table=table).decide(problem) == decide(GRAMMAR, table, votes)
+        assert Synthesizer("grtc", weights=weights, table=table).decide(problem) == decide(GRAMMAR, None, votes)
+
+    def test_solve_sets_the_budget_and_caps_the_fallback_point(self):
+        calls = []
+
+        def unsolved(problem):
+            calls.append((problem.grammar, problem.timeout_s, problem.max_explored))
+            return SynthesisResult(False, None, 0.25, 1)
+
+        problem = SygusProblem(GRAMMAR, (IoConstraint(("ab",), "b"),), timeout_s=30)
+        reduced = GRAMMAR.drop("ite")
+        synth = Synthesizer("baseline", 1.0, 5.0, solver=unsolved)
+        assert not synth.solve(problem).solved
+        assert not synth.solve(problem, PruneDecision(("ite",), (), (), reduced)).solved
+        assert calls == [
+            (GRAMMAR, 1.0, None),
+            (GRAMMAR, 1.0, PROBE_EXPLORED), (reduced, 0.75, None), (GRAMMAR, 0.5, None),
+        ]
 
 
 def test_probe_budget_covers_the_drawn_timing_problems():
