@@ -86,11 +86,11 @@ def _synthesizer(args, grammar) -> pruner.Synthesizer:
             raise SystemExit(f"{args.command}: --mode grt requires --time-data")
         weights = neural.load_weights(args.weights, grammar.terminal_names)
         if args.mode == "grt":
-            table = pruner.savings(datagen.load_time_dataset(args.time_data)[0])
-    try:
-        return pruner.Synthesizer(args.mode, args.timeout, args.fallback_x, weights, table, _solver_for(args))
-    except ValueError as exc:
-        raise SystemExit(f"{args.command}: {exc}")
+            samples, terms = datagen.load_time_dataset(args.time_data)
+            if tuple(terms) != grammar.terminal_names:
+                raise SystemExit(f"{args.command}: --time-data was made for another terminal order")
+            table = pruner.savings(samples)
+    return pruner.Synthesizer(args.mode, args.timeout, args.fallback_x, weights, table, _solver_for(args))
 
 
 def cmd_parse(args) -> int:
@@ -302,7 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # unreadable or malformed input, or a refused value
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

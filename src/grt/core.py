@@ -106,11 +106,6 @@ ProgramAst = Union[Apply, InputVar, StrLit, IntLit, BoolLit]
 # --- Component function semantics (totalized SMT-LIB string theory) --------
 
 
-def _str_replace(s: str, t: str, r: str) -> str:
-    # replacing the first occurrence; an empty pattern matches at position 0
-    return s.replace(t, r, 1)
-
-
 def _str_at(s: str, i: int) -> str:
     return s[i] if 0 <= i < len(s) else ""
 
@@ -150,36 +145,36 @@ def _int_to_str(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
-def _str_prefixof(p: str, s: str) -> bool:
-    return s.startswith(p)
-
-
-def _str_suffixof(p: str, s: str) -> bool:
-    return s.endswith(p)
-
-
 def _ite(c: bool, a: str, b: str) -> str:
     return a if c else b
 
 
+def _columnwise(fn: Callable) -> Callable[..., tuple]:
+    return lambda *cols: tuple(map(fn, *cols))
+
+
 _S, _I, _B = Sort.STRING, Sort.INT, Sort.BOOL
 
-_CATALOG_SPEC: tuple[tuple[str, tuple[Sort, ...], Sort, Callable], ...] = (
-    ("str.++", (_S, _S), _S, operator.add),
-    ("str.replace", (_S, _S, _S), _S, _str_replace),
-    ("str.at", (_S, _I), _S, _str_at),
-    ("str.substr", (_S, _I, _I), _S, _str_substr),
-    ("str.len", (_S,), _I, len),
-    ("str.indexof", (_S, _S, _I), _I, _str_indexof),
-    ("str.to.int", (_S,), _I, _str_to_int),
-    ("int.to.str", (_I,), _S, _int_to_str),
-    ("str.prefixof", (_S, _S), _B, _str_prefixof),
-    ("str.suffixof", (_S, _S), _B, _str_suffixof),
-    ("str.contains", (_S, _S), _B, operator.contains),
-    ("ite", (_B, _S, _S), _S, _ite),
-    ("+", (_I, _I), _I, operator.add),
-    ("-", (_I, _I), _I, operator.sub),
-    ("=", (_I, _I), _B, operator.eq),
+# Each function over columns: each argument is a tuple of values, one per
+# example, and the result is the tuple of outputs. Where a str method computes
+# the function, the loop over examples runs in C. str.replace replaces the
+# first occurrence; an empty pattern matches at position 0.
+_CATALOG_SPEC: tuple[tuple[str, tuple[Sort, ...], Sort, Callable[..., tuple]], ...] = (
+    ("str.++", (_S, _S), _S, _columnwise(operator.add)),
+    ("str.replace", (_S, _S, _S), _S, lambda s, t, r: tuple(map(str.replace, s, t, r, itertools.repeat(1)))),
+    ("str.at", (_S, _I), _S, _columnwise(_str_at)),
+    ("str.substr", (_S, _I, _I), _S, _columnwise(_str_substr)),
+    ("str.len", (_S,), _I, _columnwise(len)),
+    ("str.indexof", (_S, _S, _I), _I, _columnwise(_str_indexof)),
+    ("str.to.int", (_S,), _I, _columnwise(_str_to_int)),
+    ("int.to.str", (_I,), _S, _columnwise(_int_to_str)),
+    ("str.prefixof", (_S, _S), _B, lambda p, s: tuple(map(str.startswith, s, p))),
+    ("str.suffixof", (_S, _S), _B, lambda p, s: tuple(map(str.endswith, s, p))),
+    ("str.contains", (_S, _S), _B, _columnwise(operator.contains)),
+    ("ite", (_B, _S, _S), _S, _columnwise(_ite)),
+    ("+", (_I, _I), _I, _columnwise(operator.add)),
+    ("-", (_I, _I), _I, _columnwise(operator.sub)),
+    ("=", (_I, _I), _B, _columnwise(operator.eq)),
 )
 
 CATALOG: dict[str, TerminalSymbol] = {
@@ -187,24 +182,7 @@ CATALOG: dict[str, TerminalSymbol] = {
     for name, args, ret, _ in _CATALOG_SPEC
 }
 
-SEMANTICS: dict[str, Callable] = {name: fn for name, _, _, fn in _CATALOG_SPEC}
-
-
-def _columnwise(fn: Callable) -> Callable[..., tuple]:
-    return lambda *cols: tuple(map(fn, *cols))
-
-
-# The same functions over columns: each argument is a tuple of values, one per
-# example, and the result is the tuple of outputs. Where a str method computes
-# the function, the loop over examples runs in C.
-COLUMN_SEMANTICS: dict[str, Callable[..., tuple]] = {
-    name: _columnwise(fn) for name, fn in SEMANTICS.items()
-}
-COLUMN_SEMANTICS.update({
-    "str.replace": lambda s, t, r: tuple(map(str.replace, s, t, r, itertools.repeat(1))),
-    "str.prefixof": lambda p, s: tuple(map(str.startswith, s, p)),
-    "str.suffixof": lambda p, s: tuple(map(str.endswith, s, p)),
-})
+COLUMN_SEMANTICS: dict[str, Callable[..., tuple]] = {name: fn for name, _, _, fn in _CATALOG_SPEC}
 
 _NO_SLICE = slice(0, 0)
 
@@ -444,22 +422,7 @@ def evaluate(program: ProgramAst, inputs: Sequence[str], var_names: Sequence[str
         raise TypeError(
             f"{len(inputs)} inputs supplied for {len(var_names)} variables"
         )
-    env = dict(zip(var_names, inputs))
-    return _eval(program, env)
-
-
-def _eval(node: ProgramAst, env: dict[str, object]):
-    if isinstance(node, Apply):
-        fn = SEMANTICS.get(node.terminal.name)
-        if fn is None:
-            raise UnknownTerminal(f"no semantics for terminal {node.terminal.name!r}")
-        return fn(*(_eval(c, env) for c in node.children))
-    if isinstance(node, InputVar):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise TypeError(f"no input bound for variable {node.name!r}") from None
-    return node.value
+    return _eval_rows(program, {name: (value,) for name, value in zip(var_names, inputs)}, 1)[0]
 
 
 def evaluate_rows(program: ProgramAst, rows: Sequence[Sequence[str]], var_names: Sequence[str]) -> tuple:

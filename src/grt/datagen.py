@@ -118,14 +118,13 @@ def gen_crit_dataset(
     n_programs: int = DEFAULT_N_PROGRAMS,
     inputs_per_program: int = DEFAULT_INPUTS_PER_PROGRAM,
     seed: int = 0,
-    shuffle_seed: int | None = None,
 ) -> list[CritSample]:
     """Stream programs, fabricate examples for each, label by occurrence.
 
-    Inputs are keyed to (seed, stream index): program ``idx`` draws from
+    Programs are taken in an order shuffled by ``seed``, and program ``idx``
+    of the stream draws its inputs from
     ``random.Random(f"crit-inputs:{seed}:{idx}")``, example by example and
-    within an example variable by variable, so shuffling with a different
-    ``shuffle_seed`` permutes the dataset without changing its contents. Once
+    within an example variable by variable. Once
     a program's inputs are drawn it is run once over all of them
     (``core.evaluate_rows``). Inputs are fabricated strings, so ``stream``
     raises ValueError for a grammar with an input variable of another sort.
@@ -134,8 +133,7 @@ def gen_crit_dataset(
         raise ValueError("n_programs and inputs_per_program must be positive")
     programs = stream(grammar, n_programs)
     order = list(range(len(programs)))
-    eff_shuffle = seed if shuffle_seed is None else shuffle_seed
-    random.Random(f"crit-shuffle:{eff_shuffle}").shuffle(order)
+    random.Random(f"crit-shuffle:{seed}").shuffle(order)
     var_names = grammar.var_names
     n_vars = len(var_names)
     examples = range(inputs_per_program)
@@ -240,6 +238,18 @@ def save_crit_dataset(path, samples: Sequence[CritSample], terminal_names: Seque
             fh.write(_dump(row) + "\n")
 
 
+def _terminals_in_header(fh, path, schema: str, kind: str) -> tuple[str, ...]:
+    """The terminal order a dataset file's first line declares; ValueError
+    unless that line is a ``schema`` header."""
+    try:
+        header = json.loads(fh.readline())
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or header.get("schema") != schema or header.get("version") != 1:
+        raise ValueError(f"{path}: not a {kind} file")
+    return tuple(header["terminals"])
+
+
 def load_crit_dataset(path) -> tuple[list[CritSample], tuple[str, ...]]:
     """The samples and terminal order of a file ``save_crit_dataset`` wrote.
 
@@ -247,10 +257,7 @@ def load_crit_dataset(path) -> tuple[list[CritSample], tuple[str, ...]]:
     length than the header's terminal list or holds a bit other than 0 or 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("schema") != "grt.crit" or header.get("version") != 1:
-            raise ValueError(f"{path}: not a criticality dataset file")
-        terminals = tuple(header["terminals"])
+        terminals = _terminals_in_header(fh, path, "grt.crit", "criticality dataset")
         samples = []
         for lineno, line in enumerate(fh, start=2):
             row = json.loads(line)
@@ -288,10 +295,7 @@ def save_time_dataset(path, samples: Sequence[TimeSample], terminal_names: Seque
 
 def load_time_dataset(path) -> tuple[list[TimeSample], tuple[str, ...]]:
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("schema") != "grt.time" or header.get("version") != 1:
-            raise ValueError(f"{path}: not a timing dataset file")
-        terminals = tuple(header["terminals"])
+        terminals = _terminals_in_header(fh, path, "grt.time", "timing dataset")
         rows = json.loads("[" + ",".join(fh) + "]")  # one parse for every row
     samples = [
         TimeSample(row["terminal"], row["problem_id"], row["t_full_s"], row["t_dropped_s"], row["delta_s"])

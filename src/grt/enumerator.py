@@ -75,9 +75,9 @@ from .core import (
     Sort,
     StrLit,
     SygusProblem,
+    evaluate_rows,
     product_values,
     require_string_inputs,
-    satisfies,
 )
 
 
@@ -983,8 +983,9 @@ def solve_with_external(problem: SygusProblem, solver_cmd: str, fn_name: str = "
             f"solver defined {len(var_names)} parameters, problem has "
             f"{len(problem.grammar.input_vars)}"
         )
-    for c in problem.constraints:
-        if not satisfies(parsed.program, c, var_names):
+    outputs = evaluate_rows(parsed.program, [c.inputs for c in problem.constraints], var_names)
+    for c, output in zip(problem.constraints, outputs):
+        if output != c.output:
             raise WrongAnswer(
                 f"solver output fails constraint {c.inputs!r} -> {c.output!r}"
             )

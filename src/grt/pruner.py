@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Grammar, IoConstraint, SygusProblem, satisfies
+from .core import Grammar, IoConstraint, SygusProblem, evaluate_rows
 from .enumerator import SynthesisResult, solve, solve_with_external
 from .neural import ModelWeights, hits
 
@@ -256,7 +256,9 @@ class Synthesizer:
         else:
             x = self.timeout_s if self.fallback_x is None else min(self.fallback_x, self.timeout_s)
             result = run_with_fallback(problem, decision.reduced, x, self.solver)
-        var_names = problem.grammar.var_names
-        if result.solved and not all(satisfies(result.program, c, var_names) for c in problem.constraints):
-            raise RuntimeError("solution failed verification")
+        if result.solved:
+            constraints = problem.constraints
+            outputs = evaluate_rows(result.program, [c.inputs for c in constraints], problem.grammar.var_names)
+            if outputs != tuple(c.output for c in constraints):
+                raise RuntimeError("solution failed verification")
         return result

@@ -5,28 +5,23 @@ grammar, ``declare-var``, ground PBE ``constraint`` forms, ``(check-synth)``.
 Anything else is rejected loudly. String literals use SMT-LIB double-quote
 escaping ("" inside a literal denotes one quote character).
 
-Each distinct synth-fun declaration is read once per process. Requests
-usually declare the same grammar verbatim and differ only in their
+Each distinct head is read once per process. A problem's head is its text
+up to and including the newline of its first ``"\\n(constraint"``: in a
+printed problem, the logic, the synth-fun declaration and the ``declare-var``
+lines. Requests usually repeat their head verbatim and differ only in their
 constraints, and the declaration is most of a problem's tokens. So
-``parse_problem_file`` keeps the exact source text of every ``(synth-fun ...)``
-form it accepted, with the name and the shared ``Grammar`` read from it
-(``_Declarations``, an LRU of 256). A declaration is looked up by the text
-from the first ``(synth-fun`` up to the ``)`` that ends the last line before
-the next line that opens a form, which is where a printed declaration ends;
-so a lookup is one dictionary probe whatever the number kept. When that text
-is a kept source and its ``(`` is a top-level token, the reader takes the
-declaration and tokenizes only the text before and after it.
+``parse_problem_file`` keeps the head of each text it accepted whose head
+reads on its own into whole forms, exactly one of them a synth-fun form,
+which is kept as its name and the shared ``Grammar`` read from it (``_Heads``,
+an LRU of 256). A text whose head is kept is tokenized from its first
+constraint line on only.
 
-This is exact. A kept source is one complete top-level form, from its ``(``
-token to the one-character ``)`` token that closes it. The tokenizer reads
-such a text the same inside any text as on its own, from a token start on,
-and the token after it starts right after it. So everything after it is read
-as the full reader would read it. That the source starts a top-level token is
-checked too: the text up to and including its ``(`` must tokenize to ``(``
-last, with every earlier list closed. Any ``ParseError`` on this path reads
-the whole text again with the full reader, so every error, with its message,
-line and column, is the full reader's. A declaration that does not end where
-the lookup looks is never kept; it is read in full each time.
+This is exact. A kept head reads alone into whole forms, so no list is open
+at its end. The one token that can run across its final newline is a string
+literal, and cut there it holds an odd number of quotes, which the reader
+refuses; so the whole text reads as the head's forms followed by the rest's.
+Any ``ParseError`` on this path reads the whole text again, so every error,
+with its message, line and column, is the full reader's.
 
 Printing renders each grammar's head once per function name. The head is
 everything before the constraints: ``(set-logic SLIA)``, the synth-fun
@@ -44,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -133,11 +127,9 @@ def _forms(text: str):
     return _read(_TOKEN_RE.findall(text), text)
 
 
-def _read(tokens: list, text: str, closes: list | None = None):
+def _read(tokens: list, text: str):
     """Yield each top-level s-expression the tokens make; an error names the
     token's position in the text, counting ``tokens[0]`` as its first token.
-    Given ``closes``, the index of each top-level form's last token is
-    appended to it.
 
     A token is told by its first character. A string literal is closed when
     it holds an even number of quotes: its doubled quotes come in pairs. An
@@ -178,8 +170,6 @@ def _read(tokens: list, text: str, closes: list | None = None):
         if stack:
             items.append(form)
         else:
-            if closes is not None:
-                closes.append(index)
             yield form
     if stack:
         raise _error_at("unbalanced parenthesis", text, stack[-1][0])
@@ -195,19 +185,19 @@ def _sort_of(sym, where: str) -> Sort:
 
 
 def parse_problem_file(text: str, path: str | None = None) -> ProblemFile:
-    start = text.find(_SYNTH_FUN)
-    if start < 0:
+    end = text.find("\n(constraint") + 1  # where the head ends; 0 without a constraint line
+    if not end:
         return _problem_file(list(_forms(text)), path)
-    end = _declaration_end(text, start)
-    declared = _DECLARED.get(text[start:end])
-    if declared is not None:
+    head = _HEADS.get(text[:end])
+    if head is not None:
         try:
-            forms = _forms_around(text, start, end, declared)
-            if forms is not None:
-                return _problem_file(forms, path)
+            return _problem_file([*head, *_forms(text[end:])], path)
         except ParseError:
             pass  # read all of it again, so the error is the full reader's
-    return _read_and_remember(text, path, start, end)
+    pf = _problem_file(list(_forms(text)), path)
+    if head is None:
+        _keep_head(text[:end], pf)
+    return pf
 
 
 def _problem_file(forms: list, path: str | None) -> ProblemFile:
@@ -390,19 +380,7 @@ def _parse_constraint(form, fn_name: str, n_params: int) -> IoConstraint:
     return IoConstraint(inputs=tuple(args), output=out)
 
 
-# --- Declarations read before -----------------------------------------------------
-
-
-# Where a declaration that may have been read before starts.
-_SYNTH_FUN = "(synth-fun"
-
-
-def _declaration_end(text: str, start: int) -> int:
-    """Where a declaration printed at ``start`` ends: after the ``)`` that ends
-    the last line before the next line that opens a form (0 if there is no
-    ``)`` after ``start``)."""
-    line = text.find("\n(", start)
-    return text.rfind(")", start, len(text) if line < 0 else line) + 1
+# --- Heads read before -----------------------------------------------------------
 
 
 class _Declaration(NamedTuple):
@@ -413,87 +391,43 @@ class _Declaration(NamedTuple):
     grammar: Grammar
 
 
-class _Declarations:
-    """The last ``maxsize`` declarations the reader accepted, by their exact
-    source text, in least recently used order."""
+class _Heads:
+    """The last ``maxsize`` heads the reader kept, as their top-level forms by
+    their exact text, in least recently used order."""
 
     def __init__(self, maxsize: int = 256):
         self.maxsize = maxsize
-        self.by_source: OrderedDict[str, _Declaration] = OrderedDict()
+        self.by_text: OrderedDict[str, tuple] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self.by_source)
+        return len(self.by_text)
 
-    def get(self, source: str) -> _Declaration | None:
-        declaration = self.by_source.get(source)
-        if declaration is not None:
-            self.by_source.move_to_end(source)
-        return declaration
+    def get(self, head: str) -> tuple | None:
+        forms = self.by_text.get(head)
+        if forms is not None:
+            self.by_text.move_to_end(head)
+        return forms
 
-    def add(self, source: str, declaration: _Declaration) -> None:
-        self.by_source[source] = declaration
-        if len(self.by_source) > self.maxsize:
-            self.by_source.popitem(last=False)
-
-
-_DECLARED = _Declarations()
+    def add(self, head: str, forms: tuple) -> None:
+        self.by_text[head] = forms
+        if len(self.by_text) > self.maxsize:
+            self.by_text.popitem(last=False)
 
 
-def _tokens_through(text: str, start: int) -> list | None:
-    """The text's tokens up to the ``(`` token at ``start``, that one included,
-    or None when no token starts there (it is in a comment or a literal).
-
-    Read up to and including that ``(``, the text ends in the token ``(`` and
-    the empty match at its end; a comment or a literal would have taken the
-    ``(`` in. Earlier tokens end before it, so the full reader reads them
-    too, and its next token starts right after it."""
-    head = _TOKEN_RE.findall(text[: start + 1])  # a slice reads faster than an end position
-    if head[-2] != "(":
-        return None
-    del head[-1]
-    return head
+_HEADS = _Heads()
 
 
-def _forms_around(text: str, start: int, end: int, declared: _Declaration) -> list | None:
-    """The text's top-level forms with its kept synth-fun source, which spans
-    ``start`` to ``end``, taken as read; None when no token starts at ``start``."""
-    head = _tokens_through(text, start)
-    if head is None:
-        return None
-    return [
-        *_read(head[:-1], text),  # raises on a list still open before ``start``
-        declared,
-        *_read(_TOKEN_RE.findall(text, end), text),
-    ]
-
-
-def _read_and_remember(text: str, path: str | None, start: int, end: int) -> ProblemFile:
-    """Read the text in full and keep its synth-fun form, if it spans ``start``
-    to ``end``.
-
-    The text is tokenized up to ``end`` and after it, which makes the full
-    reader's tokens when a ``)`` token ends at ``end``. The form is kept
-    when it opens a top-level list at ``start`` that the reader closes with
-    that token: the text was accepted, so such a list is its declaration."""
-    tokens = _TOKEN_RE.findall(text[:end])
-    last = len(tokens) - 2  # the token that ends at ``end``, if one does
-    if last < 0 or tokens[last] != ")":
-        return _problem_file(list(_forms(text)), path)
-    tokens[-1:] = _TOKEN_RE.findall(text, end)
-    closes: list[int] = []
-    forms = list(_read(tokens, text, closes))
-    pf = _problem_file(forms, path)
-    k = bisect_left(closes, last)
-    if closes[k] == last and forms[k][0] == "synth-fun" and _opens_top_level_form(text, start):
-        _DECLARED.add(text[start:end], _Declaration(pf.fn_name, pf.problem.grammar))
-    return pf
-
-
-def _opens_top_level_form(text: str, start: int) -> bool:
-    """Whether the ``(`` at ``start`` of an accepted text opens a top-level list
-    (an accepted text never closes a list that is not open)."""
-    head = _tokens_through(text, start)
-    return head is not None and head.count("(") == head.count(")") + 1
+def _keep_head(head: str, pf: ProblemFile) -> None:
+    """Keep the head of an accepted text if it reads alone into whole forms
+    with one synth-fun form, which is kept as the problem's ``_Declaration``."""
+    try:
+        forms = list(_forms(head))
+    except ParseError:
+        return
+    at = [k for k, form in enumerate(forms) if form[0] == "synth-fun"]
+    if len(at) == 1:
+        forms[at[0]] = _Declaration(pf.fn_name, pf.problem.grammar)
+        _HEADS.add(head, tuple(forms))
 
 
 # --- Printing -------------------------------------------------------------------

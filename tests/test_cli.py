@@ -1,6 +1,9 @@
 import ast
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,6 +203,43 @@ def test_rejected_value_is_a_usage_error(argv, message, tmp_path, monkeypatch, c
 
 
 ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "perfbench" / "fixture"
+
+CONCAT_ONLY = """(set-logic SLIA)
+(synth-fun f ((x0 String)) String ((Start String (x0 "-" (str.++ Start Start)))))
+(declare-var x0 String)
+(constraint (= (f "ab") "ab-ab"))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{tmp}/nonexistent.sl"], "solve: [Errno 2] No such file or directory: "),
+    (["parse", "{tmp}/bad.sl"], "parse: unsupported form (foo ...)"),
+    (["prune", "{tmp}/concat.sl", "--weights", f"{FIXTURE}/weights.bin", "--time-data", f"{FIXTURE}/time.jsonl"],
+     f"prune: {FIXTURE}/weights.bin: terminal ordering hash does not match the grammar"),
+    (["bench", "--problems", "{problem}", "--weights", f"{FIXTURE}/weights.bin", "--time-data", "{problem}"],
+     "bench: {problem}: not a timing dataset file"),
+    (["bench", "--problems", "{problem}", "--weights", f"{FIXTURE}/weights.bin", "--time-data", "{tmp}/reversed.jsonl"],
+     "bench: --time-data was made for another terminal order"),
+], ids=["missing-problem", "parse-error", "weights-for-another-grammar", "time-data-not-json",
+        "time-data-for-another-order"])
+def test_bad_input_file_is_a_message_not_a_traceback(argv, message, problem_file, tmp_path):
+    (tmp_path / "bad.sl").write_text("(set-logic SLIA)(foo)", encoding="utf-8")
+    (tmp_path / "concat.sl").write_text(CONCAT_ONLY, encoding="utf-8")
+    header, *rows = (FIXTURE / "time.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(header)
+    header["terminals"].reverse()
+    (tmp_path / "reversed.jsonl").write_text(json.dumps(header) + "\n" + "".join(rows), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    fill = {"tmp": tmp_path, "problem": problem_file}
+    proc = subprocess.run(
+        [sys.executable, "-m", "grt.cli", *(arg.format(**fill) for arg in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message.format(**fill))
+    assert "Traceback" not in proc.stderr
 
 
 def load_run_pipeline():

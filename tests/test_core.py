@@ -124,8 +124,9 @@ class TestEvaluateRows:
             n_rows = rng.randint(1, 6)
             drawn = random_inputs(rng, n_rows * n_vars, (0, 8), "ab 0123-.")
             rows = [tuple(drawn[j * n_vars : (j + 1) * n_vars]) for j in range(n_rows)]
-            want = tuple(evaluate(program, row, var_names) for row in rows)
+            want = tuple(ref_eval(program, dict(zip(var_names, row))) for row in rows)
             assert evaluate_rows(program, rows, var_names) == want, program
+            assert tuple(evaluate(program, row, var_names) for row in rows) == want, program
 
     def test_no_rows(self):
         assert evaluate_rows(apply_("str.++", InputVar("x0"), StrLit("a")), [], ("x0",)) == ()

@@ -2,7 +2,10 @@
 few requests of each workload so a library API change that would break it
 fails here first. Nothing is written."""
 
+import ast
 import hashlib
+import importlib
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -173,3 +176,30 @@ def test_many_small_decisions_are_stable(seed):
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert (explored, digest) == MANY_SMALL_BASELINE[seed]
     assert removed_digest(removed) == MANY_SMALL_REMOVED[seed]
+
+
+def test_the_fixture_maker_calls_the_library_as_it_stands():
+    # make_fixture.py regenerates the frozen fixture and no test runs it, so
+    # read it without importing it: every name it imports from grt must
+    # exist, and every call of an imported function must bind to that
+    # function's signature, by its number of positional arguments and its
+    # keyword names.
+    tree = ast.parse((ROOT / "perfbench" / "make_fixture.py").read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "grt":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+    checked = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and callable(imported.get(node.func.id)):
+            assert not any(isinstance(arg, ast.Starred) for arg in node.args), ast.unparse(node)
+            assert all(kw.arg for kw in node.keywords), ast.unparse(node)
+            try:
+                inspect.signature(imported[node.func.id]).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+            except TypeError as exc:
+                pytest.fail(f"line {node.lineno}: {ast.unparse(node)}: {exc}")
+            checked.add(node.func.id)
+    assert {"gen_time_dataset", "fallback_point", "gen_crit_dataset", "train", "decide", "vote"} <= checked

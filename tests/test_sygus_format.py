@@ -355,19 +355,19 @@ import harness  # noqa: E402
 
 
 def outcome(text, cache):
-    """What parse_problem_file makes of the text with these declarations kept:
-    the ProblemFile, or the error's class, message, line and column."""
-    saved, sygus_format._DECLARED = sygus_format._DECLARED, cache
+    """What parse_problem_file makes of the text with these heads kept: the
+    ProblemFile, or the error's class, message, line and column."""
+    saved, sygus_format._HEADS = sygus_format._HEADS, cache
     try:
         return parse_problem_file(text)
     except ParseError as exc:
         return type(exc), str(exc), exc.line, exc.col
     finally:
-        sygus_format._DECLARED = saved
+        sygus_format._HEADS = saved
 
 
 def cold(text):
-    return outcome(text, sygus_format._Declarations())
+    return outcome(text, sygus_format._Heads())
 
 
 def full(text):
@@ -379,18 +379,28 @@ def full(text):
 
 
 def primed(*texts):
-    cache = sygus_format._Declarations()
+    cache = sygus_format._Heads()
     for text in texts:
         outcome(text, cache)
     return cache
 
 
-def synth_fun_span(text):
-    """Where the text's kept synth-fun source starts and ends."""
-    (source,) = primed(text).by_source
-    start = text.index("(synth-fun")
-    assert text.startswith(source, start)
-    return start, start + len(source)
+def head_end(text):
+    """Where the text's kept head ends: past the newline of its first constraint line."""
+    (head,) = primed(text).by_text
+    assert text.startswith(head) and text.startswith("(constraint", len(head))
+    return len(head)
+
+
+class Counted(sygus_format._Heads):
+    """Heads that count how often a lookup finds one."""
+
+    hits = 0
+
+    def get(self, head):
+        forms = super().get(head)
+        self.hits += forms is not None
+        return forms
 
 
 MANY_SMALL_TEXTS = [req.text for req in harness.many_small_requests(1, k=20)]
@@ -399,27 +409,26 @@ BASE_TEXTS = [data.decode("utf-8") for data in SHIPPED_TEXTS] + MANY_SMALL_TEXTS
 # Pieces that change how the text around them reads.
 MUTATIONS = [
     "x", "1", '"', '"a', "(", ")", ";", "; (synth-fun", "\n; (synth-fun f\n", ")(", "((", "\n", " ",
-    "(check-synth)", '(constraint (= (f "a") "a"))',
+    "(check-synth)", '(constraint (= (f "a") "a"))', "\n(constraint", '"\n(constraint',
 ]
 
 
 @st.composite
-def mutated_around_declaration(draw):
-    """A base text with a piece put before, inside, at either end of or after
-    its synth-fun form; or the form itself repeated or turned into a comment."""
+def mutated_around_head(draw):
+    """A base text with a piece put at the start of its head, inside it, at
+    either side of its final newline or after it; or the head repeated, or the
+    first constraint line turned into a comment."""
     text = draw(st.sampled_from(BASE_TEXTS))
-    start, end = synth_fun_span(text)
-    source = text[start:end]
-    kind = draw(st.sampled_from(("before", "inside", "start", "end", "glued", "after", "repeat", "comment")))
+    end = head_end(text)
+    kind = draw(st.sampled_from(("start", "inside", "end", "glued", "after", "repeat", "comment")))
     if kind == "repeat":
-        at = draw(st.sampled_from((start, end, len(text))))
-        return text, text[:at] + draw(st.sampled_from(("", "\n", " "))) + source + text[at:]
+        at = draw(st.sampled_from((end, len(text))))
+        return text, text[:at] + draw(st.sampled_from(("", "\n", " "))) + text[:end] + text[at:]
     if kind == "comment":
-        return text, text[:start] + ";" + text[start:]
+        return text, text[:end] + ";" + text[end:]
     at = {
-        "before": lambda: draw(st.integers(0, start)),
-        "inside": lambda: draw(st.integers(start + 1, end - 1)),
-        "start": lambda: start,
+        "start": lambda: 0,
+        "inside": lambda: draw(st.integers(1, end - 1)),
         "end": lambda: end - 1,
         "glued": lambda: end,
         "after": lambda: draw(st.integers(end, len(text))),
@@ -446,59 +455,61 @@ class TestDeclarationReuse:
         first, second = (outcome(text, cache) for text in MANY_SMALL_TEXTS[:2])
         assert first.problem.grammar is second.problem.grammar
 
-    @given(mutated_around_declaration())
+    @given(mutated_around_head())
     @settings(max_examples=400, deadline=None)
     def test_mutated_texts_read_as_with_nothing_kept(self, texts):
         base, mutated = texts
-        assert outcome(mutated, primed(base)) == cold(mutated) == full(mutated)
+        expected = full(mutated)
+        assert outcome(mutated, primed(base)) == cold(mutated) == expected
+        assert outcome(mutated, primed(mutated)) == expected  # its own head, if kept
 
     @pytest.mark.parametrize("text", BASE_TEXTS[:3] + MANY_SMALL_TEXTS[:1])
-    def test_every_single_insertion_reads_as_with_nothing_kept(self, text, monkeypatch):
-        cache = primed(text)
-        start, end = synth_fun_span(text)
-        reused = []
-        real = sygus_format._forms_around
-        monkeypatch.setattr(sygus_format, "_forms_around", lambda *a: reused.append(a) or real(*a))
-        for at in (0, start, start + 1, end - 1, end, end + 1):
+    def test_every_single_insertion_reads_as_with_nothing_kept(self, text):
+        end = head_end(text)
+        cache = Counted()
+        outcome(text, cache)
+        after = end + len("(constraint")
+        for at in (0, 1, end // 2, end - 1, end, end + 1, after, len(text)):
             for piece in MUTATIONS:
                 mutated = text[:at] + piece + text[at:]
                 assert outcome(mutated, cache) == cold(mutated) == full(mutated), (at, piece)
-        # a piece before the form or after it leaves the form to be reused
-        assert len(reused) >= 3 * len(MUTATIONS)
+        # a piece after the first constraint line's "(constraint" leaves the head to be reused
+        assert cache.hits >= 2 * len(MUTATIONS)
 
     def test_benchmark_texts_read_the_same_cold_and_warm(self, generated_paths):
         texts = [req.text for seed in (1, 2) for req in harness.many_small_requests(seed)]
         texts += [path.read_text(encoding="utf-8") for path in generated_paths]
         assert len(texts) == 1437
         warm = primed(*texts)
-        # every declaration here is kept: many-small's one and the suite's 26
-        assert len(warm) == len({text[slice(*synth_fun_span(text))] for text in texts}) == 27
+        # every head here is kept: many-small's one and the suite's 26
+        assert len(warm) == len({text[: head_end(text)] for text in texts}) == 27
         for text in texts:
             assert outcome(text, warm) == cold(text) == full(text)
 
     def test_the_least_recently_used_declaration_goes(self):
         base = MANY_SMALL_TEXTS[0]
         texts = [base.replace('(x0 ""', f'(x0 "{i}" ""', 1) for i in range(5)]
-        cache = sygus_format._Declarations(maxsize=4)
+        cache = sygus_format._Heads(maxsize=4)
         for text in texts:
             outcome(text, cache)
-        sources = [t[slice(*synth_fun_span(t))] for t in texts]
-        assert list(cache.by_source) == sources[1:]
+        heads = [t[: head_end(t)] for t in texts]
+        assert list(cache.by_text) == heads[1:]
         outcome(texts[1], cache)  # now the most recently used
         outcome(texts[0], cache)
-        assert list(cache.by_source) == [sources[3], sources[4], sources[1], sources[0]]
+        assert list(cache.by_text) == [heads[3], heads[4], heads[1], heads[0]]
 
     @pytest.mark.parametrize(
         "text, error",
         [
-            (" ".join(MANY_SMALL_TEXTS[0].split("\n")), None),  # no line after it opens a form
+            (" ".join(MANY_SMALL_TEXTS[0].split("\n")), None),  # no constraint line
             (
                 MANY_SMALL_TEXTS[0].replace("\n(synth-fun", "\n(check-synth (synth-fun f () String ((S String (\"\")))))\n(synth-fun", 1),
                 "check-synth takes no arguments",
             ),
-            (MANY_SMALL_TEXTS[0].replace("\n     (StartInt", "\n(StartInt", 1), None),
+            # the first "\n(constraint" is inside a literal, which the head cuts
+            (MANY_SMALL_TEXTS[0].replace('(x0 ""', '(x0 "\n(constraint" ""', 1), None),
         ],
-        ids=["one-line", "nested-first", "split-by-a-line"],
+        ids=["one-line", "nested-first", "literal-across-the-cut"],
     )
     def test_declarations_that_are_not_kept(self, text, error):
         cache = primed(text)
@@ -511,20 +522,29 @@ class TestDeclarationReuse:
         assert len(warm) == 1  # the one kept is the unchanged text's
         assert outcome(text, warm) == outcome(text, cache) == cold(text) == full(text)
 
-    def test_a_nested_first_synth_fun_is_not_kept(self):
+    def test_a_declaration_split_by_a_line_is_kept(self):
+        text = MANY_SMALL_TEXTS[0].replace("\n     (StartInt", "\n(StartInt", 1)
+        assert "\n(StartInt" in text
+        cache = primed(text)
+        assert len(cache) == 1
+        assert outcome(text, cache) == cold(text) == full(text)
+        assert not isinstance(full(text), tuple)
+
+    def test_a_nested_synth_fun_symbol_is_kept(self):
         # The first "(synth-fun" opens a parameter of a declaration spelled
-        # "( synth-fun", which ends where a printed one would. Kept, its text
-        # would stand for a form in a text that the full reader rejects.
+        # "( synth-fun"; the head holds one top-level synth-fun form all the same.
         text = (
             "(set-logic SLIA)\n( synth-fun f ((synth-fun String)) String\n"
             '    ((Start String (synth-fun "" (str.++ Start Start)))))\n'
             '(declare-var synth-fun String)\n(constraint (= (f "a") "aa"))\n(check-synth)\n'
         )
+        cache = primed(text)
+        assert len(cache) == 1
+        assert outcome(text, cache) == cold(text) == full(text)
+        assert not isinstance(full(text), tuple)
         start, end = text.index("(synth-fun"), text.index("\n(declare-var")
-        assert not isinstance(cold(text), tuple)
-        assert len(primed(text)) == 0
         bare = "(set-logic SLIA)\n" + text[start:end] + text[end:]
-        assert outcome(bare, primed(text)) == full(bare)
+        assert outcome(bare, cache) == full(bare)
         assert full(bare)[1].startswith("unexpected ')'")
 
     def test_a_parenthesis_in_a_comment_is_not_taken_for_the_end(self):
@@ -536,8 +556,8 @@ class TestDeclarationReuse:
     def test_a_declaration_with_a_comment_inside_is_reused(self):
         text = MANY_SMALL_TEXTS[0].replace("String\n", "String ; a comment (with a paren\n", 1)
         cache = primed(text)
-        (source,) = cache.by_source
-        assert "; a comment (with a paren" in source
+        (head,) = cache.by_text
+        assert "; a comment (with a paren" in head
         other = MANY_SMALL_TEXTS[1].replace("String\n", "String ; a comment (with a paren\n", 1)
         assert outcome(other, cache) == cold(other)
         assert outcome(other, cache).problem.grammar is cold(text).problem.grammar
