@@ -11,25 +11,34 @@ import sys
 from pathlib import Path
 
 from . import bench, datagen, enumerator, neural, pruner
-from .core import Sort, default_grammar
+from .core import Sort, UnknownTerminal, default_grammar
 from .sygus_format import ProblemFile, parse_problem_file, print_problem, print_solution
 
 
 def _load_grammar_config(path):
-    """Grammar from a JSON config: literal pools, input vars, terminal subset."""
+    """Grammar from a JSON config: literal pools, input vars, terminal subset.
+
+    Raises ValueError, naming the file, for a config that is not a JSON
+    object or names an unknown terminal.
+    """
     if path is None:
         return default_grammar()
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: a grammar config must be a JSON object")
     input_vars = tuple(
         (name, Sort(sort)) for name, sort in cfg.get("input_vars", [["x0", "String"]])
     )
-    return default_grammar(
-        string_literals=tuple(cfg.get("string_literals", ("", " ", "-", "."))),
-        int_literals=tuple(cfg.get("int_literals", (0, 1, 2, 3))),
-        input_vars=input_vars,
-        terminals=cfg.get("terminals"),
-    )
+    try:
+        return default_grammar(
+            string_literals=tuple(cfg.get("string_literals", ("", " ", "-", "."))),
+            int_literals=tuple(cfg.get("int_literals", (0, 1, 2, 3))),
+            input_vars=input_vars,
+            terminals=cfg.get("terminals"),
+        )
+    except UnknownTerminal as exc:
+        raise ValueError(f"{path}: {exc.args[0]}") from None
 
 
 def _read_problem(path) -> ProblemFile:

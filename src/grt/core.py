@@ -275,7 +275,7 @@ class Grammar:
     input_vars: tuple[tuple[str, Sort], ...] = (("x0", Sort.STRING),)
     terminal_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _reduced: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by ``without``
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by ``enumerator._plan``
+    _plan: object = field(default=None, init=False, repr=False, compare=False)  # by ``enumerator._plan``
     _printed: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by ``sygus_format.print_problem``
 
     def __post_init__(self) -> None:

@@ -250,31 +250,37 @@ def _terminals_in_header(fh, path, schema: str, kind: str) -> tuple[str, ...]:
     return tuple(header["terminals"])
 
 
+def _row_fields(row, names: tuple[str, ...], path, lineno: int) -> list:
+    """The named fields of one dataset row; ValueError, naming the line, for
+    a row that is not an object holding all of them."""
+    try:
+        return [row[name] for name in names]
+    except (KeyError, TypeError):
+        raise ValueError(f"{path}:{lineno}: a row must be an object with {', '.join(names)}") from None
+
+
 def load_crit_dataset(path) -> tuple[list[CritSample], tuple[str, ...]]:
     """The samples and terminal order of a file ``save_crit_dataset`` wrote.
 
-    Raises ValueError, naming the line, for a row whose label has another
-    length than the header's terminal list or holds a bit other than 0 or 1.
+    Raises ValueError, naming the line, for a row that lacks a field, or
+    whose label has another length than the header's terminal list or
+    holds a bit other than 0 or 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         terminals = _terminals_in_header(fh, path, "grt.crit", "criticality dataset")
         samples = []
         for lineno, line in enumerate(fh, start=2):
-            row = json.loads(line)
-            label = tuple(row["label"])
+            inputs, output, label, program_id = _row_fields(
+                json.loads(line), ("inputs", "output", "label", "program_id"), path, lineno
+            )
+            label = tuple(label)
             if len(label) != len(terminals):
                 raise ValueError(
                     f"{path}:{lineno}: label has {len(label)} bits, the header lists {len(terminals)} terminals"
                 )
             if not all(type(bit) is int and bit in (0, 1) for bit in label):
                 raise ValueError(f"{path}:{lineno}: label bits must be 0 or 1, got {list(label)}")
-            samples.append(
-                CritSample(
-                    IoConstraint(tuple(row["inputs"]), row["output"]),
-                    label,
-                    row["program_id"],
-                )
-            )
+            samples.append(CritSample(IoConstraint(tuple(inputs), output), label, program_id))
     return samples, terminals
 
 
@@ -294,11 +300,13 @@ def save_time_dataset(path, samples: Sequence[TimeSample], terminal_names: Seque
 
 
 def load_time_dataset(path) -> tuple[list[TimeSample], tuple[str, ...]]:
+    """The samples and terminal order of a file ``save_time_dataset`` wrote.
+
+    Raises ValueError, naming the line, for a row that lacks a field.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         terminals = _terminals_in_header(fh, path, "grt.time", "timing dataset")
         rows = json.loads("[" + ",".join(fh) + "]")  # one parse for every row
-    samples = [
-        TimeSample(row["terminal"], row["problem_id"], row["t_full_s"], row["t_dropped_s"], row["delta_s"])
-        for row in rows
-    ]
+    names = ("terminal", "problem_id", "t_full_s", "t_dropped_s", "delta_s")
+    samples = [TimeSample(*_row_fields(row, names, path, lineno)) for lineno, row in enumerate(rows, start=2)]
     return samples, terminals

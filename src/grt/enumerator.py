@@ -105,8 +105,8 @@ PROBE_STRINGS: tuple[str, ...] = ("", "a", "Z", "0", "123", "ab cd", "Hello Worl
 DEFAULT_STREAM_N = 2000
 
 # The deadline is tested each time explored reaches a multiple of 1024 (the work
-# budget on every candidate): per candidate by _Space._counted, at the end of
-# each batch by _Space._batches, whose batches end there.
+# budget on every candidate), before what was counted is used: per candidate by
+# _Space._counted, per list by _Space._batches, whose lists end there.
 _CHECK_MASK = 0x3FF
 
 
@@ -191,10 +191,11 @@ class _Plan:
     """What a search over a grammar works out from the grammar alone.
 
     ``ops`` holds the operators of each sort in catalog order. ``deferred``
-    and ``eager`` split the String operators: with a target the inverted
-    ones (``_INVERSES``) are deferred, without one (``stream``) none are. Each leaf
-    is (program, sort, column, value): an input variable's values are its
-    column of the assignments, a literal's its value on every one.
+    and ``eager`` split the String operators for a search with a target:
+    the inverted ones (``_INVERSES``) are deferred; ``stream`` reads
+    neither. Each leaf is (program, sort, column, value): an input
+    variable's values are its column of the assignments, a literal's its
+    value on every one.
     """
 
     ops: dict
@@ -204,13 +205,11 @@ class _Plan:
     leaves: tuple
 
 
-def _plan(grammar: Grammar, witnessed: bool) -> _Plan:
-    """The grammar's search plan, made once per grammar and kind of search."""
-    plan = grammar._plans.get(witnessed)
-    if plan is None:
+def _plan(grammar: Grammar) -> _Plan:
+    """The grammar's search plan, made once per grammar."""
+    if grammar._plan is None:
         ops = [t for t in grammar.terminals if t.arity > 0]
         by_sort = {s: tuple(t for t in ops if t.ret_sort is s) for s in _SORTS}
-        names = _INVERSES if witnessed else {}
         leaves = [
             (InputVar(name, sort), sort, j, None)
             for j, (name, sort) in enumerate(grammar.input_vars)
@@ -218,14 +217,14 @@ def _plan(grammar: Grammar, witnessed: bool) -> _Plan:
         ]
         leaves += [(StrLit(s), Sort.STRING, None, s) for s in grammar.string_literals]
         leaves += [(IntLit(n), Sort.INT, None, n) for n in grammar.int_literals]
-        plan = grammar._plans[witnessed] = _Plan(
+        object.__setattr__(grammar, "_plan", _Plan(
             ops=by_sort,
             max_arity=max((t.arity for t in ops), default=0),
-            deferred=tuple(t for t in by_sort[Sort.STRING] if t.name in names),
-            eager=tuple(t for t in by_sort[Sort.STRING] if t.name not in names),
+            deferred=tuple(t for t in by_sort[Sort.STRING] if t.name in _INVERSES),
+            eager=tuple(t for t in by_sort[Sort.STRING] if t.name not in _INVERSES),
             leaves=tuple(leaves),
-        )
-    return plan
+        ))
+    return grammar._plan
 
 
 class _Space:
@@ -242,12 +241,12 @@ class _Space:
     ``_INVERSES``: what each child must evaluate to follows from the target
     and is looked up in the smaller pools, and a root whose outputs cannot
     have the target's shape costs no work at all. A child is looked up by
-    value with one lookup for both sorts, ``_find(sort, size, vector)``: a
-    complete pool is read through its index, and in a pool not yet complete
-    the entries ``level`` grew eagerly there are read and then the same
-    top-down search runs with the child's value as its target (for Int,
-    over every Int operator). For each size split ``str.++``, ``+`` and
-    ``-`` scan the child whose pool is complete and look the other up
+    value with one lookup for both sorts, ``_find(sort, size, vector)``:
+    ``seen`` holds the size and program of every value kept in a pool, and
+    a value not kept at that size in a pool not yet complete (nor, for Int,
+    kept smaller) is searched top-down with the child's value as its target
+    (for Int, over every Int operator). For each size split ``str.++``, ``+``
+    and ``-`` scan the child whose pool is complete and look the other up
     (``_invert_split``), so at size L the String pool of size L-2 is not
     completed just to supply ``str.++`` children. The ``str.substr``,
     ``str.at`` and ``ite`` inverses check each size split against its
@@ -271,17 +270,18 @@ class _Space:
     grammar without ``str.replace`` grows nothing there.
     The inverted operators' own entries of that pool are deferred until a
     later level reads it. A value they then produce that the other operators
-    kept at a larger size moves down, so a completed pool holds the same values
-    as without deferral (only the representative program may differ).
+    kept at a larger size moves down, with its new size and program in
+    ``seen``, so a completed pool holds the same values as without deferral
+    (only the representative program may differ).
 
     Work is counted in ``explored``: every candidate evaluated and every
     check an inverse makes, in nested lookups too. A scan that makes a nested
     lookup per item counts through ``_counted``, one item at a time; ``_grow``
     and the other scans count through ``_batches``, a list of up to 1024 items
-    at a time, with the same stops. Both raise ``_Stop`` rather than count one
-    past the work budget, and test the deadline at every multiple of 1024
-    explored; ``_checkpoint`` tests both before each level. What a lookup
-    computes once is cached in ``memo`` by ``_memo``.
+    at a time. Both count before they yield, raise ``_Stop`` rather than
+    count one past the work budget, and test the deadline at every multiple
+    of 1024 explored; ``_checkpoint`` tests both before each level. What a
+    lookup computes once is cached in ``memo`` by ``_memo``.
     """
 
     def __init__(
@@ -298,10 +298,10 @@ class _Space:
         self.max_explored = sys.maxsize if max_explored is None else max_explored  # an int, for a fast compare
         self.progs: dict[tuple[Sort, int], list] = {}
         self.vals: dict[tuple[Sort, int], list] = {}
-        self.seen: dict[Sort, dict[tuple, int]] = {s: {} for s in _SORTS}  # value vector -> size kept
+        self.seen: dict[Sort, dict[tuple, tuple]] = {s: {} for s in _SORTS}  # value vector -> (size, program) kept
         self.memo: dict[tuple, object] = {}  # what the @_memo lookups returned, by (method name, arguments)
-        self.explored = 0  # advanced by _counted alone, once the leaves are seeded
-        plan = _plan(grammar, target is not None)
+        self.explored = 0  # advanced by _counted and _batches alone, once the leaves are seeded
+        plan = _plan(grammar)
         self.ops, self.max_arity, self.deferred, self.eager = plan.ops, plan.max_arity, plan.deferred, plan.eager
         self.grown = dict.fromkeys(_SORTS, 1)  # every pool up to this size is complete
         self.deferred_to = 1  # String pools above grown[STRING] up to here lack the deferred ops
@@ -315,7 +315,7 @@ class _Space:
             vals = (value,) * m if column is None else tuple(a[column] for a in assignments)
             self.explored += 1
             if vals not in self.seen[sort]:
-                self.seen[sort][vals] = 1
+                self.seen[sort][vals] = (1, prog)
                 self.progs[(sort, 1)].append(prog)
                 self.vals[(sort, 1)].append(vals)
 
@@ -386,16 +386,14 @@ class _Space:
             yield item
 
     def _batches(self, items):
-        """Yield the items in lists, each counted as explored once the next is asked for.
+        """Yield the items in lists, each counted as explored before it is yielded.
 
-        A list ends at the work budget or at the next multiple of 1024 explored,
-        where ``_spend`` tests the deadline, so the stops are those of
-        ``_counted``; an item past the budget raises ``_Stop`` instead. (The
-        caller has used the whole list by then, which matters only to a search
-        that the deadline then ends.) A caller
-        that returns inside a list counts what it used of it with ``_spend``.
-        A list's length is fixed from ``explored`` when it is taken, so the
-        caller must count nothing else while it holds one.
+        A list ends at the work budget or at the next multiple of 1024
+        explored, where the deadline is tested, so the stops are those of
+        ``_counted``; an item past the budget raises ``_Stop`` instead. A
+        caller that returns inside a list takes back what it did not use
+        from ``explored``. A list's length is fixed from ``explored`` when it
+        is taken, so the caller must count nothing else while it holds one.
         """
         items = iter(items)
         while True:
@@ -405,21 +403,14 @@ class _Space:
                 return
             if room <= 0:
                 raise _Stop("budget")
+            explored = self.explored = self.explored + len(batch)
+            if not (explored & _CHECK_MASK) and time.monotonic() >= self.deadline:
+                raise _Stop("deadline")
             yield batch
-            self._spend(len(batch))
-
-    def _spend(self, n: int) -> None:
-        """Count n more candidates as explored, testing the deadline if that reaches a multiple of 1024."""
-        self.explored += n
-        if not (self.explored & _CHECK_MASK) and time.monotonic() >= self.deadline:
-            raise _Stop("deadline")
 
     def _count_all(self, items) -> list:
         """Every item, each counted as explored (``_batches``)."""
-        out = []
-        for batch in self._batches(items):
-            out += batch
-        return out
+        return list(itertools.chain.from_iterable(self._batches(items)))
 
     def _args(self, sorts: tuple[Sort, ...], parts: tuple[int, ...]):
         """The children's program and value lists for one size split, or None if one is empty."""
@@ -467,15 +458,15 @@ class _Space:
                 for batch in batches:
                     for v, kids in zip(batch, children):
                         if v in seen:
-                            if not moves or seen[v] <= size:
+                            if not moves or seen[v][0] <= size:
                                 continue
-                            moved.setdefault(seen[v], set()).add(v)
-                        seen[v] = size
+                            moved.setdefault(seen[v][0], set()).add(v)
                         prog = Apply(term, kids)
+                        seen[v] = (size, prog)
                         progs.append(prog)
                         vals.append(v)
-                        if v == target:
-                            self._spend(batch.index(v) + 1)  # no copy of a new value comes before it
+                        if v == target:  # give back the rest of the list; no copy of a new value comes before it
+                            self.explored -= len(batch) - batch.index(v) - 1
                             return prog
                     if len(vals) >= keep:
                         return None
@@ -504,33 +495,23 @@ class _Space:
         _, split, columns = KERNELS[name]
         return columns(*(self.pool(sort, sz)[1] for sort, sz in zip(CATALOG[name].arg_sorts[split:], sizes)))
 
-    @_memo
-    def _index(self, sort: Sort, size: int) -> dict[tuple, ProgramAst]:
-        """The complete pool (sort, size) as {value vector: program}."""
-        progs, vals = self.pool(sort, size)
-        return dict(zip(vals, progs))
-
-    @_memo
-    def _partial(self, sort: Sort, size: int) -> dict[tuple, ProgramAst]:
-        """What ``level`` grew eagerly in the incomplete pool (sort, size), by value: empty but for String."""
-        return dict(zip(self.vals.get((sort, size), ()), self.progs.get((sort, size), ())))
-
     def _find(self, sort: Sort, size: int, vector: tuple) -> ProgramAst | None:
         """A program of this sort and at most this size with this value vector, or None.
 
         Finds every vector whose smallest program has this size without
-        completing the pool: a complete pool is read through its index, else
-        what ``level`` grew eagerly there, else ``_top_down``. An Int vector
-        kept at a smaller size gives None, since a solution using it would have
-        been found at a smaller size; the String pools a search has passed lack
-        the deferred operators' values, so ``seen`` cannot tell that for String.
+        completing the pool. A vector kept at this size gives its program
+        (``seen``); otherwise a complete pool gives None, and so does an Int
+        vector kept at a smaller size, since a solution using it would have
+        been found at a smaller size; else ``_top_down`` searches. The String
+        pools a search has passed lack the deferred operators' values, so
+        ``seen`` cannot rule out a String vector.
         """
-        if size <= self.grown[sort]:
-            return self._index(sort, size).get(vector)
-        if sort is Sort.INT and self.seen[sort].get(vector, size) < size:
+        kept, prog = self.seen[sort].get(vector, (None, None))
+        if kept == size:
+            return prog
+        if size <= self.grown[sort] or (sort is Sort.INT and kept is not None and kept < size):
             return None
-        found = self._partial(sort, size).get(vector)
-        return found if found is not None else self._top_down(sort, size, vector)
+        return self._top_down(sort, size, vector)
 
     @_memo
     def _top_down(self, sort: Sort, size: int, target: tuple) -> ProgramAst | None:
@@ -653,7 +634,7 @@ class _Space:
         for k in range(size - 1, self.grown[Sort.STRING], -1):
             smaller.update(v for _, v in self._hosts(k, target))
         seen = self.seen[Sort.STRING]
-        return [(p, v) for v, p in kept.items() if seen.get(v, size) >= size and v not in smaller]
+        return [(p, v) for v, p in kept.items() if v not in smaller and (v not in seen or seen[v][0] >= size)]
 
     @_memo
     def _matches(self, size: int, target: tuple) -> dict[tuple, ProgramAst]:
@@ -807,7 +788,7 @@ class _Space:
             thens, elses = self._matches(a, target), self._matches(b, target)
             if not thens or not elses:
                 continue
-            for cv, cp in self._index(Sort.BOOL, c).items():
+            for cp, cv in zip(*self.pool(Sort.BOOL, c)):
                 if all(cv) or not any(cv):
                     continue
                 then = None
@@ -869,10 +850,11 @@ def solve(problem: SygusProblem) -> SynthesisResult:
     candidates have been explored (or before a size level, if the leaves
     alone took more), and reports the time it ran rather than the whole
     budget; so a budget of n solves every search that needs at most n.
-    The budget is tested on every candidate and the deadline at every 1024th
-    (``_Space._counted`` and ``_Space._batches``), and ``_Space._checkpoint``
-    tests both before each level. The checks a top-down inverse makes count
-    as candidates; an inverted root the outputs rule out costs none.
+    The budget is tested on every candidate and the deadline at every 1024th,
+    each before the candidate is used (``_Space._counted`` per candidate,
+    ``_Space._batches`` per list), and ``_Space._checkpoint`` tests both
+    before each level. The checks a top-down inverse makes count as
+    candidates; an inverted root the outputs rule out costs none.
     """
     if not problem.constraints:
         raise ValueError("cannot solve a problem with no constraints")
@@ -983,6 +965,9 @@ def solve_with_external(problem: SygusProblem, solver_cmd: str, fn_name: str = "
             f"solver defined {len(var_names)} parameters, problem has "
             f"{len(problem.grammar.input_vars)}"
         )
+    for (name, sort), (_, wanted) in zip(parsed.params, problem.grammar.input_vars):
+        if sort is not wanted:
+            raise WrongAnswer(f"solver's parameter {name!r} has sort {sort.value}, the problem's has {wanted.value}")
     outputs = evaluate_rows(parsed.program, [c.inputs for c in problem.constraints], var_names)
     for c, output in zip(problem.constraints, outputs):
         if output != c.output:

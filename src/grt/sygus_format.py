@@ -215,8 +215,6 @@ def _problem_file(forms: list, path: str | None) -> ProblemFile:
 
     for form in forms:
         if type(form) is _Declaration:
-            if fn_name is not None:
-                raise ParseError("multiple synth-fun declarations")
             declared = form
             fn_name, params = form.fn_name, form.grammar.input_vars
             continue

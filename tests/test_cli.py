@@ -222,15 +222,33 @@ CONCAT_ONLY = """(set-logic SLIA)
      "bench: {problem}: not a timing dataset file"),
     (["bench", "--problems", "{problem}", "--weights", f"{FIXTURE}/weights.bin", "--time-data", "{tmp}/reversed.jsonl"],
      "bench: --time-data was made for another terminal order"),
+    (["stream", "--grammar-config", "{tmp}/unknown.json"], "stream: {tmp}/unknown.json: unknown terminals: ['str.frob']"),
+    (["datagen-crit", "-o", "{tmp}/crit.jsonl", "--grammar-config", "{tmp}/unknown.json"],
+     "datagen-crit: {tmp}/unknown.json: unknown terminals: ['str.frob']"),
+    (["stream", "--grammar-config", "{tmp}/list.json"], "stream: {tmp}/list.json: a grammar config must be a JSON object"),
+    (["train", "--data", "{tmp}/no-label.jsonl", "-o", "{tmp}/w.bin"],
+     "train: {tmp}/no-label.jsonl:2: a row must be an object with inputs, output, label, program_id"),
+    (["bench", "--problems", "{problem}", "--weights", f"{FIXTURE}/weights.bin", "--time-data", "{tmp}/no-full.jsonl"],
+     "bench: {tmp}/no-full.jsonl:3: a row must be an object with terminal, problem_id, t_full_s, t_dropped_s, delta_s"),
 ], ids=["missing-problem", "parse-error", "weights-for-another-grammar", "time-data-not-json",
-        "time-data-for-another-order"])
+        "time-data-for-another-order", "stream-unknown-terminal", "datagen-crit-unknown-terminal",
+        "grammar-config-not-an-object", "crit-row-without-label", "time-row-without-t-full"])
 def test_bad_input_file_is_a_message_not_a_traceback(argv, message, problem_file, tmp_path):
     (tmp_path / "bad.sl").write_text("(set-logic SLIA)(foo)", encoding="utf-8")
     (tmp_path / "concat.sl").write_text(CONCAT_ONLY, encoding="utf-8")
     header, *rows = (FIXTURE / "time.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    second = json.loads(rows[1])
+    del second["t_full_s"]
+    (tmp_path / "no-full.jsonl").write_text(header + rows[0] + json.dumps(second) + "\n", encoding="utf-8")
     header = json.loads(header)
     header["terminals"].reverse()
     (tmp_path / "reversed.jsonl").write_text(json.dumps(header) + "\n" + "".join(rows), encoding="utf-8")
+    (tmp_path / "unknown.json").write_text(json.dumps({"terminals": ["str.++", "str.frob"]}), encoding="utf-8")
+    (tmp_path / "list.json").write_text(json.dumps(["str.++"]), encoding="utf-8")
+    crit_header = {"schema": "grt.crit", "version": 1, "terminals": ["str.++"]}
+    crit_row = {"program_id": "p0", "inputs": ["a"], "output": "a"}
+    (tmp_path / "no-label.jsonl").write_text(json.dumps(crit_header) + "\n" + json.dumps(crit_row) + "\n",
+                                             encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     fill = {"tmp": tmp_path, "problem": problem_file}
     proc = subprocess.run(

@@ -1013,6 +1013,13 @@ class TestExternalSolver:
         with pytest.raises(WrongAnswer):
             solve_with_external(IDENTITY_PROBLEM, fake_solver(script))
 
+    def test_parameter_of_another_sort_is_a_wrong_answer(self):
+        # the problem's x0 is a String: evaluating the answer would hand a
+        # string to int.to.str
+        cmd = fake_solver("print('(define-fun f ((x0 Int)) String (int.to.str x0))')")
+        with pytest.raises(WrongAnswer, match="parameter 'x0' has sort Int, the problem's has String"):
+            solve_with_external(IDENTITY_PROBLEM, cmd)
+
     def test_crash(self):
         cmd = fake_solver("import sys; sys.exit(3)")
         with pytest.raises(SolverCrash):

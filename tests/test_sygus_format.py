@@ -184,6 +184,38 @@ class TestSolutionRoundTrip:
                 assert evaluate(back, [s]) == evaluate(program, [s])
 
 
+SYNTH_FUN_GRAMMAR = '((Start String (x0 "" (str.++ Start Start))))'
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_problem, MINIMAL.replace("(declare-var x0 String)", "(declare-var x0)"), "malformed declare-var: "),
+    (parse_problem, MINIMAL.replace("(synth-fun f ", '(synth-fun "f" '), "synth-fun name must be a symbol"),
+    (parse_problem, MINIMAL.replace("((x0 String)) String", "x0 String"), "synth-fun parameter list must be a list"),
+    (parse_problem, MINIMAL.replace("((x0 String)) String", "((x0)) String"), "malformed parameter: "),
+    (parse_problem, MINIMAL.replace("((x0 String)) String", "((x0 Int)) String"),
+     "only String-sorted parameters are supported"),
+    (parse_problem, MINIMAL.replace("((x0 String)) String", "((x0 String)) Int"),
+     "only String-valued synthesis functions are supported"),
+    (parse_problem, MINIMAL.replace(SYNTH_FUN_GRAMMAR, "()"), "synth-fun requires an explicit grammar"),
+    (parse_problem, MINIMAL.replace("(str.++ Start Start)", "()"), "malformed grammar entry: []"),
+    (parse_problem, MINIMAL.replace(SYNTH_FUN_GRAMMAR, "((Start String x0))"), "nonterminal productions must be a list"),
+    (parse_problem, MINIMAL.replace('(f "a") "aa"', '(f "a") 1'), "constraint output must be a string literal"),
+    (parse_solution, "(define-fun f ((x0 String)) String)", "malformed define-fun"),
+    (parse_solution, "(define-fun f ((x0)) String x0)", "malformed parameter: "),
+    (parse_solution, "(define-fun f ((x0 String)) String (str.len x0))", "define-fun body has sort Int, declared String"),
+    (parse_solution, "(define-fun f ((x0 String)) String y)", "unknown symbol 'y' in program body"),
+    (parse_solution, "(define-fun f ((x0 String)) String (str.frob x0))",
+     "unsupported operator 'str.frob' in program body"),
+    (parse_solution, "(define-fun f ((x0 String)) String ())", "malformed program body entry: []"),
+], ids=["declare-var", "synth-fun-name", "synth-fun-params", "synth-fun-param", "synth-fun-param-sort",
+        "synth-fun-return-sort", "synth-fun-no-grammar", "grammar-entry", "productions", "constraint-output",
+        "define-fun", "define-fun-param", "body-sort", "body-symbol", "body-operator", "body-entry"])
+def test_each_refusal_names_what_is_wrong(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(message)
+
+
 def test_shipped_benchmarks_parse_and_round_trip(handwritten_paths, generated_paths):
     for path in list(handwritten_paths) + list(generated_paths):
         pf = parse_problem_file(path.read_text(encoding="utf-8"), path=str(path))
