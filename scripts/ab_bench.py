@@ -15,10 +15,15 @@ side), A's interquartile range, and whether B's gain is resolved: B won at
 least nine pairs in ten, and its median beats A's by more than A's
 interquartile range. A row ends in ``WORSE beyond bound`` when B's median is
 worse than A's by more than the metric's relative ``bound``, the rule by which
-a change is rejected as a regression. A row says ``unresolved (spread > bound)``
-in place of that verdict when A's interquartile range exceeds the bound
-relative to A's median, so the runs spread too widely to tell a change inside
-the bound from noise; unless every B run beats every A run.
+a change is rejected as a regression, and in ``BETTER beyond bound`` when B's
+median beats A's by more than that bound. A row says ``unresolved (spread >
+bound)`` in place of the resolved verdict when A's interquartile range exceeds
+the bound relative to A's median, so the runs spread too widely to tell a
+change inside the bound from noise; unless every B run beats every A run.
+
+A claimed gain needs both ``resolved`` and ``BETTER beyond bound``: a
+difference inside the bound counts as no change, however consistent, and a
+median past the bound that B did not win in nine pairs of ten is not resolved.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ class Comparison:
     pairs: int
     resolved: bool
     worse: bool  # B's median worse than A's by more than the metric's bound
+    better: bool  # B's median better than A's by more than the metric's bound
     spread: bool  # A's IQR wider than the bound allows, and B does not beat A outright
 
     @property
@@ -98,9 +104,10 @@ def compare(metric: dict, a_runs: list, b_runs: list) -> Comparison:
     pairs = len(a_values)
     resolved = 10 * b_wins >= 9 * pairs and sign * (b[1] - a[1]) > a[2] - a[0]
     worse = sign * (a[1] - b[1]) > metric["bound"] * abs(a[1])
+    better = sign * (b[1] - a[1]) > metric["bound"] * abs(a[1])
     outright = min(sign * vb for vb in b_values) > max(sign * va for va in a_values)
     spread = a[2] - a[0] > metric["bound"] * abs(a[1]) and not outright
-    return Comparison(name, metric["unit"], a, b, b_wins, pairs, resolved, worse, spread)
+    return Comparison(name, metric["unit"], a, b, b_wins, pairs, resolved, worse, better, spread)
 
 
 def format_row(c: Comparison) -> str:
@@ -110,7 +117,7 @@ def format_row(c: Comparison) -> str:
         f"{c.name:20s} {c.unit:9s} A {c.a[1]:.6g} [{c.a[0]:.6g}-{c.a[2]:.6g}]  "
         f"B {c.b[1]:.6g} [{c.b[0]:.6g}-{c.b[2]:.6g}]  {change:+.1f}%  "
         f"B wins {c.b_wins}/{c.pairs}  A IQR {c.a_iqr:.4g}  {verdict}"
-        + ("  WORSE beyond bound" if c.worse else "")
+        + ("  WORSE beyond bound" if c.worse else "  BETTER beyond bound" if c.better else "")
     )
 
 

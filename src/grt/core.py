@@ -3,7 +3,11 @@
 The component functions follow the SMT-LIB string theory with every partial
 function totalized (out-of-range indexing yields "", failed numeric parses
 yield -1) so evaluation is a total, deterministic function on any inputs.
-Everything here is immutable after construction and safe to share.
+Each operator is defined once, by its row in ``_CATALOG_SPEC``: ``CATALOG``
+(its sorts), ``COLUMN_SEMANTICS`` (over one value vector per child) and
+``product_values`` (over every combination of the children's vectors) are
+built from those rows. Everything here is immutable after construction and
+safe to share.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 import operator
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 
 class Sort(enum.Enum):
@@ -57,7 +61,9 @@ class TerminalSymbol:
 # --- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# Slotted: a search keeps one per kept value, and without a __dict__ each is
+# smaller and gives the garbage collector less to traverse.
+@dataclass(frozen=True, slots=True)
 class Apply:
     terminal: TerminalSymbol
     children: "tuple[ProgramAst, ...]"
@@ -105,23 +111,6 @@ ProgramAst = Union[Apply, InputVar, StrLit, IntLit, BoolLit]
 
 # --- Component function semantics (totalized SMT-LIB string theory) --------
 
-
-def _str_at(s: str, i: int) -> str:
-    return s[i] if 0 <= i < len(s) else ""
-
-
-def _str_substr(s: str, i: int, n: int) -> str:
-    if i < 0 or i >= len(s) or n <= 0:
-        return ""
-    return s[i : i + n]
-
-
-def _str_indexof(s: str, t: str, i: int) -> int:
-    if i < 0 or i > len(s):
-        return -1
-    return s.find(t, i)
-
-
 # int() and str() refuse decimals longer than sys.get_int_max_str_digits()
 # (4,300 digits by default); Decimal converts exactly at any length, so it is
 # the slow path for those.
@@ -149,102 +138,111 @@ def _ite(c: bool, a: str, b: str) -> str:
     return a if c else b
 
 
-def _columnwise(fn: Callable) -> Callable[..., tuple]:
-    return lambda *cols: tuple(map(fn, *cols))
+_NO_SLICE = slice(0, 0)
+
+
+def _at_slices(iv: tuple) -> list:
+    # s[k:k+1] is (str.at s k) for every k >= 0; a negative k would count from the end.
+    return [slice(k, k + 1) if k >= 0 else _NO_SLICE for k in iv]
+
+
+def _substr_slices(iv: tuple, nv: tuple) -> list:
+    # s[k:k+m] is (str.substr s k m) for k >= 0 and m > 0; with m < 0 it would wrap around.
+    return [slice(k, k + m) if k >= 0 and m > 0 else _NO_SLICE for k, m in zip(iv, nv)]
+
+
+def _find_starts(iv: tuple) -> list:
+    # str.find gives -1 from a start past the end, so a negative start is sent there.
+    return [k if k >= 0 else sys.maxsize for k in iv]
+
+
+class _Spec(NamedTuple):
+    """One operator: its sorts and how it is evaluated, example by example.
+
+    ``f`` is called once per example on the children's values, in order, or
+    on the two children swapped where ``swapped`` is set. Where ``adapt`` is
+    set, the children from ``split`` on are not read directly: ``adapt``
+    turns their value vectors (none, for a split at the arity) into the one
+    vector ``f`` reads there.
+    """
+
+    arg_sorts: tuple[Sort, ...]
+    ret_sort: Sort
+    f: Callable
+    split: int | None = None
+    adapt: Callable | None = None
+    swapped: bool = False
+
+    def columns(self, value_lists: Sequence[Sequence[tuple]]) -> list:
+        """``adapt`` of each combination of the children's value vectors from ``split`` on, in ``itertools.product`` order."""
+        return list(itertools.starmap(self.adapt, itertools.product(*value_lists)))
 
 
 _S, _I, _B = Sort.STRING, Sort.INT, Sort.BOOL
 
-# Each function over columns: each argument is a tuple of values, one per
-# example, and the result is the tuple of outputs. Where a str method computes
-# the function, the loop over examples runs in C. str.replace replaces the
-# first occurrence; an empty pattern matches at position 0.
-_CATALOG_SPEC: tuple[tuple[str, tuple[Sort, ...], Sort, Callable[..., tuple]], ...] = (
-    ("str.++", (_S, _S), _S, _columnwise(operator.add)),
-    ("str.replace", (_S, _S, _S), _S, lambda s, t, r: tuple(map(str.replace, s, t, r, itertools.repeat(1)))),
-    ("str.at", (_S, _I), _S, _columnwise(_str_at)),
-    ("str.substr", (_S, _I, _I), _S, _columnwise(_str_substr)),
-    ("str.len", (_S,), _I, _columnwise(len)),
-    ("str.indexof", (_S, _S, _I), _I, _columnwise(_str_indexof)),
-    ("str.to.int", (_S,), _I, _columnwise(_str_to_int)),
-    ("int.to.str", (_I,), _S, _columnwise(_int_to_str)),
-    ("str.prefixof", (_S, _S), _B, lambda p, s: tuple(map(str.startswith, s, p))),
-    ("str.suffixof", (_S, _S), _B, lambda p, s: tuple(map(str.endswith, s, p))),
-    ("str.contains", (_S, _S), _B, _columnwise(operator.contains)),
-    ("ite", (_B, _S, _S), _S, _columnwise(_ite)),
-    ("+", (_I, _I), _I, _columnwise(operator.add)),
-    ("-", (_I, _I), _I, _columnwise(operator.sub)),
-    ("=", (_I, _I), _B, _columnwise(operator.eq)),
-)
+# The one definition of each operator; nothing else restates its semantics.
+# Where a C callable computes f (a str method or an operator function), the
+# loop over examples runs in C. str.replace replaces the first occurrence (a
+# count of 1 is passed); an empty pattern matches at position 0. str.at and
+# str.substr read slices and str.indexof remapped starts, which make the
+# totalized results.
+_CATALOG_SPEC: dict[str, _Spec] = {
+    "str.++": _Spec((_S, _S), _S, operator.add),
+    "str.replace": _Spec((_S, _S, _S), _S, str.replace, 3, lambda: itertools.repeat(1)),
+    "str.at": _Spec((_S, _I), _S, operator.getitem, 1, _at_slices),
+    "str.substr": _Spec((_S, _I, _I), _S, operator.getitem, 1, _substr_slices),
+    "str.len": _Spec((_S,), _I, len),
+    "str.indexof": _Spec((_S, _S, _I), _I, str.find, 2, _find_starts),
+    "str.to.int": _Spec((_S,), _I, _str_to_int),
+    "int.to.str": _Spec((_I,), _S, _int_to_str),
+    "str.prefixof": _Spec((_S, _S), _B, str.startswith, swapped=True),
+    "str.suffixof": _Spec((_S, _S), _B, str.endswith, swapped=True),
+    "str.contains": _Spec((_S, _S), _B, operator.contains),
+    "ite": _Spec((_B, _S, _S), _S, _ite),
+    "+": _Spec((_I, _I), _I, operator.add),
+    "-": _Spec((_I, _I), _I, operator.sub),
+    "=": _Spec((_I, _I), _B, operator.eq),
+}
 
 CATALOG: dict[str, TerminalSymbol] = {
-    name: TerminalSymbol(name, len(args), args, ret)
-    for name, args, ret, _ in _CATALOG_SPEC
+    name: TerminalSymbol(name, len(spec.arg_sorts), spec.arg_sorts, spec.ret_sort)
+    for name, spec in _CATALOG_SPEC.items()
 }
 
-COLUMN_SEMANTICS: dict[str, Callable[..., tuple]] = {name: fn for name, _, _, fn in _CATALOG_SPEC}
-
-_NO_SLICE = slice(0, 0)
+_SWAP = operator.itemgetter(0, 2, 1)
 
 
-def _at_slices(iv: tuple) -> tuple:
-    # s[k:k+1] is (str.at s k) for every k >= 0; a negative k would count from the end.
-    return tuple(slice(k, k + 1) if k >= 0 else _NO_SLICE for k in iv)
-
-
-def _substr_slices(iv: tuple, nv: tuple) -> tuple:
-    # s[k:k+m] is (str.substr s k m) for k >= 0 and m > 0; with m < 0 it would wrap around.
-    return tuple(slice(k, k + m) if k >= 0 and m > 0 else _NO_SLICE for k, m in zip(iv, nv))
-
-
-def _find_starts(iv: tuple) -> tuple:
-    # str.find gives -1 from a start past the end, so a negative start is sent there.
-    return tuple(k if k >= 0 else sys.maxsize for k in iv)
-
-
-# Per-example C callables for evaluating every combination of the children at
-# once (``product_values``): name -> (f, split, columns). f is mapped over one
-# combination's value vectors, example by example. ``columns``, if given, turns
-# the value lists of the children from ``split`` on (the arity: none of them)
-# into the lists f reads there: str.replace gains a count, str.at and str.substr read slices built
-# once per index vector or (start, length) pair, and str.indexof reads its
-# starts remapped once per vector. They depend on those children's pools
-# alone, so a caller that evaluates the same pools again can keep them.
-KERNELS: dict[str, tuple[Callable, int, Callable | None]] = {
-    "str.++": (operator.add, 2, None),
-    "str.replace": (str.replace, 3, lambda: [(itertools.repeat(1),)]),
-    "str.at": (operator.getitem, 1, lambda i: [list(map(_at_slices, i))]),
-    "str.substr": (
-        operator.getitem,
-        1,
-        lambda i, n: [list(itertools.starmap(_substr_slices, itertools.product(i, n)))],
-    ),
-    "str.len": (len, 1, None),
-    "str.indexof": (str.find, 2, lambda i: [list(map(_find_starts, i))]),
-    "str.contains": (operator.contains, 2, None),
-    "+": (operator.add, 2, None),
-    "-": (operator.sub, 2, None),
-    "=": (operator.eq, 2, None),
-}
-
-
-def product_values(
-    name: str, value_lists: Sequence[Sequence[tuple]], columns: list | None = None
-) -> Iterator[tuple]:
+def product_values(name: str, value_lists: Sequence[Sequence[tuple]], columns: list | None = None) -> Iterator[tuple]:
     """The operator's value vector for each combination of its children's, in ``itertools.product`` order.
 
-    With a kernel no Python frame runs per combination; every other operator
-    goes through ``COLUMN_SEMANTICS``. ``columns``, if given, is what the
-    kernel's ``columns`` made of the value lists from its split on earlier.
+    ``f`` is mapped over each combination's vectors, so no Python frame runs
+    per combination. ``columns``, if given, is what ``_Spec.columns`` made of
+    the value lists from the operator's split on earlier.
     """
-    if name not in KERNELS:
-        return itertools.starmap(COLUMN_SEMANTICS[name], itertools.product(*value_lists))
-    fn, split, make = KERNELS[name]
-    if make is not None:
+    spec = _CATALOG_SPEC[name]
+    if spec.adapt is not None:
         if columns is None:
-            columns = make(*value_lists[split:])
-        value_lists = [*value_lists[:split], *columns]
-    return map(tuple, itertools.starmap(map, itertools.product((fn,), *value_lists)))
+            columns = spec.columns(value_lists[spec.split :])
+        value_lists = [*value_lists[: spec.split], columns]
+    combos = itertools.product((spec.f,), *value_lists)
+    return map(tuple, itertools.starmap(map, map(_SWAP, combos) if spec.swapped else combos))
+
+
+def _over_columns(spec: _Spec) -> Callable[..., tuple]:
+    # The row applied to one combination directly: through product_values a
+    # call took two to four times as long, and the top-down inverses make one
+    # per candidate.
+    f, split, adapt = spec.f, spec.split, spec.adapt
+    if spec.swapped:
+        return lambda a, b: tuple(map(f, b, a))
+    if adapt is None:
+        return lambda *columns: tuple(map(f, *columns))
+    return lambda *columns: tuple(map(f, *columns[:split], adapt(*columns[split:])))
+
+
+# Each operator over columns: each argument is a tuple of values, one per
+# example, and the result is the tuple of outputs.
+COLUMN_SEMANTICS: dict[str, Callable[..., tuple]] = {name: _over_columns(spec) for name, spec in _CATALOG_SPEC.items()}
 
 
 # Canonical terminal ordering: catalog order. Label vectors, vote vectors and

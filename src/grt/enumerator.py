@@ -38,10 +38,12 @@ the String pool are added when a larger size reads it (see ``_Space``).
 ``stream`` defers nothing and yields the programs eager growth would.
 
 Growing a pool is the inner loop. Its candidates are counted and deduplicated
-in batches of up to 1024, and for most operators each is evaluated by a C
-callable mapped over its children's value vectors (``core.product_values``),
-so no Python frame runs per candidate. The work counted, the stops and the
-programs kept are those of counting one candidate at a time.
+in batches of up to 1024, and each is evaluated through its operator's row of
+the one operator table (``core._CATALOG_SPEC``): the row's per-example
+callable, a C function for most operators, is mapped over the children's
+value vectors (``core.product_values``), so no Python frame runs per
+candidate. The work counted, the stops and the programs kept are those of
+counting one candidate at a time.
 
 The search is fully deterministic: terminals, literals, and size partitions
 are iterated in grammar order.
@@ -64,13 +66,12 @@ from functools import lru_cache, wraps
 
 from . import sygus_format
 from .core import (
+    _CATALOG_SPEC,
     Apply,
-    CATALOG,
     COLUMN_SEMANTICS,
     Grammar,
     InputVar,
     IntLit,
-    KERNELS,
     ProgramAst,
     Sort,
     StrLit,
@@ -481,19 +482,19 @@ class _Space:
 
         Returns the lists of value vectors (``_batches``) and an iterator of
         the children's programs, which the caller advances in step with the
-        values. The values are evaluated by ``product_values``, so for an
-        operator with a kernel no Python frame runs per candidate.
+        values. The values are evaluated by ``product_values``, so no Python
+        frame runs per candidate.
         """
-        _, split, make = KERNELS.get(term.name, (None, None, None))
-        columns = None if make is None else self._columns(term.name, parts[split:])
+        spec = _CATALOG_SPEC[term.name]
+        columns = None if spec.adapt is None else self._columns(term.name, parts[spec.split :])
         return self._batches(product_values(term.name, vals, columns)), itertools.product(*progs)
 
     @_memo
     def _columns(self, name: str, sizes: tuple[int, ...]) -> list:
-        """What the operator's kernel reads in place of its children from its
+        """What the operator's ``f`` reads in place of its children from its
         split on, whose complete pools have these sizes; made once per pool."""
-        _, split, columns = KERNELS[name]
-        return columns(*(self.pool(sort, sz)[1] for sort, sz in zip(CATALOG[name].arg_sorts[split:], sizes)))
+        spec = _CATALOG_SPEC[name]
+        return spec.columns([self.pool(sort, sz)[1] for sort, sz in zip(spec.arg_sorts[spec.split :], sizes)])
 
     def _find(self, sort: Sort, size: int, vector: tuple) -> ProgramAst | None:
         """A program of this sort and at most this size with this value vector, or None.

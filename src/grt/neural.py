@@ -117,11 +117,8 @@ def hidden_layer_sizes(input_size: int, output_size: int, num_hidden: int = NUM_
     ratio = output_size / input_size
     sizes = []
     for n in range(1, num_hidden + 1):
-        exact = input_size * ratio ** (n / (total_layers + 1))
-        rounded = math.floor(exact + 0.5)
-        if rounded < 1:
-            raise DegenerateShape(f"hidden layer {n} rounds to {rounded}")
-        sizes.append(rounded)
+        exact = input_size * ratio ** (n / (total_layers + 1))  # between the two widths, so at least 1
+        sizes.append(math.floor(exact + 0.5))
     return sizes
 
 

@@ -62,8 +62,9 @@ def test_pairs_alternate_and_a_clear_gain_is_resolved(tmp_path, capsys):
     # 10/10 wins and a 0.2 drop against an IQR of 0.045
     assert "B wins 10/10" in table["baseline_total_s"] and table["baseline_total_s"].endswith(" resolved")
     assert "A 1.045 [1.0225-1.0675]" in table["baseline_total_s"]
-    # half the pairs are ties, which count for neither side
-    assert "B wins 5/10" in table["score"] and table["score"].endswith("not resolved")
+    # half the pairs are ties, which count for neither side; the median's 5%
+    # gain is past score's 2% bound, but five wins do not resolve it
+    assert "B wins 5/10" in table["score"] and table["score"].endswith("not resolved  BETTER beyond bound")
     assert "B wins 0/10" in table["wall_s"] and table["wall_s"].endswith("not resolved")
     assert json.loads(out.splitlines()[-1])["b"][0]["baseline_total_s"] == 0.80
     assert "WORSE" not in out
@@ -94,7 +95,7 @@ def test_a_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys):
     table = rows(capsys.readouterr().out)
     assert "A IQR 1 " in table["baseline_total_s"]
     assert table["baseline_total_s"].endswith("unresolved (spread > bound)")
-    assert table["score"].endswith(" resolved")
+    assert table["score"].endswith("not resolved  BETTER beyond bound")
     assert not any("unresolved" in row for name, row in table.items() if name != "baseline_total_s")
 
 
@@ -119,6 +120,30 @@ def test_worse_beyond_bound_is_the_relative_change_of_the_median(better, a, b, w
     metric = {"name": "m", "unit": "s", "better": better, "bound": 0.24}
     c = ab_bench.compare(metric, [{"m": a}] * 3, [{"m": b}] * 3)
     assert c.worse is worse
+
+
+@pytest.mark.parametrize(
+    "better, a, b, flagged",
+    [("lower", 1.0, 0.75, True), ("lower", 1.0, 0.8, False), ("lower", 1.0, 1.5, False),
+     ("higher", 10.0, 12.5, True), ("higher", 10.0, 12.0, False), ("higher", 10.0, 5.0, False)],
+)
+def test_better_beyond_bound_is_the_relative_change_of_the_median(better, a, b, flagged):
+    metric = {"name": "m", "unit": "s", "better": better, "bound": 0.24}
+    c = ab_bench.compare(metric, [{"m": a}] * 3, [{"m": b}] * 3)
+    assert c.better is flagged
+    assert ab_bench.format_row(c).endswith("  BETTER beyond bound") is flagged
+
+
+def test_a_resolved_gain_inside_the_bound_is_not_better_beyond_it(tmp_path, capsys):
+    a, b = checkouts(tmp_path)
+    # baseline_total_s 7% lower in all 10 pairs (bound 0.24); score 3% higher (bound 0.02)
+    values = {"a": [(1.0 + 0.001 * i, 100.0) for i in range(10)], "b": [(0.93 + 0.001 * i, 103.0) for i in range(10)]}
+    assert ab_bench.main([str(a), str(b), "--workload", "suite", "--seed", "1", "--pairs", "10"],
+                         runner=stub(values, [])) == 0
+    table = rows(capsys.readouterr().out)
+    assert "B wins 10/10" in table["baseline_total_s"] and table["baseline_total_s"].endswith("  resolved")
+    assert "B wins 10/10" in table["score"] and table["score"].endswith("  resolved  BETTER beyond bound")
+    assert not any("BETTER" in row for name, row in table.items() if name != "score")
 
 
 def test_each_run_uses_the_command_in_a_benchmark_json(tmp_path):

@@ -265,3 +265,19 @@ class TestReportAndRecords:
     def test_error_rows_shown(self):
         text = report([record(error="SolverCrash: boom", solved=False, t=None, size=None)])
         assert "SolverCrash" in text
+
+
+def test_report_flags_each_lane_that_timed_out():
+    both = record(mode="grt", solved=False, t=30.0, size=None, solved_pruned=False, t_pruned_s=30.0)
+    full = record(mode="grt", solved=False, t=30.0, size=None, solved_pruned=True, t_pruned_s=1.0, size_pruned=3)
+    rows = report([both, full]).splitlines()[2:4]
+    assert rows[0].endswith(" TO-full,TO-pruned")
+    assert rows[1].endswith(" TO-full")
+
+
+def test_a_file_of_another_schema_is_not_a_results_file(tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text('{"schema":"grt.time","version":1}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_records(path)
+    assert str(exc.value) == f"{path}: not a results file"

@@ -9,7 +9,7 @@ from grt.core import (
     Apply,
     CATALOG,
     COLUMN_SEMANTICS,
-    KERNELS,
+    _CATALOG_SPEC,
     Grammar,
     InputVar,
     IntLit,
@@ -151,7 +151,17 @@ class TestEvaluateRows:
         assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG))
+# Values that are the same edge case on every example: empty strings, so empty
+# str.replace patterns; negative, zero, past-the-end and huge indices, so
+# str.substr lengths <= 0 too.
+EDGES = {Sort.STRING: ("", "ab -1."), Sort.INT: (-3, -1, 0, 1, 6, 2**70), Sort.BOOL: (False, True)}
+
+
+def test_one_row_per_operator():
+    assert set(_CATALOG_SPEC) == set(CATALOG) == set(REF_SEMANTICS)
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG_SPEC))
 def test_column_semantics_match_reference_row_by_row(name):
     rng = random.Random(f"columns:{name}")
     draw = {
@@ -159,35 +169,31 @@ def test_column_semantics_match_reference_row_by_row(name):
         Sort.INT: lambda: rng.randint(-3, 8),
         Sort.BOOL: lambda: rng.random() < 0.5,
     }
-    term = CATALOG[name]
+    arg_sorts = _CATALOG_SPEC[name].arg_sorts
     for n_rows in (1, 2, 5, 9):
-        for _ in range(40):
-            cols = [tuple(draw[sort]() for _ in range(n_rows)) for sort in term.arg_sorts]
+        drawn = [[tuple(draw[sort]() for _ in range(n_rows)) for sort in arg_sorts] for _ in range(40)]
+        edges = itertools.product(*([(e,) * n_rows for e in EDGES[sort]] for sort in arg_sorts))
+        for cols in itertools.chain(drawn, edges):
             want = tuple(REF_SEMANTICS[name](*row) for row in zip(*cols))
             assert COLUMN_SEMANTICS[name](*cols) == want, (name, cols)
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("name", sorted(_CATALOG_SPEC))
 def test_product_values_match_reference_row_by_row(name):
     # product_values evaluates every combination of the children's value
-    # vectors at once. Each child list holds vectors that
-    # are the same edge case on every example (empty strings, so empty
-    # str.replace patterns; negative, zero, past-the-end and huge indices, so
-    # str.substr lengths <= 0 too) and random ones. str.substr's product has
-    # 1,152 combinations, more than one batch of the search.
-    assert set(KERNELS) <= set(CATALOG)
+    # vectors at once. Each child list holds the edge vectors and random ones.
+    # str.substr's product has 1,152 combinations, more than one batch of the
+    # search.
     rng = random.Random(f"products:{name}")
     draw = {
         Sort.STRING: lambda: "".join(rng.choice("ab -1.") for _ in range(rng.randint(0, 5))),
         Sort.INT: lambda: rng.randint(-3, 8),
         Sort.BOOL: lambda: rng.random() < 0.5,
     }
-    edges = {Sort.STRING: ("", "ab -1."), Sort.INT: (-3, -1, 0, 1, 6, 2**70), Sort.BOOL: (False, True)}
-    term = CATALOG[name]
     for n_rows in (1, 3, 6):
         value_lists = [
-            [(e,) * n_rows for e in edges[sort]] + [tuple(draw[sort]() for _ in range(n_rows)) for _ in range(6)]
-            for sort in term.arg_sorts
+            [(e,) * n_rows for e in EDGES[sort]] + [tuple(draw[sort]() for _ in range(n_rows)) for _ in range(6)]
+            for sort in _CATALOG_SPEC[name].arg_sorts
         ]
         want = [tuple(REF_SEMANTICS[name](*row) for row in zip(*combo)) for combo in itertools.product(*value_lists)]
         assert list(product_values(name, value_lists)) == want, (name, n_rows)
@@ -275,3 +281,14 @@ def test_default_grammar_shape(full_grammar):
 
 def test_default_problem_budget_is_an_hour(full_grammar):
     assert SygusProblem(full_grammar).timeout_s == 3600.0
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: TerminalSymbol("f", 2, (Sort.STRING,), Sort.STRING), ValueError,
+     "terminal 'f': arity 2 does not match 1 argument sorts"),
+    (lambda: default_grammar().terminal("str.frob"), UnknownTerminal, "terminal 'str.frob' not in grammar"),
+], ids=["terminal-arity", "grammar-terminal"])
+def test_each_refusal_names_what_is_wrong(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message

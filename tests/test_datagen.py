@@ -263,3 +263,18 @@ class TestDatasetFiles:
 
 def test_alphabet_matches_encoding_budget():
     assert set(ALPHABET) <= set("abcdefghijklmnopqrstuvwxyz0123456789 -.")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: random_inputs(random.Random(0), 1, (3, 2)), "empty length range (3, 2)"),
+    (lambda: gen_crit_dataset(default_grammar(), n_programs=0), "n_programs and inputs_per_program must be positive"),
+    (lambda: draw_crit_problems(gen_crit_dataset(default_grammar(), 2, 1, seed=0), default_grammar(), 3),
+     "asked for 3 problems, dataset has 2"),
+    (lambda: gen_time_dataset([SygusProblem(default_grammar(), (IoConstraint(("a",), "a"),))] * 2,
+                              lambda problem: None, ids=["a"]),
+     "ids and problems must have equal length"),
+], ids=["length-range", "crit-count", "draw-count", "time-ids"])
+def test_each_refusal_names_what_is_wrong(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -1041,3 +1041,21 @@ class TestExternalSolver:
         )
         result = solve_with_external(IDENTITY_PROBLEM, fake_solver(script) + " {}")
         assert result.solved
+
+
+def test_a_zero_timeout_stops_at_the_first_level():
+    # the deadline has passed when the first level is about to be searched
+    problem = SygusProblem(default_grammar(), (IoConstraint(("ab",), "ba"),), timeout_s=0)
+    result = solve(problem)
+    assert (result.solved, result.exhausted, result.elapsed_s) == (False, False, 0)
+
+
+def test_stream_of_no_programs_is_refused():
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        stream(default_grammar(), 0)
+
+
+def test_an_answer_with_another_parameter_count_is_a_wrong_answer():
+    cmd = fake_solver("print('(define-fun f ((x0 String) (x1 String)) String x0)')")
+    with pytest.raises(WrongAnswer, match="^solver defined 2 parameters, problem has 1$"):
+        solve_with_external(IDENTITY_PROBLEM, cmd)

@@ -1,3 +1,4 @@
+import json
 import random
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from grt import neural
 from grt.core import IoConstraint, default_grammar
 from grt.datagen import gen_crit_dataset
 from grt.neural import (
     DegenerateShape,
+    EMBED_DIM,
     EMBED_VOCAB,
+    NonFiniteLoss,
     ShapeMismatch,
     TrainConfig,
     WeightsFormatError,
@@ -269,3 +273,68 @@ def test_bce_loss_matches_direct_formula():
     probs = 1 / (1 + np.exp(-logits))
     direct = -(labels * np.log(probs) + (1 - labels) * np.log(1 - probs)).mean()
     assert bce_loss(logits, labels) == pytest.approx(direct, rel=1e-9)
+
+
+
+CODES = encode_batch([IoConstraint(("a",), "b")])
+LABELS = np.zeros((1, len(TERMS)))
+DIMS = init_weights(TERMS).layer_dims
+CHAIN = [(DIMS[i], DIMS[i + 1]) for i in range(len(DIMS) - 1)]
+
+
+def reshaped(part):
+    w = init_weights(TERMS)
+    if part == "embedding":
+        w.embedding = np.zeros((3, 3))
+    elif part == "layer_dims":
+        w.layer_dims = (DIMS[0] + 1, *DIMS[1:])
+    else:
+        W, b = w.hidden[0]
+        w.hidden[0] = (W[:, :-1], b)
+    return w
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: loss_and_grads(reshaped("embedding"), CODES, LABELS), ShapeMismatch,
+     f"embedding must be {(EMBED_VOCAB, EMBED_DIM)}"),
+    (lambda: loss_and_grads(reshaped("layer_dims"), CODES, LABELS), ShapeMismatch,
+     f"first layer width must be {EMBED_DIM}"),
+    (lambda: loss_and_grads(reshaped("hidden"), CODES, LABELS), ShapeMismatch,
+     f"layer shapes {[(DIMS[0], DIMS[1] - 1), *CHAIN[1:]]} do not chain as {CHAIN}"),
+    (lambda: loss_and_grads(init_weights(TERMS), CODES, np.zeros((1, 2))), ShapeMismatch,
+     f"labels must be {(1, len(TERMS))}"),
+    (lambda: TrainConfig(epochs=0), ValueError, "epochs, batch_size, learning_rate must be positive"),
+    (lambda: init_weights(()), DegenerateShape, "need at least one terminal"),
+    (lambda: train(gen_crit_dataset(default_grammar(), 2, 1, seed=0), TrainConfig(epochs=1), TERMS[:-1]),
+     ShapeMismatch, f"labels have {len(TERMS)} bits for {len(TERMS) - 1} terminals"),
+], ids=["embedding", "first-layer", "chain", "labels", "config", "no-terminals", "label-bits"])
+def test_each_refusal_names_what_is_wrong(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_a_loss_that_is_not_finite_stops_training(monkeypatch):
+    monkeypatch.setattr(neural, "loss_and_grads", lambda *args: (float("nan"), {}))
+    with pytest.raises(NonFiniteLoss, match="^loss became nan at step 0$"):
+        train(gen_crit_dataset(default_grammar(), 2, 1, seed=0), TrainConfig(epochs=1), TERMS)
+
+def _header_edited(edit):
+    header, payload = FIXTURE_WEIGHTS.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    edit(fields)
+    return json.dumps(fields).encode() + b"\n" + payload
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"{not json\n", "bad header: "),
+    (_header_edited(lambda h: h.update(version=2)), "unsupported schema/version"),
+    (_header_edited(lambda h: h.update(n_terminals=14)), "terminal count mismatch"),
+    (_header_edited(lambda h: h["layer_dims"].__setitem__(0, 7)), "inconsistent layer dims (7, "),
+], ids=["header", "version", "count", "dims"])
+def test_each_weights_file_refusal_names_what_is_wrong(tmp_path, content, message):
+    path = tmp_path / "w.bin"
+    path.write_bytes(content)
+    with pytest.raises(WeightsFormatError) as exc:
+        load_weights(path, TERMS)
+    assert str(exc.value).startswith(f"{path}: {message}")

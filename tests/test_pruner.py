@@ -677,3 +677,8 @@ def test_probe_budget_covers_the_drawn_timing_problems():
     assert all(r.solved for r in results)
     largest = max(r.programs_explored for r in results)
     assert PROBE_EXPLORED == largest
+
+
+def test_votes_of_another_length_are_refused():
+    with pytest.raises(ValueError, match=f"^3 votes for {len(NAMES)} terminals$"):
+        decide(GRAMMAR, None, [0, 0, 0])

@@ -200,6 +200,7 @@ SYNTH_FUN_GRAMMAR = '((Start String (x0 "" (str.++ Start Start))))'
     (parse_problem, MINIMAL.replace("(str.++ Start Start)", "()"), "malformed grammar entry: []"),
     (parse_problem, MINIMAL.replace(SYNTH_FUN_GRAMMAR, "((Start String x0))"), "nonterminal productions must be a list"),
     (parse_problem, MINIMAL.replace('(f "a") "aa"', '(f "a") 1'), "constraint output must be a string literal"),
+    (parse_problem, MINIMAL.replace('(f "a")', '(f "a" "b")'), "constraint applies f to 2 arguments, expected 1"),
     (parse_solution, "(define-fun f ((x0 String)) String)", "malformed define-fun"),
     (parse_solution, "(define-fun f ((x0)) String x0)", "malformed parameter: "),
     (parse_solution, "(define-fun f ((x0 String)) String (str.len x0))", "define-fun body has sort Int, declared String"),
@@ -209,6 +210,7 @@ SYNTH_FUN_GRAMMAR = '((Start String (x0 "" (str.++ Start Start))))'
     (parse_solution, "(define-fun f ((x0 String)) String ())", "malformed program body entry: []"),
 ], ids=["declare-var", "synth-fun-name", "synth-fun-params", "synth-fun-param", "synth-fun-param-sort",
         "synth-fun-return-sort", "synth-fun-no-grammar", "grammar-entry", "productions", "constraint-output",
+        "constraint-arity",
         "define-fun", "define-fun-param", "body-sort", "body-symbol", "body-operator", "body-entry"])
 def test_each_refusal_names_what_is_wrong(parse, text, message):
     with pytest.raises(ParseError) as exc:
