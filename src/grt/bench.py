@@ -59,10 +59,6 @@ class BenchRecord:
     def to_dict(self) -> dict:
         return {**asdict(self), "removed": list(self.removed)}
 
-    @classmethod
-    def from_dict(cls, row: dict) -> "BenchRecord":
-        return cls(**{**row, "removed": tuple(row["removed"])})
-
 
 @dataclass(frozen=True)
 class Score:
@@ -222,8 +218,17 @@ def save_records(path, records: Sequence[BenchRecord]) -> None:
 
 
 def load_records(path) -> list[BenchRecord]:
+    """The records of a file ``save_records`` wrote; ValueError for another
+    file, naming the line of a row that is not a JSON object of a record."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("schema") != RESULTS_SCHEMA or header.get("version") != RESULTS_VERSION:
+        if json.loads(fh.readline()) != {"schema": RESULTS_SCHEMA, "version": RESULTS_VERSION}:
             raise ValueError(f"{path}: not a results file")
-        return [BenchRecord.from_dict(json.loads(line)) for line in fh]
+        records = []
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                row = json.loads(line)
+                records.append(BenchRecord(**{**row, "removed": tuple(row["removed"])}))
+            except (KeyError, TypeError, ValueError):
+                fields = ", ".join(BenchRecord.__dataclass_fields__)
+                raise ValueError(f"{path}:{lineno}: a row must be a JSON object with {fields}") from None
+        return records

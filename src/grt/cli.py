@@ -15,11 +15,27 @@ from .core import Sort, UnknownTerminal, default_grammar
 from .sygus_format import ProblemFile, parse_problem_file, print_problem, print_solution
 
 
+_SORT_NAMES = tuple(sort.value for sort in Sort)
+# The lists a grammar config may hold: each one's default, a test of its
+# items, and what a message calls them.
+_CONFIG_LISTS = {
+    "string_literals": (["", " ", "-", "."], lambda v: type(v) is str, "strings"),
+    "int_literals": ([0, 1, 2, 3], lambda v: type(v) is int, "integers"),
+    "input_vars": (
+        [["x0", "String"]],
+        lambda v: type(v) is list and len(v) == 2 and type(v[0]) is str and v[1] in _SORT_NAMES,
+        "[name, sort] pairs",
+    ),
+    "terminals": (None, lambda v: type(v) is str, "terminal names"),
+}
+
+
 def _load_grammar_config(path):
     """Grammar from a JSON config: literal pools, input vars, terminal subset.
 
     Raises ValueError, naming the file, for a config that is not a JSON
-    object or names an unknown terminal.
+    object, holds a field that is not a list of the items it takes, or names
+    an unknown terminal.
     """
     if path is None:
         return default_grammar()
@@ -27,16 +43,14 @@ def _load_grammar_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: a grammar config must be a JSON object")
-    input_vars = tuple(
-        (name, Sort(sort)) for name, sort in cfg.get("input_vars", [["x0", "String"]])
-    )
+    fields = {}
+    for name, (default, ok, items) in _CONFIG_LISTS.items():
+        value = fields[name] = cfg.get(name, default)
+        if value is not default and not (isinstance(value, list) and all(map(ok, value))):
+            raise ValueError(f"{path}: {name} must be a list of {items}")
+    fields["input_vars"] = [(name, Sort(sort)) for name, sort in fields["input_vars"]]
     try:
-        return default_grammar(
-            string_literals=tuple(cfg.get("string_literals", ("", " ", "-", "."))),
-            int_literals=tuple(cfg.get("int_literals", (0, 1, 2, 3))),
-            input_vars=input_vars,
-            terminals=cfg.get("terminals"),
-        )
+        return default_grammar(**fields)
     except UnknownTerminal as exc:
         raise ValueError(f"{path}: {exc.args[0]}") from None
 

@@ -240,14 +240,23 @@ def save_crit_dataset(path, samples: Sequence[CritSample], terminal_names: Seque
 
 def _terminals_in_header(fh, path, schema: str, kind: str) -> tuple[str, ...]:
     """The terminal order a dataset file's first line declares; ValueError
-    unless that line is a ``schema`` header."""
+    unless that line is a ``schema`` header with a list of terminals."""
     try:
         header = json.loads(fh.readline())
     except json.JSONDecodeError:
         header = None
-    if not isinstance(header, dict) or header.get("schema") != schema or header.get("version") != 1:
+    terminals = header.get("terminals") if isinstance(header, dict) else None
+    if not isinstance(terminals, list) or header.get("schema") != schema or header.get("version") != 1:
         raise ValueError(f"{path}: not a {kind} file")
-    return tuple(header["terminals"])
+    return tuple(terminals)
+
+
+def _json_row(line: str, path, lineno: int):
+    """One dataset row's JSON value; ValueError, naming the line, unless it is one."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{lineno}: not a JSON row: {exc.msg}") from None
 
 
 def _row_fields(row, names: tuple[str, ...], path, lineno: int) -> list:
@@ -262,17 +271,19 @@ def _row_fields(row, names: tuple[str, ...], path, lineno: int) -> list:
 def load_crit_dataset(path) -> tuple[list[CritSample], tuple[str, ...]]:
     """The samples and terminal order of a file ``save_crit_dataset`` wrote.
 
-    Raises ValueError, naming the line, for a row that lacks a field, or
-    whose label has another length than the header's terminal list or
-    holds a bit other than 0 or 1.
+    Raises ValueError, naming the line, for a row that is not JSON or lacks
+    a field, whose inputs or label is not a list, or whose label has another
+    length than the header's terminal list or holds a bit other than 0 or 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         terminals = _terminals_in_header(fh, path, "grt.crit", "criticality dataset")
         samples = []
         for lineno, line in enumerate(fh, start=2):
             inputs, output, label, program_id = _row_fields(
-                json.loads(line), ("inputs", "output", "label", "program_id"), path, lineno
+                _json_row(line, path, lineno), ("inputs", "output", "label", "program_id"), path, lineno
             )
+            if not isinstance(inputs, list) or not isinstance(label, list):
+                raise ValueError(f"{path}:{lineno}: inputs and label must be lists")
             label = tuple(label)
             if len(label) != len(terminals):
                 raise ValueError(
@@ -302,11 +313,16 @@ def save_time_dataset(path, samples: Sequence[TimeSample], terminal_names: Seque
 def load_time_dataset(path) -> tuple[list[TimeSample], tuple[str, ...]]:
     """The samples and terminal order of a file ``save_time_dataset`` wrote.
 
-    Raises ValueError, naming the line, for a row that lacks a field.
+    Raises ValueError, naming the line, for a row that is not JSON or lacks
+    a field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         terminals = _terminals_in_header(fh, path, "grt.time", "timing dataset")
-        rows = json.loads("[" + ",".join(fh) + "]")  # one parse for every row
+        lines = fh.readlines()
+    try:
+        rows = json.loads("[" + ",".join(lines) + "]")  # one parse for every row
+    except json.JSONDecodeError:  # read line by line, to name the one that is not JSON
+        rows = [_json_row(line, path, lineno) for lineno, line in enumerate(lines, start=2)]
     names = ("terminal", "problem_id", "t_full_s", "t_dropped_s", "delta_s")
     samples = [TimeSample(*_row_fields(row, names, path, lineno)) for lineno, row in enumerate(rows, start=2)]
     return samples, terminals

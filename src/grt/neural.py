@@ -458,7 +458,7 @@ def load_weights(path, terminal_names: Sequence[str]) -> ModelWeights:
         header = json.loads(header_line)
     except json.JSONDecodeError as exc:
         raise WeightsFormatError(f"{path}: bad header: {exc}") from exc
-    if header.get("schema") != WEIGHTS_SCHEMA or header.get("version") != WEIGHTS_VERSION:
+    if not isinstance(header, dict) or (header.get("schema"), header.get("version")) != (WEIGHTS_SCHEMA, WEIGHTS_VERSION):
         raise WeightsFormatError(f"{path}: unsupported schema/version")
     if header.get("terminal_hash") != terminal_order_hash(terminal_names):
         raise WeightsFormatError(

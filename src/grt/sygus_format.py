@@ -10,16 +10,22 @@ up to and including the newline of its first ``"\\n(constraint"``: in a
 printed problem, the logic, the synth-fun declaration and the ``declare-var``
 lines. Requests usually repeat their head verbatim and differ only in their
 constraints, and the declaration is most of a problem's tokens. So
-``parse_problem_file`` keeps the head of each text it accepted whose head
-reads on its own into whole forms, exactly one of them a synth-fun form,
-which is kept as its name and the shared ``Grammar`` read from it (``_Heads``,
-an LRU of 256). A text whose head is kept is tokenized from its first
+``parse_problem_file`` reads a head with ``_head``, a function of the head's
+text alone whose last 256 results ``functools.lru_cache`` keeps. It gives the
+head's top-level forms, with its one top-level synth-fun form read into a
+``_Declaration`` (the function's name and the shared ``Grammar`` it declares),
+or None for a head that does not read alone into whole forms, holds no
+top-level synth-fun form or more than one, or whose synth-fun form is
+malformed. A text whose head gives forms is tokenized from its first
 constraint line on only.
 
-This is exact. A kept head reads alone into whole forms, so no list is open
+This is exact. Such a head reads alone into whole forms, so no list is open
 at its end. The one token that can run across its final newline is a string
 literal, and cut there it holds an odd number of quotes, which the reader
 refuses; so the whole text reads as the head's forms followed by the rest's.
+The head's synth-fun form is the text's first, and reading it depends on
+nothing else in the text, so its ``_Declaration`` is what the full reader
+makes of it in that place.
 Any ``ParseError`` on this path reads the whole text again, so every error,
 with its message, line and column, is the full reader's.
 
@@ -39,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -82,11 +87,11 @@ class Symbol(str):
 # checking and printing a form recurse into it.
 MAX_DEPTH = 100
 _SORT_NAMES = {"String": Sort.STRING, "Int": Sort.INT, "Bool": Sort.BOOL}
-# The reader hands out one Symbol per word, up to this many words: making a
-# str subclass copies the word, which costs several times a dict lookup, and
-# a problem's words (operators, sorts, names) repeat from text to text.
-_SYMBOLS: dict[str, Symbol] = {}
-_SYMBOLS_KEPT = 4096
+# The reader hands out one Symbol per word for the last 4096 words it met:
+# making a str subclass copies the word, which costs several times a dict
+# lookup, and a problem's words (operators, sorts, names) repeat from text to
+# text.
+_symbol = functools.lru_cache(maxsize=4096)(Symbol)
 
 
 @dataclass(frozen=True)
@@ -162,11 +167,7 @@ def _read(tokens: list, text: str):
             except ValueError:  # more digits than int() converts
                 raise _error_at("integer literal too long", text, index) from None
         else:
-            form = _SYMBOLS.get(token)
-            if form is None:
-                form = Symbol(token)
-                if len(_SYMBOLS) < _SYMBOLS_KEPT:
-                    _SYMBOLS[token] = form
+            form = _symbol(token)
         if stack:
             items.append(form)
         else:
@@ -186,29 +187,19 @@ def _sort_of(sym, where: str) -> Sort:
 
 def parse_problem_file(text: str, path: str | None = None) -> ProblemFile:
     end = text.find("\n(constraint") + 1  # where the head ends; 0 without a constraint line
-    if not end:
-        return _problem_file(list(_forms(text)), path)
-    head = _HEADS.get(text[:end])
+    head = _head(text[:end]) if end else None
     if head is not None:
         try:
             return _problem_file([*head, *_forms(text[end:])], path)
         except ParseError:
             pass  # read all of it again, so the error is the full reader's
-    pf = _problem_file(list(_forms(text)), path)
-    if head is None:
-        _keep_head(text[:end], pf)
-    return pf
+    return _problem_file(list(_forms(text)), path)
 
 
 def _problem_file(forms: list, path: str | None) -> ProblemFile:
     """The problem the top-level forms state; a ``_Declaration`` among them
     stands for a synth-fun form read before."""
-    fn_name = None
     declared = None
-    params: Sequence[tuple[str, Sort]] = ()
-    ops: list[str] = []
-    str_lits: list[str] = []
-    int_lits: list[int] = []
     constraints: list[IoConstraint] = []
     saw_logic = False
     saw_check = False
@@ -216,7 +207,6 @@ def _problem_file(forms: list, path: str | None) -> ProblemFile:
     for form in forms:
         if type(form) is _Declaration:
             declared = form
-            fn_name, params = form.fn_name, form.grammar.input_vars
             continue
         if not isinstance(form, list) or not form or not isinstance(form[0], Symbol):
             raise ParseError(f"unsupported top-level form: {form!r}")
@@ -226,17 +216,17 @@ def _problem_file(forms: list, path: str | None) -> ProblemFile:
                 raise ParseError("only (set-logic SLIA) is supported")
             saw_logic = True
         elif head == "synth-fun":
-            if fn_name is not None:
+            if declared is not None:
                 raise ParseError("multiple synth-fun declarations")
-            fn_name, params, ops, str_lits, int_lits = _parse_synth_fun(form)
+            declared = _declaration(form)
         elif head == "declare-var":
             if len(form) != 3 or not isinstance(form[1], Symbol):
                 raise ParseError(f"malformed declare-var: {form!r}")
             _sort_of(form[2], "declare-var")
         elif head == "constraint":
-            if fn_name is None:
+            if declared is None:
                 raise ParseError("constraint before synth-fun")
-            constraints.append(_parse_constraint(form, fn_name, len(params)))
+            constraints.append(_parse_constraint(form, declared.fn_name, len(declared.grammar.input_vars)))
         elif head == "check-synth":
             if len(form) != 1:
                 raise ParseError("check-synth takes no arguments")
@@ -246,23 +236,34 @@ def _problem_file(forms: list, path: str | None) -> ProblemFile:
 
     if not saw_logic:
         raise ParseError("missing (set-logic SLIA)")
-    if fn_name is None:
+    if declared is None:
         raise ParseError("missing synth-fun declaration")
     if not saw_check:
         raise ParseError("missing (check-synth)")
 
-    if declared is not None:
-        grammar = declared.grammar
-    else:
-        used = set(ops)
-        grammar = _grammar(
-            tuple([n for n in DEFAULT_TERMINAL_ORDER if n in used]),
-            tuple(dict.fromkeys(str_lits)),
-            tuple(dict.fromkeys(int_lits)),
-            tuple(params),
-        )
-    problem = SygusProblem(grammar=grammar, constraints=tuple(constraints))
-    return ProblemFile(path=path, problem=problem, fn_name=fn_name)
+    problem = SygusProblem(grammar=declared.grammar, constraints=tuple(constraints))
+    return ProblemFile(path=path, problem=problem, fn_name=declared.fn_name)
+
+
+class _Declaration(NamedTuple):
+    """A synth-fun form read: the function's name and the grammar it declares,
+    whose ``input_vars`` are the parameters."""
+
+    fn_name: str
+    grammar: Grammar
+
+
+def _declaration(form) -> _Declaration:
+    """The function a synth-fun form declares, with its grammar."""
+    fn_name, params, ops, str_lits, int_lits = _parse_synth_fun(form)
+    used = set(ops)
+    grammar = _grammar(
+        tuple([n for n in DEFAULT_TERMINAL_ORDER if n in used]),
+        tuple(dict.fromkeys(str_lits)),
+        tuple(dict.fromkeys(int_lits)),
+        tuple(params),
+    )
+    return _Declaration(fn_name, grammar)
 
 
 @functools.lru_cache(maxsize=256)
@@ -381,51 +382,24 @@ def _parse_constraint(form, fn_name: str, n_params: int) -> IoConstraint:
 # --- Heads read before -----------------------------------------------------------
 
 
-class _Declaration(NamedTuple):
-    """A synth-fun form the reader accepted: the function's name and the grammar
-    it declares, whose ``input_vars`` are the parameters."""
-
-    fn_name: str
-    grammar: Grammar
-
-
-class _Heads:
-    """The last ``maxsize`` heads the reader kept, as their top-level forms by
-    their exact text, in least recently used order."""
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = maxsize
-        self.by_text: OrderedDict[str, tuple] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self.by_text)
-
-    def get(self, head: str) -> tuple | None:
-        forms = self.by_text.get(head)
-        if forms is not None:
-            self.by_text.move_to_end(head)
-        return forms
-
-    def add(self, head: str, forms: tuple) -> None:
-        self.by_text[head] = forms
-        if len(self.by_text) > self.maxsize:
-            self.by_text.popitem(last=False)
-
-
-_HEADS = _Heads()
-
-
-def _keep_head(head: str, pf: ProblemFile) -> None:
-    """Keep the head of an accepted text if it reads alone into whole forms
-    with one synth-fun form, which is kept as the problem's ``_Declaration``."""
+@functools.lru_cache(maxsize=256)
+def _head(text: str) -> tuple | None:
+    """The top-level forms a problem's head reads into alone, its one
+    top-level synth-fun form read into a ``_Declaration``; None if it does not
+    read alone, holds no top-level synth-fun form or more than one, or its
+    synth-fun form is malformed."""
     try:
-        forms = list(_forms(head))
+        forms = list(_forms(text))
+        at = [
+            k for k, form in enumerate(forms)
+            if isinstance(form, list) and form and isinstance(form[0], Symbol) and form[0] == "synth-fun"
+        ]
+        if len(at) != 1:
+            return None
+        forms[at[0]] = _declaration(forms[at[0]])
     except ParseError:
-        return
-    at = [k for k, form in enumerate(forms) if form[0] == "synth-fun"]
-    if len(at) == 1:
-        forms[at[0]] = _Declaration(pf.fn_name, pf.problem.grammar)
-        _HEADS.add(head, tuple(forms))
+        return None
+    return tuple(forms)
 
 
 # --- Printing -------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from grt import bench
 from grt.cli import main
 from grt.neural import init_weights, save_weights
 from grt.sygus_format import parse_problem_file
@@ -230,9 +231,28 @@ CONCAT_ONLY = """(set-logic SLIA)
      "train: {tmp}/no-label.jsonl:2: a row must be an object with inputs, output, label, program_id"),
     (["bench", "--problems", "{problem}", "--weights", f"{FIXTURE}/weights.bin", "--time-data", "{tmp}/no-full.jsonl"],
      "bench: {tmp}/no-full.jsonl:3: a row must be an object with terminal, problem_id, t_full_s, t_dropped_s, delta_s"),
+    (["bench", "--problems", "{problem}", "--weights", f"{FIXTURE}/weights.bin", "--time-data", "{tmp}/bad-row.jsonl"],
+     "bench: {tmp}/bad-row.jsonl:3: not a JSON row: "),
+    (["bench", "--problems", "{problem}", "--weights", f"{FIXTURE}/weights.bin", "--time-data",
+      "{tmp}/no-terminals.jsonl"], "bench: {tmp}/no-terminals.jsonl: not a timing dataset file"),
+    (["score", "{tmp}/no-mode.jsonl"], "score: {tmp}/no-mode.jsonl:2: a row must be a JSON object with benchmark_id, "),
+    (["score", "{tmp}/array.json"], "score: {tmp}/array.json: not a results file"),
+    (["prune", "{tmp}/concat.sl", "--weights", "{tmp}/array.json", "--time-data", f"{FIXTURE}/time.jsonl"],
+     "prune: {tmp}/array.json: unsupported schema/version"),
+    (["train", "--data", "{tmp}/inputs-string.jsonl", "-o", "{tmp}/w.bin"],
+     "train: {tmp}/inputs-string.jsonl:2: inputs and label must be lists"),
+    (["train", "--data", "{tmp}/label-int.jsonl", "-o", "{tmp}/w.bin"],
+     "train: {tmp}/label-int.jsonl:2: inputs and label must be lists"),
+    (["stream", "--grammar-config", "{tmp}/terminals-int.json"],
+     "stream: {tmp}/terminals-int.json: terminals must be a list of terminal names"),
+    (["stream", "-n", "300", "--grammar-config", "{tmp}/int-literals-string.json"],
+     "stream: {tmp}/int-literals-string.json: int_literals must be a list of integers"),
 ], ids=["missing-problem", "parse-error", "weights-for-another-grammar", "time-data-not-json",
         "time-data-for-another-order", "stream-unknown-terminal", "datagen-crit-unknown-terminal",
-        "grammar-config-not-an-object", "crit-row-without-label", "time-row-without-t-full"])
+        "grammar-config-not-an-object", "crit-row-without-label", "time-row-without-t-full",
+        "time-row-not-json", "time-header-without-terminals", "results-row-without-mode",
+        "results-header-not-an-object", "weights-header-not-an-object", "crit-inputs-not-a-list",
+        "crit-label-not-a-list", "grammar-config-terminals-not-a-list", "grammar-config-int-literals-a-string"])
 def test_bad_input_file_is_a_message_not_a_traceback(argv, message, problem_file, tmp_path):
     (tmp_path / "bad.sl").write_text("(set-logic SLIA)(foo)", encoding="utf-8")
     (tmp_path / "concat.sl").write_text(CONCAT_ONLY, encoding="utf-8")
@@ -240,15 +260,30 @@ def test_bad_input_file_is_a_message_not_a_traceback(argv, message, problem_file
     second = json.loads(rows[1])
     del second["t_full_s"]
     (tmp_path / "no-full.jsonl").write_text(header + rows[0] + json.dumps(second) + "\n", encoding="utf-8")
+    (tmp_path / "bad-row.jsonl").write_text(header + rows[0] + "{not json\n" + rows[1], encoding="utf-8")
     header = json.loads(header)
     header["terminals"].reverse()
     (tmp_path / "reversed.jsonl").write_text(json.dumps(header) + "\n" + "".join(rows), encoding="utf-8")
+    del header["terminals"]
+    (tmp_path / "no-terminals.jsonl").write_text(json.dumps(header) + "\n" + "".join(rows), encoding="utf-8")
+    results_header = {"schema": bench.RESULTS_SCHEMA, "version": bench.RESULTS_VERSION}
+    row = {"benchmark_id": "b", "solved_full": False, "t_full_s": None, "size_full": None, "solved_pruned": None,
+           "t_pruned_s": None, "size_pruned": None, "removed": [], "error": None}
+    (tmp_path / "no-mode.jsonl").write_text(json.dumps(results_header) + "\n" + json.dumps(row) + "\n",
+                                            encoding="utf-8")
+    (tmp_path / "array.json").write_text("[1]\n", encoding="utf-8")
+    (tmp_path / "terminals-int.json").write_text(json.dumps({"terminals": 5}), encoding="utf-8")
+    (tmp_path / "int-literals-string.json").write_text(json.dumps({"int_literals": "ab"}), encoding="utf-8")
     (tmp_path / "unknown.json").write_text(json.dumps({"terminals": ["str.++", "str.frob"]}), encoding="utf-8")
     (tmp_path / "list.json").write_text(json.dumps(["str.++"]), encoding="utf-8")
     crit_header = {"schema": "grt.crit", "version": 1, "terminals": ["str.++"]}
     crit_row = {"program_id": "p0", "inputs": ["a"], "output": "a"}
     (tmp_path / "no-label.jsonl").write_text(json.dumps(crit_header) + "\n" + json.dumps(crit_row) + "\n",
                                              encoding="utf-8")
+    for name, fields in [("inputs-string", {"inputs": "a", "label": [1]}), ("label-int", {"label": 1})]:
+        (tmp_path / f"{name}.jsonl").write_text(
+            json.dumps(crit_header) + "\n" + json.dumps({**crit_row, "label": [1], **fields}) + "\n", encoding="utf-8"
+        )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     fill = {"tmp": tmp_path, "problem": problem_file}
     proc = subprocess.run(

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -388,20 +389,42 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import harness  # noqa: E402
 
 
+READ_HEAD = sygus_format._head.__wrapped__  # the reading, without the reader's cache
+
+
+def heads(maxsize=256):
+    """A head cache like the reader's, which also records each head it read
+    and what it made of it, in the order it read them."""
+    read = {}
+
+    def head(text):
+        read[text] = forms = READ_HEAD(text)
+        return forms
+
+    cache = functools.lru_cache(maxsize=maxsize)(head)
+    cache.read = read
+    return cache
+
+
+def kept(cache):
+    """The heads the cache read into forms, in the order it read them."""
+    return [text for text, forms in cache.read.items() if forms is not None]
+
+
 def outcome(text, cache):
-    """What parse_problem_file makes of the text with these heads kept: the
+    """What parse_problem_file makes of the text with this head cache: the
     ProblemFile, or the error's class, message, line and column."""
-    saved, sygus_format._HEADS = sygus_format._HEADS, cache
+    saved, sygus_format._head = sygus_format._head, cache
     try:
         return parse_problem_file(text)
     except ParseError as exc:
         return type(exc), str(exc), exc.line, exc.col
     finally:
-        sygus_format._HEADS = saved
+        sygus_format._head = saved
 
 
 def cold(text):
-    return outcome(text, sygus_format._Heads())
+    return outcome(text, heads())
 
 
 def full(text):
@@ -413,7 +436,7 @@ def full(text):
 
 
 def primed(*texts):
-    cache = sygus_format._Heads()
+    cache = heads()
     for text in texts:
         outcome(text, cache)
     return cache
@@ -421,20 +444,9 @@ def primed(*texts):
 
 def head_end(text):
     """Where the text's kept head ends: past the newline of its first constraint line."""
-    (head,) = primed(text).by_text
+    (head,) = kept(primed(text))
     assert text.startswith(head) and text.startswith("(constraint", len(head))
     return len(head)
-
-
-class Counted(sygus_format._Heads):
-    """Heads that count how often a lookup finds one."""
-
-    hits = 0
-
-    def get(self, head):
-        forms = super().get(head)
-        self.hits += forms is not None
-        return forms
 
 
 MANY_SMALL_TEXTS = [req.text for req in harness.many_small_requests(1, k=20)]
@@ -475,7 +487,7 @@ class TestDeclarationReuse:
     def test_a_kept_declaration_is_not_walked_again(self, monkeypatch):
         expected = [cold(text) for text in MANY_SMALL_TEXTS]
         cache = primed(MANY_SMALL_TEXTS[0])
-        assert len(cache) == 1
+        assert len(kept(cache)) == 1
         walked = []
         real = sygus_format._parse_synth_fun
         monkeypatch.setattr(sygus_format, "_parse_synth_fun", lambda form: walked.append(form) or real(form))
@@ -485,9 +497,10 @@ class TestDeclarationReuse:
         assert len(walked) == 1
 
     def test_problems_declaring_one_grammar_share_it(self):
-        cache = primed(MANY_SMALL_TEXTS[0])
+        cache = heads()
         first, second = (outcome(text, cache) for text in MANY_SMALL_TEXTS[:2])
         assert first.problem.grammar is second.problem.grammar
+        assert cache.cache_info()[:2] == (1, 1)  # hits, misses: the second text's head was kept
 
     @given(mutated_around_head())
     @settings(max_examples=400, deadline=None)
@@ -500,7 +513,7 @@ class TestDeclarationReuse:
     @pytest.mark.parametrize("text", BASE_TEXTS[:3] + MANY_SMALL_TEXTS[:1])
     def test_every_single_insertion_reads_as_with_nothing_kept(self, text):
         end = head_end(text)
-        cache = Counted()
+        cache = heads()
         outcome(text, cache)
         after = end + len("(constraint")
         for at in (0, 1, end // 2, end - 1, end, end + 1, after, len(text)):
@@ -508,7 +521,7 @@ class TestDeclarationReuse:
                 mutated = text[:at] + piece + text[at:]
                 assert outcome(mutated, cache) == cold(mutated) == full(mutated), (at, piece)
         # a piece after the first constraint line's "(constraint" leaves the head to be reused
-        assert cache.hits >= 2 * len(MUTATIONS)
+        assert cache.cache_info().hits >= 2 * len(MUTATIONS)
 
     def test_benchmark_texts_read_the_same_cold_and_warm(self, generated_paths):
         texts = [req.text for seed in (1, 2) for req in harness.many_small_requests(seed)]
@@ -516,51 +529,62 @@ class TestDeclarationReuse:
         assert len(texts) == 1437
         warm = primed(*texts)
         # every head here is kept: many-small's one and the suite's 26
-        assert len(warm) == len({text[: head_end(text)] for text in texts}) == 27
+        assert len(kept(warm)) == len({text[: head_end(text)] for text in texts}) == 27
         for text in texts:
             assert outcome(text, warm) == cold(text) == full(text)
 
     def test_the_least_recently_used_declaration_goes(self):
         base = MANY_SMALL_TEXTS[0]
         texts = [base.replace('(x0 ""', f'(x0 "{i}" ""', 1) for i in range(5)]
-        cache = sygus_format._Heads(maxsize=4)
+        cache = heads(maxsize=4)
         for text in texts:
             outcome(text, cache)
-        heads = [t[: head_end(t)] for t in texts]
-        assert list(cache.by_text) == heads[1:]
-        outcome(texts[1], cache)  # now the most recently used
-        outcome(texts[0], cache)
-        assert list(cache.by_text) == [heads[3], heads[4], heads[1], heads[0]]
+        assert cache.cache_info().misses == 5 and cache.cache_info().currsize == 4
+
+        def read_again(*indices):
+            """How many of these texts' heads were read again, not found kept."""
+            misses = cache.cache_info().misses
+            for k in indices:
+                outcome(texts[k], cache)
+            return cache.cache_info().misses - misses
+
+        assert read_again(1) == 0  # now the most recently used
+        assert read_again(0) == 1  # the first went, and is back in place of the third
+        assert read_again(3, 4, 1, 0) == 0
+        assert read_again(2) == 1
 
     @pytest.mark.parametrize(
-        "text, error",
+        "text, error, n_kept",
         [
-            (" ".join(MANY_SMALL_TEXTS[0].split("\n")), None),  # no constraint line
+            (" ".join(MANY_SMALL_TEXTS[0].split("\n")), None, 0),  # no constraint line
+            # the head holds one top-level synth-fun form, so it is kept, though
+            # the text is refused for a form before it
             (
                 MANY_SMALL_TEXTS[0].replace("\n(synth-fun", "\n(check-synth (synth-fun f () String ((S String (\"\")))))\n(synth-fun", 1),
                 "check-synth takes no arguments",
+                1,
             ),
             # the first "\n(constraint" is inside a literal, which the head cuts
-            (MANY_SMALL_TEXTS[0].replace('(x0 ""', '(x0 "\n(constraint" ""', 1), None),
+            (MANY_SMALL_TEXTS[0].replace('(x0 ""', '(x0 "\n(constraint" ""', 1), None, 0),
         ],
         ids=["one-line", "nested-first", "literal-across-the-cut"],
     )
-    def test_declarations_that_are_not_kept(self, text, error):
+    def test_declarations_that_are_not_kept(self, text, error, n_kept):
         cache = primed(text)
-        assert len(cache) == 0
+        assert len(kept(cache)) == n_kept
         if error is None:
             assert not isinstance(cold(text), tuple)  # the text is accepted
         else:
             assert cold(text)[:2] == (ParseError, error)
         warm = primed(MANY_SMALL_TEXTS[0], text)
-        assert len(warm) == 1  # the one kept is the unchanged text's
+        assert len(kept(warm)) == 1 + n_kept  # the unchanged text's, and this one's if kept
         assert outcome(text, warm) == outcome(text, cache) == cold(text) == full(text)
 
     def test_a_declaration_split_by_a_line_is_kept(self):
         text = MANY_SMALL_TEXTS[0].replace("\n     (StartInt", "\n(StartInt", 1)
         assert "\n(StartInt" in text
         cache = primed(text)
-        assert len(cache) == 1
+        assert len(kept(cache)) == 1
         assert outcome(text, cache) == cold(text) == full(text)
         assert not isinstance(full(text), tuple)
 
@@ -573,7 +597,7 @@ class TestDeclarationReuse:
             '(declare-var synth-fun String)\n(constraint (= (f "a") "aa"))\n(check-synth)\n'
         )
         cache = primed(text)
-        assert len(cache) == 1
+        assert len(kept(cache)) == 1
         assert outcome(text, cache) == cold(text) == full(text)
         assert not isinstance(full(text), tuple)
         start, end = text.index("(synth-fun"), text.index("\n(declare-var")
@@ -590,11 +614,59 @@ class TestDeclarationReuse:
     def test_a_declaration_with_a_comment_inside_is_reused(self):
         text = MANY_SMALL_TEXTS[0].replace("String\n", "String ; a comment (with a paren\n", 1)
         cache = primed(text)
-        (head,) = cache.by_text
+        (head,) = kept(cache)
         assert "; a comment (with a paren" in head
         other = MANY_SMALL_TEXTS[1].replace("String\n", "String ; a comment (with a paren\n", 1)
         assert outcome(other, cache) == cold(other)
         assert outcome(other, cache).problem.grammar is cold(text).problem.grammar
+
+
+SYNTH_FUN = '(synth-fun f ((x0 String)) String ((Start String (x0 "-" (str.++ Start Start)))))\n'
+SMALL_HEAD = "(set-logic SLIA)\n" + SYNTH_FUN + "(declare-var x0 String)\n"
+SMALL_REST = '(constraint (= (f "a") "a-"))\n(check-synth)\n'
+
+
+class TestHead:
+    def test_a_text_without_a_constraint_line_never_consults_it(self):
+        text = " ".join(MANY_SMALL_TEXTS[0].split("\n"))
+        cache = heads()
+        assert outcome(text, cache) == full(text)
+        assert cache.cache_info().misses == cache.cache_info().hits == 0
+
+    def test_a_head_reads_into_its_forms_and_one_declaration(self):
+        forms = sygus_format._head(SMALL_HEAD)
+        assert [type(form) for form in forms] == [list, sygus_format._Declaration, list]
+        assert forms[0] == ["set-logic", "SLIA"] and forms[2] == ["declare-var", "x0", "String"]
+        pf = full(SMALL_HEAD + SMALL_REST)
+        assert forms[1] == (pf.fn_name, pf.problem.grammar)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "(set-logic SLIA)\n(synth-fun f ((x0 String)) String\n",
+            '(set-logic SLIA)\n(synth-fun f ((x0 String)) String ((Start String ("\n',
+            "(set-logic SLIA)\n(declare-var x0 String)\n",
+            "(set-logic SLIA)\n(check-synth " + SYNTH_FUN + ")\n",
+            SMALL_HEAD + SYNTH_FUN,
+            SMALL_HEAD.replace("(synth-fun", '("synth-fun"'),
+            SMALL_HEAD.replace("(x0 String)) String", "(x0 Int)) String"),
+            SMALL_HEAD.replace("str.++ Start Start", "str.++ Start"),
+            SMALL_HEAD.replace("str.++", "str.frob"),
+        ],
+        ids=["list-open-at-the-end", "cut-inside-a-literal", "no-synth-fun", "nested-synth-fun-only",
+             "two-synth-funs", "synth-fun-as-a-literal", "int-parameter", "wrong-arity", "unknown-operator"],
+    )
+    def test_a_head_without_exactly_one_sound_declaration_is_none(self, head):
+        assert sygus_format._head(head) is None
+        text = head + SMALL_REST
+        assert outcome(text, heads()) == full(text)
+
+    def test_forms_that_are_not_lists_are_read_and_refused_by_the_full_reader(self):
+        head = '5\n()\n"s"\n' + SMALL_HEAD
+        forms = sygus_format._head(head)
+        assert forms[:3] == (5, [], "s") and type(forms[4]) is sygus_format._Declaration
+        text = head + SMALL_REST
+        assert outcome(text, heads()) == full(text) == (ParseError, "unsupported top-level form: 5", 0, 0)
 
 
 # --- Printing -----------------------------------------------------------------------
